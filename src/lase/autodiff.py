@@ -1,18 +1,20 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Everything is a 2-D array (column vectors are shape (n, 1)).  Ops executed
-inside a ``Tape`` context record their backward rules; outside any tape they
-run forward-only, which doubles as the fast no-grad path.  No broadcasting is
-performed except scalar * tensor; any other shape disagreement raises.
+Everything is a 2-D array with one column per item (a node or an arc); a
+single vector is an (n, 1) column.  Ops executed inside a ``Tape`` context
+record their backward rules; outside any tape they run forward-only, which
+doubles as the fast no-grad path.  Broadcasting happens only where an op says
+so (``scale`` by a scalar or a row of per-column factors, ``add_bias`` of a
+column); any other shape disagreement raises.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
 
 import numpy as np
+
+from .fileio import atomic_write
 
 
 class Tensor2:
@@ -134,9 +136,9 @@ def _make(data, op, inputs=None, vjp=None):
 
 
 def matvec(w, x):
-    """y = W x with W (m, n) and x (n, 1)."""
+    """Y = W X with W (m, n) and X (n, k): W applied to every column of X."""
     m, n = w.shape
-    if x.shape != (n, 1):
+    if x.shape[0] != n:
         raise ValueError("matvec shape mismatch: %s vs %s" % (w.shape, x.shape))
     y = w.data @ x.data
 
@@ -146,16 +148,21 @@ def matvec(w, x):
     return _make(y, "matvec", (w, x), vjp)
 
 
+def add_bias(a, b):
+    """a + b with the column b (rows, 1) added to every column of a."""
+    if b.shape != (a.shape[0], 1):
+        raise ValueError("add_bias shape mismatch: %s vs %s" % (a.shape, b.shape))
+
+    def vjp(g):
+        return g, np.sum(g, axis=1, keepdims=True)
+
+    return _make(a.data + b.data, "add_bias", (a, b), vjp)
+
+
 def add(a, b):
     if a.shape != b.shape:
         raise ValueError("add shape mismatch: %s vs %s" % (a.shape, b.shape))
     return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
-def sub(a, b):
-    if a.shape != b.shape:
-        raise ValueError("sub shape mismatch: %s vs %s" % (a.shape, b.shape))
-    return _make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def hadamard(a, b):
@@ -169,38 +176,47 @@ def hadamard(a, b):
 
 
 def scale(a, s):
-    """s * a where s is a python float or a scalar Tensor2."""
-    if isinstance(s, Tensor2):
-        if s.data.size != 1:
-            raise ValueError("scale factor must be scalar")
+    """s * a, column by column: ``s`` is a (1, cols) row of per-column
+    factors, a Tensor2 or a constant (a float or a numpy row)."""
+    if not isinstance(s, Tensor2):
+        return _make(a.data * s, "scale", (a,), lambda g: (g * s,))
+    if s.shape != (1, a.shape[1]):
+        raise ValueError("scale factor must be a (1, %d) row" % a.shape[1])
 
-        def vjp(g):
-            return g * s.data[0, 0], np.array([[np.sum(g * a.data)]])
+    def vjp(g):
+        return g * s.data, np.sum(g * a.data, axis=0, keepdims=True)
 
-        return _make(a.data * s.data[0, 0], "scale", (a, s), vjp)
-    c = float(s)
-    return _make(a.data * c, "scale", (a,), lambda g: (g * c,))
+    return _make(a.data * s.data, "scale", (a, s), vjp)
+
+
+def gather(a, idx):
+    """Columns a[:, idx]; an index may repeat."""
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        np.add.at(out, (slice(None), idx), g)
+        return (out,)
+
+    return _make(a.data[:, idx], "gather", (a,), vjp)
+
+
+def segment_sum(a, idx, n):
+    """(rows, n) sums: column j of a is added into column idx[j], in order."""
+    out = np.zeros((a.shape[0], n))
+    np.add.at(out, (slice(None), idx), a.data)
+    return _make(out, "segment_sum", (a,), lambda g: (g[:, idx],))
 
 
 def concat(parts):
-    """Vertically stack column vectors."""
+    """Vertically stack tensors with equal column counts."""
     parts = list(parts)
     if not parts:
         raise ValueError("concat of an empty list")
-    for p in parts:
-        if p.shape[1] != 1:
-            raise ValueError("concat expects column vectors")
+    if len({p.shape[1] for p in parts}) != 1:
+        raise ValueError("concat expects equal column counts")
     out = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-
-    def vjp(g):
-        grads, ofs = [], 0
-        for sz in sizes:
-            grads.append(g[ofs:ofs + sz])
-            ofs += sz
-        return tuple(grads)
-
-    return _make(out, "concat", tuple(parts), vjp)
+    cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return _make(out, "concat", tuple(parts), lambda g: tuple(np.split(g, cuts)))
 
 
 def reduce_sum(a):
@@ -240,22 +256,27 @@ def relu(a):
 
 
 def softmax_cross_entropy(logits, label):
-    """Mean-free cross-entropy of a single label against column logits."""
-    k = logits.shape[0]
-    if logits.shape[1] != 1:
-        raise ValueError("logits must be a column vector")
-    if not 0 <= label < k:
-        raise ValueError("label %d out of range [0, %d)" % (label, k))
-    z = logits.data[:, 0]
-    m = np.max(z)
+    """Summed cross-entropy of per-column labels against column logits.
+
+    ``label`` is one label per column of ``logits`` (an int for one column).
+    """
+    k, cols = logits.shape
+    label = np.array(label, dtype=np.intp).reshape(-1)
+    if label.size != cols or np.any((label < 0) | (label >= k)):
+        raise ValueError("labels %s do not fit %d logit columns of %d classes"
+                         % (label.tolist(), cols, k))
+    z = logits.data
+    cols_idx = np.arange(cols)
+    m = np.max(z, axis=0)
     ez = np.exp(z - m)
-    probs = ez / np.sum(ez)
-    loss = -(z[label] - m - np.log(np.sum(ez)))
+    total = np.sum(ez, axis=0)
+    probs = ez / total
+    loss = np.sum(-(z[label, cols_idx] - m - np.log(total)))
 
     def vjp(g):
         d = probs.copy()
-        d[label] -= 1.0
-        return (g[0, 0] * d.reshape(-1, 1),)
+        d[label, cols_idx] -= 1.0
+        return (g[0, 0] * d,)
 
     return _make(np.array([[loss]]), "softmax_cross_entropy", (logits,), vjp)
 
@@ -272,11 +293,9 @@ def save_checkpoint(path_prefix, named_tensors, meta=None):
         r, c = t.shape
         manifest["tensors"].append({"name": name, "rows": r, "cols": c})
         blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    with open(path_prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(path_prefix + ".bin", "wb") as fh:
-        fh.write(bytes(blob))
+    atomic_write(path_prefix + ".bin", bytes(blob))
+    atomic_write(path_prefix + ".json",
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path_prefix):

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import graph as graphmod
 from . import kernels, layers, sampling, training
+from .fileio import atomic_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,21 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph_args(args):
@@ -179,7 +165,7 @@ def _cmd_train(args):
         split = graphmod.make_split(g, seed=run.seed)
     model, hist = training.train(g, split, run)
     model.save(args.out + ".ckpt", meta={"seed": run.seed, "arch": run.arch})
-    _atomic_write(args.out + ".metrics.csv", training.metrics_csv(hist))
+    atomic_write(args.out + ".metrics.csv", training.metrics_csv(hist))
     _write_json(args.out + ".summary.json", {
         "test_f1": hist.test_f1, "best_epoch": hist.best_epoch,
         "epochs": len(hist.train_loss), "config": run.to_dict()})
@@ -213,7 +199,7 @@ def _cmd_kernel(args):
         text = "\n".join(",".join(repr(float(v)) for v in row)
                          for row in rows) + "\n"
         if args.out:
-            _atomic_write(args.out, text)
+            atomic_write(args.out, text)
         print("kernel: %d x %d Gram matrix written" % (args.gram, args.gram))
         return EXIT_OK
     if not args.nodes or not args.links:
@@ -223,6 +209,7 @@ def _cmd_kernel(args):
         g2 = graphmod.load_graph(args.nodes2, args.links2)
     else:
         g2 = g1
+    kernels.check_enumeration_budget(g1, g2, cfg.hops)
     dp = kernels.rw_kernel_dp(g1, g2, cfg)
     en = kernels.rw_kernel_enumerate(g1, g2, cfg)
     rel = abs(dp - en) / max(1.0, abs(en))
@@ -241,7 +228,7 @@ def _cmd_check_theorem1(args):
         if args.nodes:
             g = _load_graph_args(args)
         else:
-            g = _random_small_graph(rng)
+            g = graphmod.random_graph(rng)
         stack = layers.LayerStack("rw", g.d_node, g.d_link, hidden=4,
                                   depth=args.hops, kernel_mode=True,
                                   constant_decay=args.decay,
@@ -257,20 +244,6 @@ def _cmd_check_theorem1(args):
     print("check-theorem1: %d trials, max rel_err %.3g -> %s"
           % (args.trials, worst, "PASS" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_NUMERIC
-
-
-def _random_small_graph(rng, max_nodes=8, d_node=3, d_link=2):
-    n = int(rng.integers(2, max_nodes + 1))
-    links = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                links.append((u, v))
-    if not links:
-        links = [(0, 1)]
-    nf = rng.normal(size=(n, d_node))
-    lf = rng.normal(size=(len(links), d_link))
-    return graphmod.AttributedGraph(nf, [None] * n, links, lf, 1)
 
 
 def _cmd_figure3(args):
@@ -330,7 +303,7 @@ def _cmd_sample_variance(args):
             empirical = float(np.sum(np.var(ests, axis=0)))
             lines.append("%s,%d,%s,%s" % (name, u, repr(float(analytic)),
                                           repr(float(empirical))))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print("sample-variance: %d neighborhoods written" % len(chosen))
     return EXIT_OK
 
@@ -360,7 +333,7 @@ def _cmd_snr_sweep(args):
     for snr, f1 in rows:
         lines.append("%s,%s" % ("inf" if math.isinf(snr) else repr(float(snr)),
                                 repr(float(f1))))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     for snr, f1 in rows:
         print("snr %s -> test micro-F1 %.4f" % (snr, f1))
     return EXIT_OK

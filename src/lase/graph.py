@@ -1,8 +1,9 @@
 """Attributed graph container, TSV loading, splits and synthetic generators.
 
-Graphs are immutable after construction: node features, link features and the
-per-node adjacency (lists of (neighbor id, link id) pairs, sorted by neighbor
-id) are plain numpy arrays / tuples.  Node files are tab-separated
+Graphs are immutable after construction: node features, link features, the
+directed arcs (dst, src, link) sorted by (dst, src) and the per-node adjacency
+(the (src, link) pairs of each node's arcs) are plain numpy arrays / tuples.
+Node files are tab-separated
 ``id<TAB>label<TAB>f1,f2,...`` with ``-`` for a missing label; link files are
 ``src<TAB>dst<TAB>f1,f2,...``.  A sidecar JSON manifest may carry
 ``{d_node, d_link, n_labels, undirected}`` and overrides inference.
@@ -12,9 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import atomic_write
 
 
 class GraphError(ValueError):
@@ -47,7 +50,7 @@ class AttributedGraph:
         self.n_labels = int(n_labels)
         self.undirected = bool(undirected)
         self._validate()
-        self.adjacency = self._build_adjacency()
+        self._build_arcs()
 
     # -- construction helpers ------------------------------------------------
 
@@ -73,13 +76,23 @@ class AttributedGraph:
             if lab is not None and not (0 <= lab < self.n_labels):
                 raise GraphError("label %r out of range" % (lab,))
 
-    def _build_adjacency(self):
-        adj = [[] for _ in range(self.n_nodes)]
-        for eid, (s, d) in enumerate(self.links):
-            adj[s].append((d, eid))
-            if self.undirected:
-                adj[d].append((s, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
+    def _build_arcs(self):
+        """Directed arcs (dst, src, link) sorted by (dst, src), and from them
+        the adjacency: the arcs into node u are ``arc_ptr[u]:arc_ptr[u + 1]``,
+        and ``adjacency[u]`` lists their (src, link) pairs."""
+        ends = np.array(self.links, dtype=np.intp).reshape(-1, 2)
+        eid = np.arange(len(ends))
+        dst, src = ends[:, 0], ends[:, 1]
+        if self.undirected:
+            dst, src = np.concatenate([dst, src]), np.concatenate([src, dst])
+            eid = np.concatenate([eid, eid])
+        order = np.lexsort((src, dst))
+        self.arc_dst, self.arc_src = dst[order], src[order]
+        self.arc_link = eid[order]
+        self.arc_ptr = np.searchsorted(self.arc_dst, np.arange(self.n_nodes + 1))
+        pairs = list(zip(self.arc_src.tolist(), self.arc_link.tolist()))
+        ptr = self.arc_ptr.tolist()
+        self.adjacency = tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -187,21 +200,18 @@ def load_graph(nodes_path, links_path, manifest_path=None, undirected=True):
 
 def save_graph(g, nodes_path, links_path, manifest_path=None):
     """Write a graph back out in the loader's format (bit-exact floats)."""
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for i in range(g.n_nodes):
-            lab = "-" if g.labels[i] is None else str(g.labels[i])
-            fh.write("%d\t%s\t%s\n" % (
-                i, lab, ",".join(repr(float(v)) for v in g.node_features[i])))
-    with open(links_path, "w", encoding="utf-8") as fh:
-        for eid, (s, d) in enumerate(g.links):
-            fh.write("%d\t%d\t%s\n" % (
-                s, d, ",".join(repr(float(v)) for v in g.link_features[eid])))
+    atomic_write(nodes_path, "".join(
+        "%d\t%s\t%s\n" % (i, "-" if g.labels[i] is None else str(g.labels[i]),
+                           ",".join(repr(float(v)) for v in g.node_features[i]))
+        for i in range(g.n_nodes)))
+    atomic_write(links_path, "".join(
+        "%d\t%d\t%s\n" % (s, d, ",".join(repr(float(v))
+                                          for v in g.link_features[eid]))
+        for eid, (s, d) in enumerate(g.links)))
     if manifest_path is not None:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump({"d_node": g.d_node, "d_link": g.d_link,
-                       "n_labels": g.n_labels, "undirected": g.undirected},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(manifest_path, json.dumps(
+            {"d_node": g.d_node, "d_link": g.d_link, "n_labels": g.n_labels,
+             "undirected": g.undirected}, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,9 @@ def synth_graph(kind, n, seed=0):
 
     ``interaction``: labels depend only on the sign of the summed elementwise
     node-feature / link-feature interactions in each neighborhood (features
-    are +-1 with odd dimension and odd degree, so the sum is never zero).
+    are +-1 with odd dimension, so each neighbor adds an odd number; degrees
+    are only approximately regular, and a node whose sum is exactly zero gets
+    a random label).
     ``concat-blind``: disjoint 6-node blocks, each holding two star
     neighborhoods whose node-sums and link-sums agree while the (node, link)
     pairings - and the center labels - differ.
@@ -287,7 +299,7 @@ def synth_graph(kind, n, seed=0):
         lf = rng.choice([-1.0, 1.0], size=(len(links), d))
         g = AttributedGraph(nf, [None] * n, links, lf, 2)
         # Odd per-neighbor contributions; nodes with even degree can tie at 0,
-        # so bump their feature sign on one coordinate until the tie breaks.
+        # and a tied node draws its label at random.
         labels = []
         for u in range(n):
             s = _pairing_rule(g, u)
@@ -322,6 +334,19 @@ def synth_graph(kind, n, seed=0):
     labels = [int(rng.integers(n_labels)) for _ in range(n)]
     g = AttributedGraph(nf, labels, links, lf, n_labels)
     return g, make_split(g, seed=seed + 1)
+
+
+def random_graph(rng, max_nodes=8, d_node=3, d_link=2, p_link=0.5):
+    """Unlabelled graph of 2..max_nodes nodes with gaussian features; each
+    node pair is linked with probability ``p_link`` (else one link (0, 1))."""
+    n = int(rng.integers(2, max_nodes + 1))
+    links = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p_link]
+    if not links:
+        links = [(0, 1)]
+    nf = rng.normal(size=(n, d_node))
+    lf = rng.normal(size=(len(links), d_link))
+    return AttributedGraph(nf, [None] * n, links, lf, 1)
 
 
 def concat_blind_duos(g):

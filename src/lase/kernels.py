@@ -35,6 +35,10 @@ class KernelConfig:
 ENUM_BUDGET = 10 ** 7
 
 
+class WalkBudgetError(ValueError):
+    """Walk enumeration would exceed ENUM_BUDGET walks or walk pairs."""
+
+
 def neighbor_feature(fv, fe):
     """Rank-1 neighbor feature tensor: outer product of node and link attrs."""
     fv = np.asarray(fv, dtype=np.float64)
@@ -88,6 +92,25 @@ def neighborhood_kernel(g1, g2, u, u2, cfg):
     return float(rec(u, u2, cfg.hops))
 
 
+def count_walks(g, hops):
+    """Number of directed walks with ``hops`` links: the entry sum of A^hops
+    (in float64, exact up to 2**53, which is far above any budget)."""
+    c = np.ones(g.n_nodes)
+    for _ in range(hops):
+        c = np.bincount(g.arc_dst, weights=c[g.arc_src], minlength=g.n_nodes)
+    return float(c.sum())
+
+
+def check_enumeration_budget(g1, g2, hops, budget=ENUM_BUDGET):
+    """Raise WalkBudgetError, before any enumeration, if the walk pairs of
+    g1 and g2 at ``hops`` exceed ``budget``."""
+    w1, w2 = count_walks(g1, hops), count_walks(g2, hops)
+    if max(w1, w2) > budget or w1 * w2 > budget:
+        raise WalkBudgetError("%.0f x %.0f walks at %d hops exceed the "
+                              "enumeration budget of %d walk pairs"
+                              % (w1, w2, hops, budget))
+
+
 def enumerate_walks(g, n_nodes_in_walk, budget=ENUM_BUDGET):
     """All directed walk sequences with the given node count.
 
@@ -96,11 +119,12 @@ def enumerate_walks(g, n_nodes_in_walk, budget=ENUM_BUDGET):
     """
     if n_nodes_in_walk < 1:
         raise ValueError("walks need at least one node")
+    if count_walks(g, n_nodes_in_walk - 1) > budget:
+        raise WalkBudgetError("more than %d walks of %d nodes"
+                              % (budget, n_nodes_in_walk))
     walks_nodes, walks_links = [], []
 
     def extend(nodes, links):
-        if len(walks_nodes) > budget:
-            raise RuntimeError("walk enumeration budget exceeded")
         if len(nodes) == n_nodes_in_walk:
             walks_nodes.append(tuple(nodes))
             walks_links.append(tuple(links))
@@ -122,6 +146,7 @@ def enumerate_walks(g, n_nodes_in_walk, budget=ENUM_BUDGET):
 
 def rw_kernel_enumerate(g1, g2, cfg):
     """Random-walk kernel by literal enumeration of all walk pairs."""
+    check_enumeration_budget(g1, g2, cfg.hops)
     m = cfg.hops + 1
     s = _gram_nodes(g1, g2)
     e = _gram_links(g1, g2)
@@ -129,8 +154,6 @@ def rw_kernel_enumerate(g1, g2, cfg):
     n2, l2 = enumerate_walks(g2, m)
     if n1.shape[0] == 0 or n2.shape[0] == 0:
         return 0.0
-    if n1.shape[0] * n2.shape[0] > ENUM_BUDGET:
-        raise RuntimeError("walk-pair enumeration budget exceeded")
     prod = np.ones((n1.shape[0], n2.shape[0]))
     for i in range(m):
         prod *= s[n1[:, i][:, None], n2[:, i][None, :]]

@@ -133,31 +133,34 @@ class LayerStack:
                 out.append(("layer%d.%s" % (l, name), t))
         return out
 
-    def zero_grad(self):
-        for _, t in self.parameters():
-            t.zero_grad()
-
-    def load_state(self, named):
-        mine = dict(self.parameters())
-        for name, t in named:
-            if name not in mine:
-                raise ValueError("unknown parameter %r in checkpoint" % (name,))
-            if mine[name].shape != t.shape:
-                raise ValueError("shape mismatch for parameter %r" % (name,))
-            mine[name].data[...] = t.data
-        return self
-
 
 # ---------------------------------------------------------------------------
-# Taped forward pass
+# Forward pass over arc arrays
+#
+# A layer's receptive field is a sorted node list per layer below the top
+# plus, per layer l >= 1, the arcs feeding its nodes: graph arc ids, the
+# position of each arc's destination in layer l's node list, and a row of
+# sampling coefficients (None under full neighborhoods).  Every tensor has one
+# column per node or per arc.  Under a Tape the ops record their gradients
+# (training); without one they run forward-only (evaluation, refresh and the
+# Theorem-1 check).
 # ---------------------------------------------------------------------------
 
 def gate(h_u, h_v, fe, p, stack):
-    """Scalar neighbor gate; a plain constant in kernel mode."""
+    """Neighbor gates sigmoid(V [h_u; fe; h_v] + b), one per column; a plain
+    constant in kernel mode.
+
+    V is applied block by block, so the stacked input is never built: that
+    would be the largest per-arc tensor of a layer.
+    """
     if stack.kernel_mode:
         return stack.constant_decay
-    z = ad.matvec(p.V, ad.concat([h_u, fe, h_v]))
-    return ad.sigmoid(ad.add(z, p.b))
+    z, ofs = None, 0
+    for x in (h_u, fe, h_v):
+        zx = ad.matvec(ad.gather(p.V, np.arange(ofs, ofs + x.shape[0])), x)
+        z = zx if z is None else ad.add(z, zx)
+        ofs += x.shape[0]
+    return ad.sigmoid(ad.add_bias(z, p.b))
 
 
 def amplifier(h_v, fe, p, stack):
@@ -168,260 +171,200 @@ def amplifier(h_v, fe, p, stack):
     return ad.hadamard(h_v, a)
 
 
-def _zero(dim):
-    return ad.Tensor2(np.zeros((dim, 1)))
+def _cols(mat, ids):
+    """Constant tensor whose columns are the rows ``ids`` of ``mat``."""
+    return ad.Tensor2(mat[ids].T)
 
 
-def _sum_terms(terms, dim):
-    if not terms:
-        return _zero(dim)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
+def _arcs_into(g, nodes):
+    """Every arc into ``nodes``, grouped by node in list order."""
+    lo = g.arc_ptr[nodes]
+    cnt = g.arc_ptr[nodes + 1] - lo
+    ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    return ids, np.repeat(np.arange(len(nodes)), cnt), None
 
 
-def forward(g, stack, batch, plan=None, state=None, rng=None):
-    """Per-node hidden vectors (taped).  ``plan=None`` means full neighborhoods.
+def _full_field(g, top, depth):
+    """Node lists and arcs of full neighborhoods below the ``top`` nodes."""
+    nodes, arcs = [None] * (depth + 1), [None] * (depth + 1)
+    nodes[depth] = top
+    for l in range(depth, 0, -1):
+        arcs[l] = _arcs_into(g, nodes[l])
+        below = np.zeros(g.n_nodes, dtype=bool)
+        below[nodes[l]] = below[g.arc_src[arcs[l][0]]] = True
+        nodes[l - 1] = np.flatnonzero(below)
+    return nodes, arcs
 
-    With a sampling plan, each layer's neighbor sum is replaced by the
-    importance-sampled estimator (1/s) sum_j gate * term / p_j; probabilities
-    are constants of the draw and take no gradient.
+
+def _sampled_field(g, stack, batch, plan, state, rng):
+    """Node lists and drawn arcs of a sampled batch.
+
+    Draws come depth first from the batch, so the draw sequence is fixed by
+    the batch and the seed: at each newly visited (layer, node), draw s
+    neighbors with replacement, then visit the node one layer down (every
+    architecture but concat reads it), then each drawn neighbor.
     """
     from . import sampling
 
-    sampled = plan is not None and plan.strategy != "full"
-    if sampled and rng is None:
-        rng = np.random.default_rng(plan.seed)
+    s = plan.sample_size
+    drawn = [{} for _ in range(stack.depth + 1)]  # per layer: u -> arcs, coefs
 
-    fnode_cache, flink_cache = {}, {}
-
-    def nf(u):
-        if u not in fnode_cache:
-            fnode_cache[u] = ad.Tensor2(g.node_features[u].reshape(-1, 1))
-        return fnode_cache[u]
-
-    def lf(e):
-        if e not in flink_cache:
-            flink_cache[e] = ad.Tensor2(g.link_features[e].reshape(-1, 1))
-        return flink_cache[e]
-
-    rmemo = {}
-
-    def relabel(d, u):
-        if d == 0:
-            return nf(u)
-        key = (d, u)
-        if key in rmemo:
-            return rmemo[key]
-        self_term = ad.matvec(stack.P1, relabel(d - 1, u))
-        msgs = [ad.sigmoid(ad.matvec(stack.Q, relabel(d - 1, v)))
-                for v, _ in g.neighbors(u)]
-        nsum = _sum_terms(msgs, stack.d_node)
-        out = ad.sigmoid(ad.add(self_term, ad.matvec(stack.P2, nsum)))
-        rmemo[key] = out
-        return out
-
-    def activation(x):
-        return x if stack.kernel_mode else ad.relu(x)
-
-    def draws(l, u):
-        """(neighbor index, coefficient) pairs covering the neighbor sum."""
-        nbrs = g.neighbors(u)
-        if not nbrs:
-            return []
-        if not sampled:
-            return [(j, 1.0) for j in range(len(nbrs))]
-        p = sampling.plan_probs(g, stack, state, plan, l, u)
-        s = plan.sample_size
-        idx = rng.choice(len(nbrs), size=s, p=p)
-        return [(int(j), 1.0 / (s * p[j])) for j in idx]
-
-    memo = {}
-
-    def hid(l, u):
-        key = (l, u)
-        if key in memo:
-            return memo[key]
-        out = _hid(l, u)
-        memo[key] = out
-        return out
-
-    def _hid(l, u):
+    def visit(l, u):
+        if u in drawn[l]:
+            return
+        drawn[l][u] = None
         if l == 0:
-            if stack.arch == "rw":
-                return ad.matvec(stack.layers[0].W, nf(u))
-            if stack.arch == "wl":
-                return ad.matvec(stack.layers[0].W, relabel(stack.wl_depth - 1, u))
-            return nf(u)
-        p = stack.layers[l]
-        nbrs = g.neighbors(u)
-        pairs = draws(l, u)
+            return
+        lo, deg = g.arc_ptr[u], int(g.arc_ptr[u + 1] - g.arc_ptr[u])
+        ids, coef = np.zeros(0, dtype=np.intp), np.zeros(0)
+        if deg:
+            p = sampling.plan_probs(g, stack, state, plan, l, u)
+            j = rng.choice(deg, size=s, p=p)
+            ids, coef = lo + j, 1.0 / (s * p[j])
+        drawn[l][u] = ids, coef
+        if stack.arch != "concat":
+            visit(l - 1, u)
+        for v in g.arc_src[ids].tolist():
+            visit(l - 1, v)
 
-        if stack.arch == "concat":
-            hsum = _sum_terms(
-                [_coef(hid(l - 1, nbrs[j][0]), c) for j, c in pairs],
-                stack.dims[l - 1])
-            fesum = _sum_terms(
-                [_coef(lf(nbrs[j][1]), c) for j, c in pairs], stack.d_link)
-            return ad.relu(ad.add(ad.matvec(p.W1, hsum), ad.matvec(p.W2, fesum)))
-
-        h_u = hid(l - 1, u)
-        terms = []
-        for j, c in pairs:
-            v, e = nbrs[j]
-            h_v = hid(l - 1, v)
-            fe = lf(e)
-            lam = gate(h_u, h_v, fe, p, stack)
-            if stack.arch == "sage":
-                core = amplifier(h_v, fe, p, stack)
-            elif stack.strict_paper_rw:
-                core = ad.hadamard(amplifier(h_u, fe, p, stack),
-                                   ad.matvec(p.W, nf(v)))
-            elif stack.arch == "rw":
-                core = ad.hadamard(amplifier(h_v, fe, p, stack),
-                                   ad.matvec(p.W, nf(u)))
-            else:  # wl
-                core = ad.hadamard(amplifier(h_v, fe, p, stack),
-                                   ad.matvec(p.W, relabel(stack.wl_depth - 1, u)))
-            term = ad.scale(core, lam) if not isinstance(lam, float) \
-                else ad.scale(core, lam)
-            terms.append(_coef(term, c))
-        nbsum = _sum_terms(terms, stack.dims[l - 1] if stack.arch == "sage"
-                           else stack.hidden)
-
-        if stack.arch == "sage":
-            z1 = ad.matvec(p.W1, h_u)
-            z2 = ad.matvec(p.W2, nbsum)
-            if stack.combine == "sum":
-                z = ad.add(z1, z2)
-            elif stack.combine == "hadamard":
-                z = ad.hadamard(z1, z2)
-            else:
-                z = ad.concat([z1, z2])
-            return ad.relu(z)
-        return activation(nbsum)
-
-    return {u: hid(stack.depth, u) for u in batch}
+    for u in batch:
+        visit(stack.depth, u)
+    nodes = [np.array(sorted(d), dtype=np.intp) for d in drawn[:-1]]
+    nodes.append(np.array(batch, dtype=np.intp))
+    arcs = [None]
+    for l in range(1, stack.depth + 1):
+        parts = [drawn[l][u] for u in nodes[l].tolist()]
+        arcs.append((np.concatenate([ids for ids, _ in parts]),
+                     np.repeat(np.arange(len(parts)), [len(i) for i, _ in parts]),
+                     np.concatenate([c for _, c in parts]).reshape(1, -1)))
+    return nodes, arcs
 
 
-def _coef(t, c):
-    return t if c == 1.0 else ad.scale(t, c)
-
-
-def wl_relabel(g, stack, d):
-    """Numpy relabeling rounds r(0)=f(u) .. r(d); rows are nodes."""
-    r = g.node_features.copy()
-    p1 = stack.P1.data
-    p2 = stack.P2.data
-    q = stack.Q.data
-    for _ in range(d):
-        nxt = np.zeros_like(r)
-        for u in range(g.n_nodes):
-            acc = np.zeros(r.shape[1])
-            for v, _ in g.neighbors(u):
-                acc = acc + _sig(q @ r[v])
-            nxt[u] = _sig(p1 @ r[u] + p2 @ acc)
-        r = nxt
+def _relabel(g, stack, nodes, arcs):
+    """Relabeling rounds over a full-neighborhood field; columns are nodes[-1]."""
+    r = _cols(g.node_features, nodes[0])
+    for d in range(1, len(nodes)):
+        ids, dst, _ = arcs[d]
+        msg = ad.sigmoid(ad.matvec(stack.Q, r))
+        nsum = ad.segment_sum(
+            ad.gather(msg, np.searchsorted(nodes[d - 1], g.arc_src[ids])),
+            dst, len(nodes[d]))
+        own = ad.gather(r, np.searchsorted(nodes[d - 1], nodes[d]))
+        r = ad.sigmoid(ad.add(ad.matvec(stack.P1, own), ad.matvec(stack.P2, nsum)))
     return r
 
 
-def _sig(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _layer(g, stack, l, nodes, arcs, h, r):
+    """Layer l over its field: (hidden, per-arc gates, per-arc summands).
+
+    Gates and summands are the lambda and g(v|u) of sampling's estimator;
+    a constant gate (kernel mode, and 1 for concat) is a float.
+    """
+    p = stack.layers[l]
+    ids, dst, coef = arcs
+    m = len(nodes[l])
+    src = np.searchsorted(nodes[l - 1], g.arc_src[ids])
+    fe = _cols(g.link_features, g.arc_link[ids])
+    hv = ad.gather(h, src)
+
+    if stack.arch == "concat":
+        core = ad.concat([hv, fe])
+        if coef is not None:
+            hv, fe = ad.scale(hv, coef), ad.scale(fe, coef)
+        z = ad.add(ad.matvec(p.W1, ad.segment_sum(hv, dst, m)),
+                   ad.matvec(p.W2, ad.segment_sum(fe, dst, m)))
+        return ad.relu(z), 1.0, core
+
+    # Off the tape each per-arc tensor is freed once used, so a full forward
+    # holds at most three at a time (gathered neighbors, amplifier, summand).
+    own = np.searchsorted(nodes[l - 1], nodes[l])
+    lam = gate(ad.gather(h, own[dst]), hv, fe, p, stack)
+    if stack.arch == "sage":
+        core = amplifier(hv, fe, p, stack)
+    elif stack.strict_paper_rw:
+        w = ad.matvec(p.W, _cols(g.node_features, nodes[l - 1]))
+        core = ad.hadamard(amplifier(ad.gather(h, own[dst]), fe, p, stack),
+                           ad.gather(w, src))
+    else:
+        x = (_cols(g.node_features, nodes[l]) if stack.arch == "rw"
+             else ad.gather(r, np.searchsorted(nodes[0], nodes[l])))
+        core = ad.hadamard(amplifier(hv, fe, p, stack),
+                           ad.gather(ad.matvec(p.W, x), dst))
+    del hv
+    term = ad.scale(core, lam)
+    if coef is not None:
+        term = ad.scale(term, coef)
+    nbsum = ad.segment_sum(term, dst, m)
+
+    if stack.arch == "sage":
+        z1 = ad.matvec(p.W1, ad.gather(h, own))
+        z2 = ad.matvec(p.W2, nbsum)
+        if stack.combine == "sum":
+            z = ad.add(z1, z2)
+        elif stack.combine == "hadamard":
+            z = ad.hadamard(z1, z2)
+        else:
+            z = ad.concat([z1, z2])
+        return ad.relu(z), lam, core
+    return (nbsum if stack.kernel_mode else ad.relu(nbsum)), lam, core
 
 
-# ---------------------------------------------------------------------------
-# Numpy (no-grad) full-neighborhood forward
-# ---------------------------------------------------------------------------
+def _run(g, stack, nodes, arcs):
+    """(hidden, gates, summands) per layer over a field; layer 0 has no
+    gates or summands."""
+    r = None
+    if stack.arch == "wl":
+        r = _relabel(g, stack, *_full_field(g, nodes[0], stack.wl_depth - 1))
+    if stack.arch == "rw":
+        h = ad.matvec(stack.layers[0].W, _cols(g.node_features, nodes[0]))
+    elif stack.arch == "wl":
+        h = ad.matvec(stack.layers[0].W, r)
+    else:
+        h = _cols(g.node_features, nodes[0])
+    out = [(h, None, None)]
+    for l in range(1, stack.depth + 1):
+        out.append(_layer(g, stack, l, nodes, arcs[l], out[-1][0], r))
+    return out
+
+
+def forward(g, stack, batch, plan=None, state=None, rng=None):
+    """Top-layer hidden tensor (out_dim, len(batch)), columns in batch order.
+
+    ``plan=None`` (or strategy "full") means full neighborhoods.  With a
+    sampling plan, each layer's neighbor sum is replaced by the
+    importance-sampled estimator (1/s) sum_j gate * term / p_j; probabilities
+    are constants of the draw and take no gradient.
+    """
+    if plan is not None and plan.strategy != "full":
+        if rng is None:
+            rng = np.random.default_rng(plan.seed)
+        nodes, arcs = _sampled_field(g, stack, batch, plan, state, rng)
+    else:
+        nodes, arcs = _full_field(g, np.array(batch, dtype=np.intp),
+                                  stack.depth)
+    return _run(g, stack, nodes, arcs)[-1][0]
+
 
 def full_forward(g, stack):
-    """Full-neighborhood forward pass without a tape.
+    """Full-neighborhood forward pass over every node.
 
-    Returns {"H": [array (n, dim_l) per layer], "R": relabel array or None}.
-    Accumulation order matches the taped forward bit for bit.
+    Returns {"H": [array (n, dim_l) per layer], "gates": [None, array (A,)
+    per layer], "terms": [None, array (dim, A) per layer]}: rows of H are
+    nodes, and gates and terms are per arc, in the graph's arc order.
     """
-    n = g.n_nodes
-    r = wl_relabel(g, stack, stack.wl_depth - 1) if stack.arch == "wl" else None
-
-    if stack.arch == "rw":
-        h = g.node_features @ stack.layers[0].W.data.T
-    elif stack.arch == "wl":
-        h = r @ stack.layers[0].W.data.T
-    else:
-        h = g.node_features.copy()
-    hs = [h]
-
-    for l in range(1, stack.depth + 1):
-        p = stack.layers[l]
-        prev = hs[-1]
-        out = np.zeros((n, stack.dims[l]))
-        for u in range(n):
-            out[u] = _node_forward(g, stack, p, prev, r, l, u)
-        hs.append(out)
-    return {"H": hs, "R": r}
-
-
-def _gate_value(stack, p, h_u, h_v, fe):
-    if stack.kernel_mode:
-        return stack.constant_decay
-    z = p.V.data @ np.concatenate([h_u, fe, h_v]).reshape(-1, 1)
-    return float(_sig(z[0, 0] + p.b.data[0, 0]))
-
-
-def _amp_vec(stack, p, fe):
-    a = p.U.data @ fe
-    return _sig(a) if stack.amplifier_sigmoid else a
-
-
-def neighbor_term(g, stack, p, prev, r, l, u, v, eid):
-    """lambda-free summand g(v|u) for layer l as a numpy vector."""
-    fe = g.link_features[eid]
-    if stack.arch == "concat":
-        return np.concatenate([prev[v], fe])
-    if stack.arch == "sage":
-        return prev[v] * _amp_vec(stack, p, fe)
-    if stack.strict_paper_rw:
-        return prev[u] * _amp_vec(stack, p, fe) * (stack.layers[l].W.data @ g.node_features[v])
-    if stack.arch == "rw":
-        return prev[v] * _amp_vec(stack, p, fe) * (stack.layers[l].W.data @ g.node_features[u])
-    return prev[v] * _amp_vec(stack, p, fe) * (stack.layers[l].W.data @ r[u])
-
-
-def neighbor_gates(g, stack, p, prev, l, u):
-    """Gate value per neighbor of u, in adjacency order."""
-    out = []
-    for v, eid in g.neighbors(u):
-        out.append(_gate_value(stack, p, prev[u], prev[v], g.link_features[eid]))
-    return np.array(out)
-
-
-def _node_forward(g, stack, p, prev, r, l, u):
-    nbrs = g.neighbors(u)
-    if stack.arch == "concat":
-        hsum = np.zeros(prev.shape[1])
-        fesum = np.zeros(g.d_link)
-        for v, eid in nbrs:
-            hsum = hsum + prev[v]
-            fesum = fesum + g.link_features[eid]
-        return np.maximum(p.W1.data @ hsum + p.W2.data @ fesum, 0.0)
-
-    acc = np.zeros(prev.shape[1] if stack.arch == "sage" else stack.hidden)
-    for v, eid in nbrs:
-        lam = _gate_value(stack, p, prev[u], prev[v], g.link_features[eid])
-        acc = acc + lam * neighbor_term(g, stack, p, prev, r, l, u, v, eid)
-    if stack.arch == "sage":
-        z1 = p.W1.data @ prev[u]
-        z2 = p.W2.data @ acc
-        if stack.combine == "sum":
-            z = z1 + z2
-        elif stack.combine == "hadamard":
-            z = z1 * z2
-        else:
-            z = np.concatenate([z1, z2])
-        return np.maximum(z, 0.0)
-    return acc if stack.kernel_mode else np.maximum(acc, 0.0)
+    out = _run(g, stack, *_full_field(g, np.arange(g.n_nodes), stack.depth))
+    return {"H": [h.data.T for h, _, _ in out],
+            "gates": [None] + [lam.data[0] if isinstance(lam, ad.Tensor2)
+                               else np.full(len(g.arc_dst), lam)
+                               for _, lam, _ in out[1:]],
+            "terms": [None] + [core.data for _, _, core in out[1:]]}
 
 
 def full_hidden_arrays(g, stack):
     """Per-layer hidden matrices under full neighborhoods (no tape)."""
     return full_forward(g, stack)["H"]
+
+
+def wl_relabel(g, stack, d):
+    """Relabeling rounds r(0)=f(u) .. r(d) as an array; rows are nodes."""
+    return _relabel(g, stack, *_full_field(g, np.arange(g.n_nodes), d)).data.T

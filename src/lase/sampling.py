@@ -80,18 +80,12 @@ def probs_minvar_weights(lam, gmat):
 
 
 def neighborhood_terms(g, stack, ctx, l, u):
-    """(gates, summands) over N(u) at layer l from a full-forward context."""
-    p = stack.layers[l]
-    prev = ctx["H"][l - 1]
-    r = ctx["R"]
-    nbrs = g.neighbors(u)
-    if stack.arch == "concat":
-        lam = np.ones(len(nbrs))
-    else:
-        lam = layers.neighbor_gates(g, stack, p, prev, l, u)
-    gmat = np.array([layers.neighbor_term(g, stack, p, prev, r, l, u, v, eid)
-                     for v, eid in nbrs]).reshape(len(nbrs), -1)
-    return lam, gmat
+    """(gates, summands) over N(u) at layer l, in adjacency order.
+
+    A slice of the per-arc arrays of a ``layers.full_forward`` context.
+    """
+    lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+    return ctx["gates"][l][lo:hi], ctx["terms"][l][:, lo:hi].T
 
 
 def neighbor_summand(g, stack, l, u, v):
@@ -103,18 +97,6 @@ def neighbor_summand(g, stack, l, u, v):
     ctx = layers.full_forward(g, stack)
     _, gmat = neighborhood_terms(g, stack, ctx, l, u)
     return gmat[idx[0]]
-
-
-def probs_gate(g, stack, l, u, ctx=None):
-    ctx = ctx or layers.full_forward(g, stack)
-    lam, _ = neighborhood_terms(g, stack, ctx, l, u)
-    return probs_from_gates(lam)
-
-
-def probs_minvar(g, stack, l, u, ctx=None):
-    ctx = ctx or layers.full_forward(g, stack)
-    lam, gmat = neighborhood_terms(g, stack, ctx, l, u)
-    return probs_minvar_weights(lam, gmat)
 
 
 def estimate_neighbor_sum(lam, gmat, p, s, rng):
@@ -143,7 +125,7 @@ def estimator_variance(lam, gmat, p):
 
 
 def plan_probs(g, stack, state, plan, l, u):
-    """Distribution used by the taped forward for (layer l, node u)."""
+    """Distribution the sampled forward draws from for (layer l, node u)."""
     deg = len(g.neighbors(u))
     if plan.strategy == "uniform":
         return probs_uniform(deg)

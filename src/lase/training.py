@@ -120,10 +120,16 @@ class Model:
         ad.save_checkpoint(path_prefix, self.parameters(), meta)
 
     def load(self, path_prefix):
+        """Copy a checkpoint's tensors in; its names, count and shapes must
+        match ``parameters()`` exactly, or nothing is copied."""
         named, meta = ad.load_checkpoint(path_prefix)
-        for (name, src), (mine_name, t) in zip(named, self.parameters()):
-            if name != mine_name or src.shape != t.shape:
-                raise ValueError("checkpoint does not match model layout")
+        mine = self.parameters()
+        have = [(name, t.shape) for name, t in named]
+        want = [(name, t.shape) for name, t in mine]
+        if have != want:
+            raise ValueError("checkpoint tensors %s do not match the model's %s"
+                             % (have, want))
+        for (_, src), (_, t) in zip(named, mine):
             t.data[...] = src.data
         return meta
 
@@ -224,14 +230,9 @@ def make_optimizer(run, params):
 
 def batch_loss(g, model, batch, plan=None, state=None, rng=None):
     """Mean cross-entropy over a batch (taped)."""
-    hs = layers.forward(g, model.stack, batch, plan=plan, state=state, rng=rng)
-    losses = []
-    for u in batch:
-        logits = ad.add(ad.matvec(model.C, hs[u]), model.c)
-        losses.append(ad.softmax_cross_entropy(logits, g.labels[u]))
-    total = losses[0]
-    for l in losses[1:]:
-        total = ad.add(total, l)
+    h = layers.forward(g, model.stack, batch, plan=plan, state=state, rng=rng)
+    logits = ad.add_bias(ad.matvec(model.C, h), model.c)
+    total = ad.softmax_cross_entropy(logits, [g.labels[u] for u in batch])
     return ad.scale(total, 1.0 / len(batch))
 
 

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from lase import autodiff as ad
 from lase import cli
+from lase import graph as G
+from lase import kernels
+from lase import training as T
 
 
 def run_cli(*argv):
@@ -59,6 +63,36 @@ class TestDataErrors:
         links.write_text("0\t99\t1.0\n")
         code = run_cli("kernel", "--nodes", str(bad), "--links", str(links))
         assert code == cli.EXIT_DATA
+
+    def test_truncated_checkpoint(self, synth_files, tmp_path):
+        cfg = write_config(tmp_path)
+        g = G.load_graph(synth_files["nodes"], synth_files["links"],
+                         manifest_path=synth_files["manifest"])
+        model = T.build_model(g, T.TrainRun.from_json(cfg))
+        prefix = str(tmp_path / "short.ckpt")
+        ad.save_checkpoint(prefix, model.parameters()[:2])
+        code = run_cli("eval", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       "--config", cfg, "--checkpoint", prefix,
+                       "--split", synth_files["split"])
+        assert code == cli.EXIT_DATA
+
+    def test_kernel_over_enumeration_budget(self, tmp_path, monkeypatch,
+                                            capsys):
+        g, _ = G.synth_graph("random", 200, seed=0)
+        nodes, links = str(tmp_path / "n.tsv"), str(tmp_path / "l.tsv")
+        G.save_graph(g, nodes, links)
+
+        def no_dp(*args):
+            raise AssertionError("the DP ran before the budget check")
+
+        monkeypatch.setattr(kernels, "rw_kernel_dp", no_dp)
+        code = run_cli("kernel", "--nodes", nodes, "--links", links,
+                       "--hops", "3")
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "enumeration budget" in err and "Traceback" not in err
 
 
 class TestTrainEval:

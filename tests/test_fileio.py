@@ -1,0 +1,59 @@
+"""Atomic output: a failed write leaves the previous file as it was."""
+
+import os
+
+import numpy as np
+import pytest
+
+from lase import autodiff as ad
+from lase import graph as G
+from lase.fileio import atomic_write
+
+
+def _fail_replace(*args):
+    raise OSError("disk full")
+
+
+def test_atomic_write_roundtrip(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write(str(path), "one\n")
+    atomic_write(str(path), "two\n")
+    assert path.read_text() == "two\n"
+    atomic_write(str(tmp_path / "out.bin"), b"\x00\x01")
+    assert (tmp_path / "out.bin").read_bytes() == b"\x00\x01"
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    atomic_write(str(path), "previous\n")
+    with pytest.raises(TypeError):
+        atomic_write(str(path), 12345)  # fails inside the write itself
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        atomic_write(str(path), "next\n")  # fails after the data is written
+    assert path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_failed_graph_and_checkpoint_saves_keep_previous_files(tmp_path,
+                                                                monkeypatch):
+    paths = [str(tmp_path / x) for x in ("n.tsv", "l.tsv", "m.json")]
+    g1, _ = G.synth_graph("random", 20, seed=1)
+    g2, _ = G.synth_graph("random", 20, seed=2)
+    G.save_graph(g1, *paths)
+    prefix = str(tmp_path / "ckpt")
+    ad.save_checkpoint(prefix, [("w", ad.Tensor2(np.ones((2, 2))))])
+    before = sorted(os.listdir(tmp_path))
+
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError):
+        G.save_graph(g2, *paths)
+    with pytest.raises(OSError):
+        ad.save_checkpoint(prefix, [("w", ad.Tensor2(np.zeros((2, 2))))])
+    monkeypatch.undo()
+
+    assert sorted(os.listdir(tmp_path)) == before
+    loaded = G.load_graph(*paths[:2], manifest_path=paths[2])
+    assert np.array_equal(loaded.node_features, g1.node_features)
+    (_, t), = ad.load_checkpoint(prefix)[0]
+    assert np.array_equal(t.data, np.ones((2, 2)))

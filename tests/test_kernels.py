@@ -109,6 +109,26 @@ class TestRandomWalkKernel:
                 en = K.rw_kernel_enumerate(g1, g2, cfg)
                 assert abs(dp - en) / max(1.0, abs(en)) < 1e-9
 
+    def test_count_walks_equals_enumeration(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            g = random_graph(rng, max_nodes=6)
+            for hops in (0, 1, 2, 3):
+                nw, _ = K.enumerate_walks(g, hops + 1)
+                assert K.count_walks(g, hops) == nw.shape[0]
+
+    def test_over_budget_is_typed_error(self):
+        rng = np.random.default_rng(11)
+        g = random_graph(rng, max_nodes=8, p_link=1.0)
+        cfg = K.KernelConfig(0.5, 3)
+        walks = K.count_walks(g, 3)
+        with pytest.raises(K.WalkBudgetError):
+            K.check_enumeration_budget(g, g, 3, budget=int(walks) + 1)
+        with pytest.raises(ValueError):
+            K.enumerate_walks(g, 4, budget=int(walks) - 1)
+        assert K.rw_kernel_enumerate(g, g, cfg) == pytest.approx(
+            K.rw_kernel_dp(g, g, cfg), rel=1e-9)
+
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         g1 = random_graph(rng, max_nodes=6)

@@ -6,6 +6,7 @@ import pytest
 from lase import autodiff as ad
 from lase import graph as G
 from lase import layers as L
+from lase import sampling as S
 from lase import training as T
 
 from util import finite_diff_worst
@@ -196,12 +197,41 @@ class TestInvariance:
         lf = g.link_features[order]
         g2 = G.AttributedGraph(g.node_features, g.labels, links, lf,
                                g.n_labels)
+        batch = [3, 0, 11, 7]
+        plan = S.SamplePlan(strategy="uniform", sample_size=2)
         for arch in ("rw", "wl", "sage", "concat"):
             stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
                                  seed=15)
             h1 = L.full_hidden_arrays(g, stack)[-1]
             h2 = L.full_hidden_arrays(g2, stack)[-1]
             assert np.array_equal(h1, h2)
+            with ad.Tape():
+                t1 = L.forward(g, stack, batch).data
+                t2 = L.forward(g2, stack, batch).data
+                s1 = L.forward(g, stack, batch, plan=plan,
+                               rng=np.random.default_rng(3)).data
+                s2 = L.forward(g2, stack, batch, plan=plan,
+                               rng=np.random.default_rng(3)).data
+            assert np.array_equal(t1, t2)
+            assert np.array_equal(s1, s2)
+
+
+class TestTapedMatchesFull:
+    @pytest.mark.parametrize("kw", [
+        dict(arch="rw"), dict(arch="wl"), dict(arch="sage"),
+        dict(arch="concat"), dict(arch="sage", combine="hadamard"),
+        dict(arch="rw", strict_paper_rw=True)])
+    def test_batch_columns_equal_full_rows(self, kw):
+        g, _ = small_graph(seed=18, n=20)
+        stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                             depth=2, seed=19, **kw)
+        full = L.full_hidden_arrays(g, stack)[-1]
+        batch = [5, 17, 2, 9, 0]
+        with ad.Tape():
+            taped = L.forward(g, stack, batch).data
+        assert taped.shape == (stack.out_dim, len(batch))
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(taped.T - full[batch])) <= 1e-12 * scale
 
 
 class TestGradients:

@@ -1,0 +1,117 @@
+"""Pinned forward values: hidden arrays and batch losses against a fixture.
+
+``data/parity.json`` holds ``full_hidden_arrays`` outputs and one
+``batch_loss`` value with its gradients per architecture, computed on two
+small graphs.  The forward must reproduce them to 1e-12, relative to the
+largest magnitude of each array.  Regenerate with
+``PYTHONPATH=src python tests/test_parity.py`` only when the layer math is
+meant to change.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from lase import autodiff as ad
+from lase import graph as G
+from lase import layers as L
+from lase import training as T
+
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "parity.json")
+RTOL = 1e-12
+
+STACKS = {
+    "rw": dict(arch="rw"),
+    "wl": dict(arch="wl"),
+    "wl-depth3": dict(arch="wl", wl_depth=3),
+    "sage": dict(arch="sage"),
+    "concat": dict(arch="concat"),
+    "sage-sum": dict(arch="sage", combine="sum"),
+    "sage-hadamard": dict(arch="sage", combine="hadamard"),
+    "sage-amp-sigmoid": dict(arch="sage", amplifier_sigmoid=True),
+    "rw-amp-sigmoid": dict(arch="rw", amplifier_sigmoid=True),
+    "rw-strict": dict(arch="rw", strict_paper_rw=True),
+    "rw-kernel": dict(arch="rw", kernel_mode=True, constant_decay=0.4),
+}
+
+
+def graphs():
+    """An interaction graph, and a random graph plus one isolated node."""
+    g1, s1 = G.synth_graph("interaction", 14, seed=21)
+    g, _ = G.synth_graph("random", 12, seed=22)
+    nf = np.vstack([g.node_features, np.full((1, g.d_node), 0.5)])
+    g2 = G.AttributedGraph(nf, g.labels + [1], g.links, g.link_features,
+                           g.n_labels)
+    return {"interaction": (g1, s1.train[:5]),
+            "random+isolated": (g2, (0, 3, 5, 8, 12))}
+
+
+def compute():
+    out = {}
+    for gname, (g, batch) in graphs().items():
+        for sname, kw in STACKS.items():
+            stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                                 depth=2, seed=5, **kw)
+            hs = L.full_hidden_arrays(g, stack)
+            out["%s/%s" % (gname, sname)] = [h.tolist() for h in hs]
+        for arch in L.ARCHITECTURES:
+            run = T.TrainRun(arch=arch, hidden=4, depth=2, seed=6)
+            model = T.build_model(g, run)
+            with ad.Tape() as tape:
+                loss = T.batch_loss(g, model, list(batch))
+                model.zero_grad()
+                tape.backward(loss)
+            out["%s/loss-%s" % (gname, arch)] = {
+                "loss": loss.item(),
+                "grads": {name: t.grad.tolist()
+                          for name, t in model.parameters()}}
+    return out
+
+
+def _close(new, old):
+    new, old = np.asarray(new, float), np.asarray(old, float)
+    assert new.shape == old.shape
+    scale = max(np.max(np.abs(old), initial=0.0), 1e-300)
+    return np.max(np.abs(new - old), initial=0.0) <= RTOL * scale
+
+
+@pytest.fixture(scope="module")
+def pinned_and_current():
+    with open(FIXTURE, "r", encoding="utf-8") as fh:
+        return json.load(fh), compute()
+
+
+def test_fixture_covers_every_case(pinned_and_current):
+    pinned, current = pinned_and_current
+    assert sorted(pinned) == sorted(current)
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("sname", sorted(STACKS))
+def test_hidden_arrays_match_fixture(pinned_and_current, gname, sname):
+    pinned, current = pinned_and_current
+    key = "%s/%s" % (gname, sname)
+    assert len(current[key]) == len(pinned[key])
+    for new, old in zip(current[key], pinned[key]):
+        assert _close(new, old)
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("arch", L.ARCHITECTURES)
+def test_batch_loss_and_gradients_match_fixture(pinned_and_current, gname,
+                                                arch):
+    pinned, current = pinned_and_current
+    key = "%s/loss-%s" % (gname, arch)
+    assert _close(current[key]["loss"], pinned[key]["loss"])
+    assert sorted(current[key]["grads"]) == sorted(pinned[key]["grads"])
+    for name, old in pinned[key]["grads"].items():
+        assert _close(current[key]["grads"][name], old), name
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w", encoding="utf-8") as fh:
+        json.dump(compute(), fh, sort_keys=True)
+        fh.write("\n")

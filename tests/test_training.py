@@ -111,6 +111,17 @@ class TestTrain:
         assert meta["seed"] == run.seed
         assert model2.predict(g, split.test) == model.predict(g, split.test)
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        g, _ = G.synth_graph("interaction", 40, seed=7)
+        model = T.build_model(g, quick_run())
+        prefix = str(tmp_path / "model")
+        ad.save_checkpoint(prefix, model.parameters()[:2])
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="do not match"):
+            model.load(prefix)
+        for (_, a), (_, b) in zip(before, model.snapshot()):
+            assert np.array_equal(a, b)
+
 
 class TestContaminate:
     def test_infinite_snr_unchanged(self):

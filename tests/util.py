@@ -3,19 +3,7 @@
 import numpy as np
 
 from lase import autodiff as ad
-from lase.graph import AttributedGraph
-
-
-def random_graph(rng, max_nodes=8, d_node=3, d_link=2, p_link=0.5):
-    """Random simple undirected graph with gaussian features."""
-    n = int(rng.integers(2, max_nodes + 1))
-    links = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p_link]
-    if not links:
-        links = [(0, 1)]
-    nf = rng.normal(size=(n, d_node))
-    lf = rng.normal(size=(len(links), d_link))
-    return AttributedGraph(nf, [None] * n, links, lf, 1)
+from lase.graph import random_graph  # noqa: F401  (re-exported for the tests)
 
 
 def finite_diff_worst(params, loss_fn, h=1e-6):
