@@ -37,9 +37,26 @@ def _write_json(path, obj):
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_graph_args(args):
-    manifest = getattr(args, "manifest", None)
-    return graphmod.load_graph(args.nodes, args.links, manifest_path=manifest)
+def _load_graph_args(args, suffix=""):
+    """The graph of --nodes/--links/--manifest, or of the flags ending in
+    ``suffix``; both flags of the pair are required."""
+    nodes = getattr(args, "nodes" + suffix)
+    links = getattr(args, "links" + suffix)
+    if not nodes or not links:
+        raise UsageError("%s needs both --nodes%s and --links%s"
+                         % (args.command, suffix, suffix))
+    return graphmod.load_graph(nodes, links, manifest_path=getattr(
+        args, "manifest" + suffix, None))
+
+
+def _at_least(lo):
+    """argparse type: an integer no smaller than ``lo``."""
+    def count(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be at least %d" % lo)
+        return value
+    return count
 
 
 def _load_split(path):
@@ -92,7 +109,7 @@ def build_parser():
     sp.add_argument("--links2", default=None)
     sp.add_argument("--hops", type=int, default=2)
     sp.add_argument("--decay", type=float, default=0.5)
-    sp.add_argument("--gram", type=int, default=0,
+    sp.add_argument("--gram", type=_at_least(0), default=0,
                     help="also emit a Gram CSV over this many random graphs")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -102,14 +119,14 @@ def build_parser():
     add_graph_flags(sp, required=False)
     sp.add_argument("--hops", type=int, default=2)
     sp.add_argument("--decay", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_at_least(1), default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("figure3-check",
                         help="concat blindness vs rw/sage discrimination")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(1), default=100)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("sample-variance",
@@ -118,8 +135,8 @@ def build_parser():
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, default="interaction")
     sp.add_argument("--n", type=int, default=60)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--neighborhoods", type=int, default=10)
-    sp.add_argument("--draws", type=int, default=20000)
+    sp.add_argument("--neighborhoods", type=_at_least(1), default=10)
+    sp.add_argument("--draws", type=_at_least(1), default=20000)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("snr-sweep", help="accuracy vs link-attribute noise")
@@ -202,13 +219,8 @@ def _cmd_kernel(args):
             atomic_write(args.out, text)
         print("kernel: %d x %d Gram matrix written" % (args.gram, args.gram))
         return EXIT_OK
-    if not args.nodes or not args.links:
-        raise UsageError("kernel needs --nodes/--links unless --gram is given")
     g1 = _load_graph_args(args)
-    if args.nodes2:
-        g2 = graphmod.load_graph(args.nodes2, args.links2)
-    else:
-        g2 = g1
+    g2 = _load_graph_args(args, "2") if args.nodes2 or args.links2 else g1
     kernels.check_enumeration_budget(g1, g2, cfg.hops)
     dp = kernels.rw_kernel_dp(g1, g2, cfg)
     en = kernels.rw_kernel_enumerate(g1, g2, cfg)
@@ -222,13 +234,11 @@ def _cmd_kernel(args):
 
 def _cmd_check_theorem1(args):
     rng = np.random.default_rng(args.seed)
+    loaded = _load_graph_args(args) if args.nodes or args.links else None
     results = []
     worst = 0.0
     for trial in range(args.trials):
-        if args.nodes:
-            g = _load_graph_args(args)
-        else:
-            g = graphmod.random_graph(rng)
+        g = loaded if loaded is not None else graphmod.random_graph(rng)
         stack = layers.LayerStack("rw", g.d_node, g.d_link, hidden=4,
                                   depth=args.hops, kernel_mode=True,
                                   constant_decay=args.decay,
@@ -277,7 +287,7 @@ def _cmd_figure3(args):
 
 
 def _cmd_sample_variance(args):
-    if args.nodes:
+    if args.nodes or args.links:
         g = _load_graph_args(args)
     else:
         g, _ = graphmod.synth_graph(args.kind, args.n, seed=args.seed)
@@ -317,7 +327,7 @@ def _parse_snrs(text):
 
 
 def _cmd_snr_sweep(args):
-    if args.nodes:
+    if args.nodes or args.links:
         g = _load_graph_args(args)
         split = _load_split(args.split) if args.split else graphmod.make_split(
             g, seed=args.seed)

@@ -119,6 +119,14 @@ class AttributedGraph:
     def degree(self, u):
         return len(self.adjacency[u])
 
+    def arcs_into(self, nodes):
+        """Every arc into ``nodes`` (an integer array), grouped by node in list
+        order: (arc ids, the position in ``nodes`` of each arc's dst)."""
+        lo = self.arc_ptr[nodes]
+        cnt = self.arc_ptr[nodes + 1] - lo
+        ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        return ids, np.repeat(np.arange(len(nodes)), cnt)
+
     def with_link_features(self, new_features):
         """Copy of this graph with replaced link features."""
         return AttributedGraph(self.node_features.copy(), self.labels,

@@ -2,9 +2,17 @@
 
 The neighbor kernel is the Frobenius inner product of two rank-1 neighbor
 feature tensors, which factorizes into a product of node-feature and
-link-feature inner products.  On top of it sit an l-hop neighborhood kernel
-(memoized recursion over node pairs) and a random-walk kernel evaluated two
-independent ways: literal walk enumeration and dynamic programming.
+link-feature inner products.  An l-hop neighborhood kernel and a random-walk
+kernel are both read off one hop recursion over the graphs' arc arrays; a
+second random-walk kernel enumerates the walk pairs literally.
+
+Hop recursion (Vishwanathan et al., "Graph Kernels", JMLR 2010): M[u, u2]
+sums the kernel products of the walk pairs from u in g1 and u2 in g2.  With
+the link Gram factorized over link-feature coordinates k, one hop is
+M <- S (*) decay * sum_k R1_k M R2_k^T, where S is the node Gram and row u of
+R_k x sums fe[link, k] x[v] over the arcs v -> u (v a neighbor of u).  It
+holds O(n1 n2 + A1 n2 + n1 A2) numbers for A arcs: no arc-pair matrix and no
+dense adjacency.
 
 Walk convention: a walk with ``hops`` links visits ``hops + 1`` nodes; the
 decay prefactor is ``decay ** hops`` (one factor per traversed link), which
@@ -57,47 +65,48 @@ def neighbor_kernel(a, b):
     return float(fv @ fw) * float(fe @ fe2)
 
 
-def _gram_nodes(g1, g2):
+def _check_dims(g1, g2):
     if g1.d_node != g2.d_node:
         raise ValueError("node feature dimension mismatch between graphs")
-    return g1.node_features @ g2.node_features.T
-
-
-def _gram_links(g1, g2):
     if g1.d_link != g2.d_link:
         raise ValueError("link feature dimension mismatch between graphs")
-    return g1.link_features @ g2.link_features.T
+
+
+def _propagate(g, x, w):
+    """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order;
+    ``w`` is a scalar or a column with one row per arc."""
+    out = np.zeros(x.shape)
+    np.add.at(out, g.arc_dst, w * x[g.arc_src])
+    return out
+
+
+def _walk_matrix(g1, g2, cfg):
+    """(n1, n2) walk-pair sums of ``cfg.hops`` links from each (u, u2)."""
+    _check_dims(g1, g2)
+    s = g1.node_features @ g2.node_features.T
+    w1 = g1.link_features[g1.arc_link]
+    w2 = g2.link_features[g2.arc_link]
+    m = s
+    for _ in range(cfg.hops):
+        acc = np.zeros_like(s)
+        for k in range(g1.d_link):
+            acc += _propagate(g2, _propagate(g1, m, w1[:, k:k + 1]).T,
+                              w2[:, k:k + 1]).T
+        m = s * cfg.decay * acc
+    return m
 
 
 def neighborhood_kernel(g1, g2, u, u2, cfg):
     """l-hop neighborhood kernel between node u of g1 and u2 of g2."""
-    s = _gram_nodes(g1, g2)
-    e = _gram_links(g1, g2)
-    memo = {}
-
-    def rec(a, b, level):
-        if level == 0:
-            return s[a, b]
-        key = (a, b, level)
-        if key in memo:
-            return memo[key]
-        acc = 0.0
-        for v, ea in g1.neighbors(a):
-            for v2, eb in g2.neighbors(b):
-                acc += rec(v, v2, level - 1) * e[ea, eb]
-        val = s[a, b] * cfg.decay * acc
-        memo[key] = val
-        return val
-
-    return float(rec(u, u2, cfg.hops))
+    return float(_walk_matrix(g1, g2, cfg)[u, u2])
 
 
 def count_walks(g, hops):
     """Number of directed walks with ``hops`` links: the entry sum of A^hops
     (in float64, exact up to 2**53, which is far above any budget)."""
-    c = np.ones(g.n_nodes)
+    c = np.ones((g.n_nodes, 1))
     for _ in range(hops):
-        c = np.bincount(g.arc_dst, weights=c[g.arc_src], minlength=g.n_nodes)
+        c = _propagate(g, c, 1.0)
     return float(c.sum())
 
 
@@ -112,7 +121,8 @@ def check_enumeration_budget(g1, g2, hops, budget=ENUM_BUDGET):
 
 
 def enumerate_walks(g, n_nodes_in_walk, budget=ENUM_BUDGET):
-    """All directed walk sequences with the given node count.
+    """All directed walk sequences with the given node count, in depth-first
+    order; every walk is grown at once by each neighbor of its last node.
 
     Returns (node_seqs, link_seqs) as integer arrays of shape
     (n_walks, n_nodes_in_walk) and (n_walks, n_nodes_in_walk - 1).
@@ -122,34 +132,22 @@ def enumerate_walks(g, n_nodes_in_walk, budget=ENUM_BUDGET):
     if count_walks(g, n_nodes_in_walk - 1) > budget:
         raise WalkBudgetError("more than %d walks of %d nodes"
                               % (budget, n_nodes_in_walk))
-    walks_nodes, walks_links = [], []
-
-    def extend(nodes, links):
-        if len(nodes) == n_nodes_in_walk:
-            walks_nodes.append(tuple(nodes))
-            walks_links.append(tuple(links))
-            return
-        for v, eid in g.neighbors(nodes[-1]):
-            nodes.append(v)
-            links.append(eid)
-            extend(nodes, links)
-            nodes.pop()
-            links.pop()
-
-    for u in range(g.n_nodes):
-        extend([u], [])
-    count = len(walks_nodes)
-    nw = np.array(walks_nodes, dtype=np.intp).reshape(count, n_nodes_in_walk)
-    lw = np.array(walks_links, dtype=np.intp).reshape(count, n_nodes_in_walk - 1)
+    nw = np.arange(g.n_nodes, dtype=np.intp).reshape(-1, 1)
+    lw = np.zeros((g.n_nodes, 0), dtype=np.intp)
+    for _ in range(n_nodes_in_walk - 1):
+        ids, walk = g.arcs_into(nw[:, -1])
+        nw = np.column_stack([nw[walk], g.arc_src[ids]])
+        lw = np.column_stack([lw[walk], g.arc_link[ids]])
     return nw, lw
 
 
 def rw_kernel_enumerate(g1, g2, cfg):
     """Random-walk kernel by literal enumeration of all walk pairs."""
     check_enumeration_budget(g1, g2, cfg.hops)
+    _check_dims(g1, g2)
     m = cfg.hops + 1
-    s = _gram_nodes(g1, g2)
-    e = _gram_links(g1, g2)
+    s = g1.node_features @ g2.node_features.T
+    e = g1.link_features @ g2.link_features.T
     n1, l1 = enumerate_walks(g1, m)
     n2, l2 = enumerate_walks(g2, m)
     if n1.shape[0] == 0 or n2.shape[0] == 0:
@@ -163,21 +161,9 @@ def rw_kernel_enumerate(g1, g2, cfg):
 
 
 def rw_kernel_dp(g1, g2, cfg):
-    """Random-walk kernel by dynamic programming over node pairs."""
-    s = _gram_nodes(g1, g2)
-    e = _gram_links(g1, g2)
-    m = s.copy()
-    for _ in range(cfg.hops):
-        nxt = np.zeros_like(m)
-        for a in range(g1.n_nodes):
-            for b in range(g2.n_nodes):
-                acc = 0.0
-                for v, ea in g1.neighbors(a):
-                    for v2, eb in g2.neighbors(b):
-                        acc += m[v, v2] * e[ea, eb]
-                nxt[a, b] = s[a, b] * cfg.decay * acc
-        m = nxt
-    return float(m.sum())
+    """Random-walk kernel by the hop recursion: the entry sum of the
+    walk-pair matrix."""
+    return float(_walk_matrix(g1, g2, cfg).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -176,20 +176,12 @@ def _cols(mat, ids):
     return ad.Tensor2(mat[ids].T)
 
 
-def _arcs_into(g, nodes):
-    """Every arc into ``nodes``, grouped by node in list order."""
-    lo = g.arc_ptr[nodes]
-    cnt = g.arc_ptr[nodes + 1] - lo
-    ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-    return ids, np.repeat(np.arange(len(nodes)), cnt), None
-
-
 def _full_field(g, top, depth):
     """Node lists and arcs of full neighborhoods below the ``top`` nodes."""
     nodes, arcs = [None] * (depth + 1), [None] * (depth + 1)
     nodes[depth] = top
     for l in range(depth, 0, -1):
-        arcs[l] = _arcs_into(g, nodes[l])
+        arcs[l] = (*g.arcs_into(nodes[l]), None)
         below = np.zeros(g.n_nodes, dtype=bool)
         below[nodes[l]] = below[g.arc_src[arcs[l][0]]] = True
         nodes[l - 1] = np.flatnonzero(below)

@@ -54,6 +54,37 @@ class TestUsageErrors:
     def test_no_subcommand(self):
         assert run_cli() == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("check-theorem1", "--nodes", "n.tsv"),
+        ("check-theorem1", "--links", "l.tsv"),
+        ("sample-variance", "--nodes", "n.tsv", "--out", "v.csv"),
+        ("snr-sweep", "--nodes", "n.tsv", "--out", "s.csv"),
+        ("kernel", "--links", "l.tsv"),
+        ("kernel", "--nodes", "n.tsv", "--links", "l.tsv", "--nodes2", "n.tsv"),
+        ("kernel", "--nodes", "n.tsv", "--links", "l.tsv", "--links2", "l.tsv"),
+    ])
+    def test_unpaired_graph_flag(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        G.save_graph(G.synth_graph("random", 10)[0], "n.tsv", "l.tsv")
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "needs both" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.tsv", "n.tsv"]
+
+    @pytest.mark.parametrize("argv", [
+        ("check-theorem1", "--trials", "0"),
+        ("figure3-check", "--trials", "0"),
+        ("sample-variance", "--draws", "0", "--out", "v.csv"),
+        ("sample-variance", "--neighborhoods", "0", "--out", "v.csv"),
+        ("kernel", "--gram", "-3", "--out", "g.csv"),
+    ])
+    def test_count_flag_below_minimum(self, argv, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert "must be at least" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDataErrors:
     def test_bad_graph_file(self, tmp_path):
@@ -151,6 +182,19 @@ class TestChecks:
                        "--trials", "5", "--seed", "1", "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["max_rel_err"] < 1e-9
+
+    def test_check_theorem1_loads_graph_once(self, synth_files, tmp_path,
+                                             monkeypatch):
+        loads = []
+        load_graph = G.load_graph
+        monkeypatch.setattr(G, "load_graph",
+                            lambda *a, **kw: loads.append(a) or load_graph(*a, **kw))
+        out = tmp_path / "thm.json"
+        code = run_cli("check-theorem1", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"], "--hops", "1",
+                       "--trials", "3", "--out", str(out))
+        assert code == 0 and len(loads) == 1
+        assert len(json.loads(out.read_text())["results"]) == 3
 
     def test_figure3_check(self, tmp_path):
         out = tmp_path / "fig3.json"

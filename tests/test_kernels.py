@@ -15,6 +15,17 @@ def tiny_graph(nf, links, lf):
                              np.asarray(lf, float), 1)
 
 
+def random_digraph(rng, max_nodes=8, **kw):
+    """Directed graph: random_graph's links, each reversed with probability
+    1/2, plus a reverse copy of about a third of them (new features)."""
+    g = random_graph(rng, max_nodes=max_nodes, **kw)
+    links = [(d, s) if rng.random() < 0.5 else (s, d) for s, d in g.links]
+    back = [(d, s) for s, d in links if rng.random() < 0.3]
+    lf = np.vstack([g.link_features, rng.normal(size=(len(back), g.d_link))])
+    return G.AttributedGraph(g.node_features, g.labels, links + back, lf, 1,
+                             undirected=False)
+
+
 class TestNeighborKernel:
     def test_outer_product_basis(self):
         m = K.neighbor_feature([1, 0], [0, 1])
@@ -63,25 +74,41 @@ class TestNeighborhoodKernel:
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(3)
-        g1 = random_graph(rng, max_nodes=5)
-        g2 = random_graph(rng, max_nodes=5)
         cfg = K.KernelConfig(0.5, 2)
 
-        def naive(a, b, level):
+        def naive(g1, g2, a, b, level):
             s = float(g1.node_features[a] @ g2.node_features[b])
             if level == 0:
                 return s
             acc = 0.0
             for v, ea in g1.neighbors(a):
                 for v2, eb in g2.neighbors(b):
-                    acc += naive(v, v2, level - 1) * float(
+                    acc += naive(g1, g2, v, v2, level - 1) * float(
                         g1.link_features[ea] @ g2.link_features[eb])
             return s * cfg.decay * acc
 
-        for u in range(g1.n_nodes):
-            for u2 in range(g2.n_nodes):
-                assert K.neighborhood_kernel(g1, g2, u, u2, cfg) == pytest.approx(
-                    naive(u, u2, cfg.hops), rel=1e-12, abs=1e-12)
+        for make in (random_graph, random_digraph):
+            g1 = make(rng, max_nodes=5)
+            g2 = make(rng, max_nodes=5)
+            for u in range(g1.n_nodes):
+                for u2 in range(g2.n_nodes):
+                    assert K.neighborhood_kernel(g1, g2, u, u2, cfg) == pytest.approx(
+                        naive(g1, g2, u, u2, cfg.hops), rel=1e-12, abs=1e-12)
+
+    def test_sum_equals_rw_kernel(self):
+        rng = np.random.default_rng(12)
+        for make in (random_graph, random_digraph):
+            for _ in range(5):
+                g1, g2 = make(rng, max_nodes=6), make(rng, max_nodes=6)
+                for hops in (0, 1, 2, 3):
+                    cfg = K.KernelConfig(0.5, hops)
+                    terms = np.array([
+                        [K.neighborhood_kernel(g1, g2, u, u2, cfg)
+                         for u2 in range(g2.n_nodes)]
+                        for u in range(g1.n_nodes)])
+                    dp = K.rw_kernel_dp(g1, g2, cfg)
+                    scale = max(1.0, np.abs(terms).sum())
+                    assert abs(terms.sum() - dp) <= 1e-12 * scale
 
 
 class TestRandomWalkKernel:
@@ -100,22 +127,38 @@ class TestRandomWalkKernel:
 
     def test_dp_equals_enumeration(self):
         rng = np.random.default_rng(4)
-        for _ in range(15):
-            g1 = random_graph(rng, max_nodes=6)
-            g2 = random_graph(rng, max_nodes=6)
-            for hops in (0, 1, 2, 3):
-                cfg = K.KernelConfig(0.5, hops)
-                dp = K.rw_kernel_dp(g1, g2, cfg)
-                en = K.rw_kernel_enumerate(g1, g2, cfg)
-                assert abs(dp - en) / max(1.0, abs(en)) < 1e-9
+        for make in (random_graph, random_digraph):
+            for _ in range(15):
+                g1 = make(rng, max_nodes=6)
+                g2 = make(rng, max_nodes=6)
+                for hops in (0, 1, 2, 3):
+                    cfg = K.KernelConfig(0.5, hops)
+                    dp = K.rw_kernel_dp(g1, g2, cfg)
+                    en = K.rw_kernel_enumerate(g1, g2, cfg)
+                    assert abs(dp - en) / max(1.0, abs(en)) < 1e-9
 
     def test_count_walks_equals_enumeration(self):
         rng = np.random.default_rng(10)
-        for _ in range(10):
-            g = random_graph(rng, max_nodes=6)
-            for hops in (0, 1, 2, 3):
-                nw, _ = K.enumerate_walks(g, hops + 1)
-                assert K.count_walks(g, hops) == nw.shape[0]
+        for make in (random_graph, random_digraph):
+            for _ in range(10):
+                g = make(rng, max_nodes=6)
+                for hops in (0, 1, 2, 3):
+                    nw, _ = K.enumerate_walks(g, hops + 1)
+                    assert K.count_walks(g, hops) == nw.shape[0]
+
+    @pytest.mark.parametrize("d_node, d_link", [(2, 2), (3, 1), (3, 3)])
+    def test_dimension_mismatch_is_error(self, d_node, d_link):
+        rng = np.random.default_rng(13)
+        g1 = random_graph(rng, d_node=3, d_link=2)
+        g2 = random_graph(rng, d_node=d_node, d_link=d_link)
+        what = "node" if d_node != 3 else "link"
+        for hops in (0, 2):
+            cfg = K.KernelConfig(0.5, hops)
+            for a, b in ((g1, g2), (g2, g1)):
+                with pytest.raises(ValueError, match=what):
+                    K.rw_kernel_dp(a, b, cfg)
+                with pytest.raises(ValueError, match=what):
+                    K.neighborhood_kernel(a, b, 0, 0, cfg)
 
     def test_over_budget_is_typed_error(self):
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ import pytest
 
 from lase import autodiff as ad
 from lase import graph as G
+from lase import kernels as K
 from lase import layers as L
 from lase import sampling as S
 from lase import training as T
@@ -197,6 +198,13 @@ class TestInvariance:
         lf = g.link_features[order]
         g2 = G.AttributedGraph(g.node_features, g.labels, links, lf,
                                g.n_labels)
+        cfg = K.KernelConfig(0.5, 2)
+        assert K.rw_kernel_dp(g, g, cfg) == K.rw_kernel_dp(g2, g2, cfg)
+        kstack = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2,
+                              kernel_mode=True, seed=15)
+        for k in range(kstack.hidden):
+            assert (K.check_theorem1(g, kstack, cfg, k)
+                    == K.check_theorem1(g2, kstack, cfg, k))
         batch = [3, 0, 11, 7]
         plan = S.SamplePlan(strategy="uniform", sample_size=2)
         for arch in ("rw", "wl", "sage", "concat"):

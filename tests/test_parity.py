@@ -1,11 +1,18 @@
-"""Pinned forward values: hidden arrays and batch losses against a fixture.
+"""Pinned forward and kernel values against a fixture.
 
-``data/parity.json`` holds ``full_hidden_arrays`` outputs and one
-``batch_loss`` value with its gradients per architecture, computed on two
-small graphs.  The forward must reproduce them to 1e-12, relative to the
-largest magnitude of each array.  Regenerate with
-``PYTHONPATH=src python tests/test_parity.py`` only when the layer math is
-meant to change.
+``data/parity.json`` holds, for two small graphs, ``full_hidden_arrays``
+outputs and one ``batch_loss`` value with its gradients per architecture,
+plus kernel values on each graph and a directed copy of it:
+``rw_kernel_dp`` at hops 0-3 and the ``neighborhood_kernel`` matrix at hops 2
+for three graph pairs, ``enumerate_walks`` arrays of 1-4 nodes, and
+``check_theorem1`` pairs for every coordinate of a kernel-mode stack on the
+undirected graph.  Forward values, neighborhood matrices and the theorem's
+left-hand sides must match to 1e-12, relative to the largest magnitude of
+each array, and each ``rw_kernel_dp`` value to 1e-12 of itself; walk arrays
+and the theorem's right-hand sides (a sum over enumerated walks) must match
+exactly.
+``PYTHONPATH=src python tests/test_parity.py`` adds the entries the fixture
+lacks, computed by the current code; delete an entry to recompute it.
 """
 
 import json
@@ -16,6 +23,7 @@ import pytest
 
 from lase import autodiff as ad
 from lase import graph as G
+from lase import kernels as K
 from lase import layers as L
 from lase import training as T
 
@@ -71,6 +79,39 @@ def compute():
     return out
 
 
+def directed(g):
+    """Directed copy of g with every other link reversed."""
+    links = [(d, s) if i % 2 else (s, d) for i, (s, d) in enumerate(g.links)]
+    return G.AttributedGraph(g.node_features, g.labels, links,
+                             g.link_features, g.n_labels, undirected=False)
+
+
+def compute_kernels():
+    out = {}
+    for gname, (g, _) in graphs().items():
+        gd = directed(g)
+        pairs = {"undirected": (g, g), "mixed": (g, gd), "directed": (gd, gd)}
+        out["%s/kernel-dp" % gname] = {
+            pname: [K.rw_kernel_dp(a, b, K.KernelConfig(0.5, hops))
+                    for hops in range(4)]
+            for pname, (a, b) in pairs.items()}
+        cfg = K.KernelConfig(0.5, 2)
+        out["%s/kernel-neighborhood" % gname] = {
+            pname: [[K.neighborhood_kernel(a, b, u, u2, cfg)
+                     for u2 in range(b.n_nodes)] for u in range(a.n_nodes)]
+            for pname, (a, b) in pairs.items()}
+        out["%s/kernel-walks" % gname] = {
+            "%s-%d" % (kind, m): [w.tolist() for w in K.enumerate_walks(h, m)]
+            for kind, h in (("undirected", g), ("directed", gd))
+            for m in range(1, 5)}
+        stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                             depth=2, seed=5, **STACKS["rw-kernel"])
+        out["%s/kernel-theorem1" % gname] = [
+            list(K.check_theorem1(g, stack, None, k))
+            for k in range(stack.hidden)]
+    return out
+
+
 def _close(new, old):
     new, old = np.asarray(new, float), np.asarray(old, float)
     assert new.shape == old.shape
@@ -81,7 +122,7 @@ def _close(new, old):
 @pytest.fixture(scope="module")
 def pinned_and_current():
     with open(FIXTURE, "r", encoding="utf-8") as fh:
-        return json.load(fh), compute()
+        return json.load(fh), {**compute(), **compute_kernels()}
 
 
 def test_fixture_covers_every_case(pinned_and_current):
@@ -111,7 +152,31 @@ def test_batch_loss_and_gradients_match_fixture(pinned_and_current, gname,
         assert _close(current[key]["grads"][name], old), name
 
 
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+def test_kernels_match_fixture(pinned_and_current, gname):
+    pinned, current = pinned_and_current
+    key = "%s/kernel-dp" % gname
+    assert sorted(current[key]) == sorted(pinned[key])
+    for pname, old in pinned[key].items():
+        for hops, (new, value) in enumerate(zip(current[key][pname], old)):
+            assert _close(new, value), (pname, hops)
+    key = "%s/kernel-neighborhood" % gname
+    assert sorted(current[key]) == sorted(pinned[key])
+    for pname, old in pinned[key].items():
+        assert _close(current[key][pname], old), pname
+    key = "%s/kernel-walks" % gname
+    assert current[key] == pinned[key]
+    key = "%s/kernel-theorem1" % gname
+    new, old = np.array(current[key]), np.array(pinned[key])
+    assert _close(new[:, 0], old[:, 0])
+    assert new[:, 1].tolist() == old[:, 1].tolist()
+
+
 if __name__ == "__main__":
+    with open(FIXTURE, "r", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    current = {**compute(), **compute_kernels()}
+    pinned.update({k: v for k, v in current.items() if k not in pinned})
     with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(compute(), fh, sort_keys=True)
+        json.dump(pinned, fh, sort_keys=True)
         fh.write("\n")
