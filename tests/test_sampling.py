@@ -177,6 +177,26 @@ class TestRefresh:
         for key in s1.probs:
             assert np.array_equal(s1.probs[key], s2.probs[key])
 
+    @pytest.mark.parametrize("arch", ["sage", "rw", "wl", "concat"])
+    @pytest.mark.parametrize("strategy", ["gate", "minvar"])
+    def test_matches_per_node_distributions(self, arch, strategy):
+        g, _ = G.synth_graph("interaction", 40, seed=7)
+        stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=7)
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan)
+        ctx = L.full_forward(g, stack)
+        for l in (1, 2):
+            for u in range(g.n_nodes):
+                if not g.degree(u):
+                    continue
+                lam, gmat = S.neighborhood_terms(g, stack, ctx, l, u)
+                expected = (S.probs_from_gates(lam) if strategy == "gate"
+                            else S.probs_minvar_weights(lam, gmat))
+                got = S.plan_probs(g, stack, state, plan, l, u)
+                assert np.array_equal(got, expected), (l, u)
+
     def test_plan_probs_fallback_uniform(self):
         g, _, stack, _ = stack_and_ctx(seed=5)
         plan = S.SamplePlan(strategy="minvar", sample_size=2)
