@@ -43,13 +43,16 @@ class SamplePlan:
 
 
 class SamplerState:
-    """Per-(layer, node) categorical distributions plus the refresh clock."""
+    """Per-arc proposal weights of the last refresh, the per-(layer, node)
+    distributions normalized from them so far, and the refresh clock."""
 
     def __init__(self):
+        self.weights = None  # per layer: floored weight of each arc
+        self.covered = None  # nodes whose distributions the refresh serves
         self.probs = {}
         self.batches_since_refresh = None  # None: never refreshed
         self.refresh_count = 0
-        self.refresh_work = 0  # distributions recomputed, total
+        self.refresh_work = 0  # distributions made available, total
 
 
 def _floor_normalize(p):
@@ -125,46 +128,47 @@ def estimator_variance(lam, gmat, p):
 
 
 def plan_probs(g, stack, state, plan, l, u):
-    """Distribution the sampled forward draws from for (layer l, node u)."""
-    deg = len(g.neighbors(u))
-    if plan.strategy == "uniform":
-        return probs_uniform(deg)
-    if state is not None:
-        p = state.probs.get((l, u))
-        if p is not None:
-            return p
-    # Not covered by the last refresh (e.g. non-train node in an expanded
-    # neighborhood): fall back to uniform.
-    return probs_uniform(deg)
+    """Distribution the sampled forward draws from for (layer l, node u).
+
+    The last refresh's arc weights over N(u), normalized on first use and
+    kept until the next refresh; uniform under the uniform strategy and for
+    nodes no refresh covered.
+    """
+    lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+    if (plan.strategy == "uniform" or state is None or state.weights is None
+            or not state.covered[u]):
+        return probs_uniform(int(hi - lo))
+    p = state.probs.get((l, u))
+    if p is None:
+        w = state.weights[l][lo:hi]
+        p = state.probs[(l, u)] = w / w.sum()
+    return p
 
 
 def refresh(state, g, stack, plan, nodes=None):
-    """Recompute sampling distributions if the refresh interval elapsed.
+    """Recompute the per-arc proposal weights if the refresh interval elapsed.
 
     Returns True when a recomputation happened.  ``nodes`` defaults to every
-    non-isolated node.
+    non-isolated node.  Under the uniform strategy no weights are needed and
+    no forward runs.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
     if not due:
         return False
-    if nodes is None:
-        nodes = [u for u in range(g.n_nodes) if g.degree(u)]
-    ctx = layers.full_forward(g, stack)
-    for l in range(1, stack.depth + 1):
-        for u in nodes:
-            if not g.degree(u):
-                continue
-            if plan.strategy == "uniform":
-                p = probs_uniform(g.degree(u))
-            else:
-                lam, gmat = neighborhood_terms(g, stack, ctx, l, u)
-                if plan.strategy == "gate":
-                    p = probs_from_gates(lam)
-                else:
-                    p = probs_minvar_weights(lam, gmat)
-            state.probs[(l, u)] = p
-            state.refresh_work += 1
+    covered = np.diff(g.arc_ptr) > 0
+    if nodes is not None:
+        covered &= np.isin(np.arange(g.n_nodes), nodes)
+    state.covered = covered
+    state.probs = {}
+    if plan.strategy != "uniform":
+        ctx = layers.full_forward(g, stack)
+        gates, terms = ctx["gates"], ctx["terms"]
+        state.weights = [None] + [
+            np.maximum(gates[l] if plan.strategy == "gate"
+                       else gates[l] * np.linalg.norm(terms[l], axis=0), EPS)
+            for l in range(1, stack.depth + 1)]
+    state.refresh_work += stack.depth * int(covered.sum())
     state.batches_since_refresh = 0
     state.refresh_count += 1
     return True

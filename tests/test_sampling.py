@@ -1,11 +1,14 @@
 """Sampling distributions, estimator unbiasedness and variance."""
 
+import types
+
 import numpy as np
 import pytest
 
 from lase import graph as G
 from lase import layers as L
 from lase import sampling as S
+from lase import training as T
 
 
 def stack_and_ctx(seed=0, n=40):
@@ -196,6 +199,26 @@ class TestRefresh:
                             else S.probs_minvar_weights(lam, gmat))
                 got = S.plan_probs(g, stack, state, plan, l, u)
                 assert np.array_equal(got, expected), (l, u)
+
+    def test_uniform_refresh_runs_no_forward(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return L.full_forward(*args)
+
+        monkeypatch.setattr(S, "layers", types.SimpleNamespace(
+            full_forward=counted))
+        g, split = G.synth_graph("interaction", 60, seed=8)
+        plan = S.SamplePlan(strategy="uniform", sample_size=2,
+                            refresh_interval=2)
+        run = T.TrainRun(arch="sage", hidden=4, depth=2, batch_size=8,
+                         max_epochs=2, patience=2, seed=0, plan=plan)
+        _, hist = T.train(g, split, run)
+        assert calls == []
+        refreshes = -(-hist.n_batches // 2)
+        covered = sum(1 for u in split.train if g.degree(u))
+        assert hist.refresh_work == refreshes * 2 * covered
 
     def test_plan_probs_fallback_uniform(self):
         g, _, stack, _ = stack_and_ctx(seed=5)
