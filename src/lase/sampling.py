@@ -48,7 +48,6 @@ class SamplerState:
 
     def __init__(self):
         self.weights = None  # per layer: floored weight of each arc
-        self.covered = None  # nodes whose distributions the refresh serves
         self.probs = {}
         self.batches_since_refresh = None  # None: never refreshed
         self.refresh_count = 0
@@ -131,12 +130,12 @@ def plan_probs(g, stack, state, plan, l, u):
     """Distribution the sampled forward draws from for (layer l, node u).
 
     The last refresh's arc weights over N(u), normalized on first use and
-    kept until the next refresh; uniform under the uniform strategy and for
-    nodes no refresh covered.
+    kept until the next refresh; uniform under the uniform strategy and
+    before the first refresh.
     """
     lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
     if (plan.strategy == "uniform" or state is None or state.weights is None
-            or not state.covered[u]):
+            or lo == hi):
         return probs_uniform(int(hi - lo))
     p = state.probs.get((l, u))
     if p is None:
@@ -145,21 +144,17 @@ def plan_probs(g, stack, state, plan, l, u):
     return p
 
 
-def refresh(state, g, stack, plan, nodes=None):
+def refresh(state, g, stack, plan):
     """Recompute the per-arc proposal weights if the refresh interval elapsed.
 
-    Returns True when a recomputation happened.  ``nodes`` defaults to every
-    non-isolated node.  Under the uniform strategy no weights are needed and
-    no forward runs.
+    Returns True when a recomputation happened.  The weights cover every arc,
+    so every non-isolated node gets a distribution at every layer.  Under the
+    uniform strategy no weights are needed and no forward runs.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
     if not due:
         return False
-    covered = np.diff(g.arc_ptr) > 0
-    if nodes is not None:
-        covered &= np.isin(np.arange(g.n_nodes), nodes)
-    state.covered = covered
     state.probs = {}
     if plan.strategy != "uniform":
         ctx = layers.full_forward(g, stack)
@@ -168,7 +163,8 @@ def refresh(state, g, stack, plan, nodes=None):
             np.maximum(gates[l] if plan.strategy == "gate"
                        else gates[l] * np.linalg.norm(terms[l], axis=0), EPS)
             for l in range(1, stack.depth + 1)]
-    state.refresh_work += stack.depth * int(covered.sum())
+    non_isolated = np.count_nonzero(np.diff(g.arc_ptr))
+    state.refresh_work += stack.depth * int(non_isolated)
     state.batches_since_refresh = 0
     state.refresh_count += 1
     return True

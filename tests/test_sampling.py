@@ -155,9 +155,9 @@ class TestRefresh:
         g, split, stack, _ = stack_and_ctx(seed=2)
         plan = S.SamplePlan(strategy="minvar", sample_size=2, refresh_interval=1)
         state = S.SamplerState()
-        assert S.refresh(state, g, stack, plan, nodes=list(split.train))
+        assert S.refresh(state, g, stack, plan)
         state.batches_since_refresh += 1
-        assert S.refresh(state, g, stack, plan, nodes=list(split.train))
+        assert S.refresh(state, g, stack, plan)
         assert state.refresh_count == 2
 
     def test_large_interval_computes_once(self):
@@ -166,7 +166,7 @@ class TestRefresh:
                             refresh_interval=1000)
         state = S.SamplerState()
         for _ in range(10):
-            S.refresh(state, g, stack, plan, nodes=list(split.train))
+            S.refresh(state, g, stack, plan)
             state.batches_since_refresh += 1
         assert state.refresh_count == 1
 
@@ -174,11 +174,15 @@ class TestRefresh:
         g, split, stack, _ = stack_and_ctx(seed=4)
         plan = S.SamplePlan(strategy="minvar", sample_size=2, refresh_interval=1)
         s1, s2 = S.SamplerState(), S.SamplerState()
-        S.refresh(s1, g, stack, plan, nodes=list(split.train))
-        S.refresh(s2, g, stack, plan, nodes=list(split.train))
-        assert set(s1.probs) == set(s2.probs)
-        for key in s1.probs:
-            assert np.array_equal(s1.probs[key], s2.probs[key])
+        S.refresh(s1, g, stack, plan)
+        S.refresh(s2, g, stack, plan)
+        for l in range(1, stack.depth + 1):
+            assert np.array_equal(s1.weights[l], s2.weights[l])
+            for u in range(g.n_nodes):
+                if g.degree(u):
+                    assert np.array_equal(
+                        S.plan_probs(g, stack, s1, plan, l, u),
+                        S.plan_probs(g, stack, s2, plan, l, u))
 
     @pytest.mark.parametrize("arch", ["sage", "rw", "wl", "concat"])
     @pytest.mark.parametrize("strategy", ["gate", "minvar"])
@@ -200,6 +204,26 @@ class TestRefresh:
                 got = S.plan_probs(g, stack, state, plan, l, u)
                 assert np.array_equal(got, expected), (l, u)
 
+    @pytest.mark.parametrize("strategy", ["gate", "minvar"])
+    def test_sampled_batches_never_fall_back(self, strategy, monkeypatch):
+        served = {}
+        plan_probs = S.plan_probs
+
+        def recorded(g, stack, state, plan, l, u):
+            p = plan_probs(g, stack, state, plan, l, u)
+            served.setdefault((l, u), []).append(p is state.probs.get((l, u)))
+            return p
+
+        monkeypatch.setattr(S, "plan_probs", recorded)
+        g, split = G.synth_graph("interaction", 80, seed=9)
+        plan = S.SamplePlan(strategy=strategy, sample_size=3,
+                            refresh_interval=3)
+        run = T.TrainRun(arch="sage", hidden=4, depth=2, batch_size=8,
+                         max_epochs=1, patience=1, seed=0, plan=plan)
+        T.train(g, split, run)
+        assert all(all(hits) for hits in served.values())
+        assert {u for l, u in served if l == 1} - set(split.train)
+
     def test_uniform_refresh_runs_no_forward(self, monkeypatch):
         calls = []
 
@@ -217,7 +241,7 @@ class TestRefresh:
         _, hist = T.train(g, split, run)
         assert calls == []
         refreshes = -(-hist.n_batches // 2)
-        covered = sum(1 for u in split.train if g.degree(u))
+        covered = sum(1 for u in range(g.n_nodes) if g.degree(u))
         assert hist.refresh_work == refreshes * 2 * covered
 
     def test_plan_probs_fallback_uniform(self):
