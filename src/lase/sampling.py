@@ -10,8 +10,13 @@ estimator for the three strategies:
   gate     p proportional to lambda
   min_var  p proportional to lambda * ||g||   (single-draw variance optimum)
 
-Distributions are recomputed every ``refresh_interval`` batches; probabilities
-are floored at EPS and renormalized so importance weights never blow up.
+Every ``refresh_interval`` batches, ``refresh`` runs one full-graph forward
+and keeps one proposal weight per arc and layer (lambda, or lambda * ||g||),
+floored at EPS so importance weights never blow up.  The weights cover every
+arc, so every non-isolated node has a distribution at every layer.
+``plan_probs`` normalizes a node's slice of them when a batch first visits
+it and keeps the result until the next refresh.  The uniform strategy needs
+no weights.
 """
 
 from __future__ import annotations
@@ -158,13 +163,14 @@ def refresh(state, g, stack, plan):
     state.probs = {}
     if plan.strategy != "uniform":
         ctx = layers.full_forward(g, stack)
-        gates, terms = ctx["gates"], ctx["terms"]
-        state.weights = [None] + [
-            np.maximum(gates[l] if plan.strategy == "gate"
-                       else gates[l] * np.linalg.norm(terms[l], axis=0), EPS)
-            for l in range(1, stack.depth + 1)]
-    non_isolated = np.count_nonzero(np.diff(g.arc_ptr))
-    state.refresh_work += stack.depth * int(non_isolated)
+        state.weights = [None]
+        for l in range(1, stack.depth + 1):
+            w = ctx["gates"][l]
+            if plan.strategy == "minvar":
+                w = w * np.linalg.norm(ctx["terms"][l], axis=0)
+            state.weights.append(np.maximum(w, EPS))
+    non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
+    state.refresh_work += stack.depth * non_isolated
     state.batches_since_refresh = 0
     state.refresh_count += 1
     return True
