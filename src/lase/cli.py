@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import graph as graphmod
-from . import kernels, layers, sampling, training
+from . import autodiff, kernels, layers, sampling, training
 from .fileio import atomic_write
 
 EXIT_OK = 0
@@ -97,7 +97,8 @@ def build_parser():
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a node split")
     add_graph_flags(sp)
-    sp.add_argument("--config", required=True)
+    sp.add_argument("--config", default=None,
+                    help="training config JSON (default: the checkpoint's)")
     sp.add_argument("--checkpoint", required=True, help="checkpoint path prefix")
     sp.add_argument("--split", required=True)
     sp.add_argument("--subset", choices=("train", "val", "test"), default="test")
@@ -115,7 +116,8 @@ def build_parser():
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check-theorem1",
-                        help="network-sum vs walk-enumeration equality")
+                        help="network sum vs random-walk kernel against the "
+                        "parameter path graph")
     add_graph_flags(sp, required=False)
     sp.add_argument("--hops", type=int, default=2)
     sp.add_argument("--decay", type=float, default=0.5)
@@ -181,7 +183,7 @@ def _cmd_train(args):
     else:
         split = graphmod.make_split(g, seed=run.seed)
     model, hist = training.train(g, split, run)
-    model.save(args.out + ".ckpt", meta={"seed": run.seed, "arch": run.arch})
+    model.save(args.out + ".ckpt", meta={"run": run.to_dict()})
     atomic_write(args.out + ".metrics.csv", training.metrics_csv(hist))
     _write_json(args.out + ".summary.json", {
         "test_f1": hist.test_f1, "best_epoch": hist.best_epoch,
@@ -193,7 +195,14 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     g = _load_graph_args(args)
-    run = _get_run(args)
+    if args.config:
+        run = _get_run(args)
+    else:
+        _, meta = autodiff.load_checkpoint(args.checkpoint)
+        if not isinstance(meta.get("run"), dict):
+            raise UsageError("checkpoint %s stores no training config; pass "
+                             "--config" % args.checkpoint)
+        run = training.TrainRun.from_dict(meta["run"])
     model = training.build_model(g, run)
     model.load(args.checkpoint)
     split = _load_split(args.split)

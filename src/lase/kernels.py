@@ -19,6 +19,12 @@ decay prefactor is ``decay ** hops`` (one factor per traversed link), which
 makes the enumeration, the DP and the unrolled neighborhood recursion agree
 exactly.  Walks may revisit nodes and links; undirected links are traversed
 as directed sequences.
+
+Theorem 1: the kernel-mode ``rw`` network's summed activations equal the
+random-walk kernel between the graph and a directed parameter path graph
+(``param_path_graph``).  ``check_theorem1`` computes that kernel by the hop
+recursion, so it needs no enumeration budget and holds on directed graphs;
+``rw_kernel_enumerate`` against the path graph is its small-graph oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import AttributedGraph
 
 
 @dataclass(frozen=True)
@@ -80,25 +88,25 @@ def _propagate(g, x, w):
     return out
 
 
-def _walk_matrix(g1, g2, cfg):
-    """(n1, n2) walk-pair sums of ``cfg.hops`` links from each (u, u2)."""
+def _walk_matrix(g1, g2, hops, decay):
+    """(n1, n2) walk-pair sums of ``hops`` links from each (u, u2)."""
     _check_dims(g1, g2)
     s = g1.node_features @ g2.node_features.T
     w1 = g1.link_features[g1.arc_link]
     w2 = g2.link_features[g2.arc_link]
     m = s
-    for _ in range(cfg.hops):
+    for _ in range(hops):
         acc = np.zeros_like(s)
         for k in range(g1.d_link):
             acc += _propagate(g2, _propagate(g1, m, w1[:, k:k + 1]).T,
                               w2[:, k:k + 1]).T
-        m = s * cfg.decay * acc
+        m = s * decay * acc
     return m
 
 
 def neighborhood_kernel(g1, g2, u, u2, cfg):
     """l-hop neighborhood kernel between node u of g1 and u2 of g2."""
-    return float(_walk_matrix(g1, g2, cfg)[u, u2])
+    return float(_walk_matrix(g1, g2, cfg.hops, cfg.decay)[u, u2])
 
 
 def count_walks(g, hops):
@@ -163,47 +171,37 @@ def rw_kernel_enumerate(g1, g2, cfg):
 def rw_kernel_dp(g1, g2, cfg):
     """Random-walk kernel by the hop recursion: the entry sum of the
     walk-pair matrix."""
-    return float(_walk_matrix(g1, g2, cfg).sum())
+    return float(_walk_matrix(g1, g2, cfg.hops, cfg.decay).sum())
 
 
 # ---------------------------------------------------------------------------
 # Network / kernel correspondence
 # ---------------------------------------------------------------------------
 
-def param_path_rows(stack, k):
-    """Row-k node and link feature sequences of the parameter path graph.
+def param_path_graph(stack, k):
+    """Directed parameter path graph of coordinate k.
 
-    The path has depth+1 nodes whose features are the k-th rows of the
-    node-transform matrices, and depth links whose features are the k-th rows
-    of the link-transform matrices.
+    Node l (0..depth) carries row k of layer l's node transform W, and link
+    (l, l - 1) row k of layer l's link transform U.  A link (s, d) is the arc
+    d -> s, so the one walk of ``depth`` hops starts at the top node and steps
+    down to node 0 along the arcs the forward sums over: the top layer pairs
+    with the walk's start in g, on directed graphs as well.
     """
-    node_rows = [np.asarray(stack.layers[0].W.data[k, :])]
-    link_rows = []
-    for p in stack.layers[1:]:
-        node_rows.append(np.asarray(p.W.data[k, :]))
-        link_rows.append(np.asarray(p.U.data[k, :]))
-    return node_rows, link_rows
-
-
-def walk_sum_against_path(g, node_rows, link_rows, decay):
-    """Walk sum of g against a fixed feature path (full-path traversal)."""
-    m = len(node_rows)
-    nw, lw = enumerate_walks(g, m)
-    if nw.shape[0] == 0:
-        return 0.0
-    total = np.ones(nw.shape[0])
-    for i in range(m):
-        total *= g.node_features[nw[:, i]] @ node_rows[i]
-    for i in range(m - 1):
-        total *= g.link_features[lw[:, i]] @ link_rows[i]
-    return float(decay ** (m - 1) * total.sum())
+    rows = [p.W.data[k] for p in stack.layers]
+    links = [(l, l - 1) for l in range(1, stack.depth + 1)]
+    link_rows = [p.U.data[k] for p in stack.layers[1:]]
+    return AttributedGraph(rows, [None] * len(rows), links, link_rows, 0,
+                           undirected=False)
 
 
 def check_theorem1(g, stack, cfg, k):
-    """Network-sum vs walk-enumeration for coordinate k.
+    """Network sum vs random-walk kernel against the parameter path graph,
+    for coordinate k.
 
     lhs: sum over nodes of coordinate k of the kernel-mode forward pass.
-    rhs: walk enumeration of g against the parameter path graph.
+    rhs: the hop recursion's walk-pair sum of g against
+    ``param_path_graph(stack, k)`` at ``depth`` hops; ``rw_kernel_enumerate``
+    on the same pair is its small-graph oracle.
     """
     from . import layers
 
@@ -214,6 +212,6 @@ def check_theorem1(g, stack, cfg, k):
         raise ValueError("kernel config disagrees with the layer stack")
     h = layers.full_hidden_arrays(g, stack)[-1]
     lhs = float(h[:, k].sum())
-    node_rows, link_rows = param_path_rows(stack, k)
-    rhs = walk_sum_against_path(g, node_rows, link_rows, stack.constant_decay)
+    path = param_path_graph(stack, k)
+    rhs = float(_walk_matrix(g, path, stack.depth, stack.constant_decay).sum())
     return lhs, rhs

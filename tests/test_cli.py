@@ -146,6 +146,37 @@ class TestTrainEval:
         ev = json.loads((tmp_path / "eval.json").read_text())
         assert ev["micro_f1"] == pytest.approx(summary["test_f1"])
 
+    def test_eval_takes_config_from_checkpoint(self, synth_files, tmp_path):
+        cfg = write_config(tmp_path, arch="rw", hidden=6, depth=2, seed=4)
+        out = str(tmp_path / "run")
+        graph = ("--nodes", synth_files["nodes"], "--links",
+                 synth_files["links"], "--manifest", synth_files["manifest"])
+        assert run_cli("train", *graph, "--split", synth_files["split"],
+                       "--config", cfg, "--seed", "2", "--out", out) == 0
+        meta = json.loads((tmp_path / "run.ckpt.json").read_text())["meta"]
+        assert meta["run"]["seed"] == 2
+        f1 = {}
+        for name, flags in (("with", ("--config", cfg)), ("without", ())):
+            assert run_cli("eval", *graph, *flags, "--checkpoint",
+                           out + ".ckpt", "--split", synth_files["split"],
+                           "--out", str(tmp_path / name)) == 0
+            f1[name] = json.loads((tmp_path / name).read_text())["micro_f1"]
+        assert f1["with"] == f1["without"]
+
+    def test_eval_without_any_config_is_usage_error(self, synth_files,
+                                                    tmp_path, capsys):
+        g = G.load_graph(synth_files["nodes"], synth_files["links"],
+                         manifest_path=synth_files["manifest"])
+        model = T.build_model(g, T.TrainRun.from_json(write_config(tmp_path)))
+        prefix = str(tmp_path / "bare.ckpt")
+        model.save(prefix, meta={"seed": 0})
+        code = run_cli("eval", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       "--checkpoint", prefix, "--split", synth_files["split"])
+        assert code == cli.EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
+
     def test_train_byte_identical_reruns(self, synth_files, tmp_path):
         cfg = write_config(tmp_path)
         for out in ("a", "b"):
@@ -195,6 +226,21 @@ class TestChecks:
                        "--trials", "3", "--out", str(out))
         assert code == 0 and len(loads) == 1
         assert len(json.loads(out.read_text())["results"]) == 3
+
+    def test_check_theorem1_directed_graph(self, tmp_path):
+        g, _ = G.synth_graph("interaction", 14, seed=21)
+        links = [(d, s) if i % 2 else (s, d)
+                 for i, (s, d) in enumerate(g.links)]
+        gd = G.AttributedGraph(g.node_features, g.labels, links,
+                               g.link_features, g.n_labels, undirected=False)
+        paths = [str(tmp_path / name) for name in ("n.tsv", "l.tsv", "m.json")]
+        G.save_graph(gd, *paths)
+        out = tmp_path / "thm.json"
+        code = run_cli("check-theorem1", "--nodes", paths[0], "--links",
+                       paths[1], "--manifest", paths[2], "--trials", "5",
+                       "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["max_rel_err"] < 1e-9
 
     def test_figure3_check(self, tmp_path):
         out = tmp_path / "fig3.json"

@@ -224,6 +224,71 @@ class TestTheorem1:
             lhs, rhs = K.check_theorem1(g, stack, None, k)
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
 
+    def test_equality_on_directed_graphs(self):
+        rng = np.random.default_rng(14)
+        for depth in (1, 2, 3):
+            for trial in range(10):
+                g = random_digraph(rng)
+                stack = self.make_stack(g, depth,
+                                        seed=int(rng.integers(2 ** 31)))
+                k = int(rng.integers(stack.hidden))
+                lhs, rhs = K.check_theorem1(g, stack, None, k)
+                assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
+
+    def test_rhs_equals_enumeration_against_path_graph(self):
+        rng = np.random.default_rng(15)
+        for make in (random_graph, random_digraph):
+            for depth in (1, 2, 3):
+                for trial in range(5):
+                    g = make(rng)
+                    stack = self.make_stack(g, depth, seed=trial)
+                    cfg = K.KernelConfig(stack.constant_decay, depth)
+                    for k in range(stack.hidden):
+                        _, rhs = K.check_theorem1(g, stack, None, k)
+                        en = K.rw_kernel_enumerate(
+                            g, K.param_path_graph(stack, k), cfg)
+                        assert abs(rhs - en) <= 1e-12 * max(1.0, abs(en))
+
+    def test_acceptance_instances_match_enumeration(self):
+        """test_01's instances, redrawn: its right-hand side (the hop
+        recursion) equals walk enumeration against the path graph."""
+        rng = np.random.default_rng(0)
+        for depth in (1, 2, 3):
+            for _ in range(50):
+                g = random_graph(rng, max_nodes=8, d_node=3, d_link=2)
+                stack = L.LayerStack("rw", 3, 2, hidden=4, depth=depth,
+                                     kernel_mode=True, constant_decay=0.5,
+                                     seed=int(rng.integers(2 ** 31)))
+                k = int(rng.integers(stack.hidden))
+                _, rhs = K.check_theorem1(g, stack, None, k)
+                en = K.rw_kernel_enumerate(g, K.param_path_graph(stack, k),
+                                           K.KernelConfig(0.5, depth))
+                assert abs(rhs - en) <= 1e-12 * max(1.0, abs(en))
+
+    def test_beyond_enumeration_budget(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        n, depth = 30, 4
+        links = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = G.AttributedGraph(rng.normal(size=(n, 3)), [None] * n, links,
+                              rng.normal(size=(len(links), 2)), 1)
+        assert K.count_walks(g, depth) > K.ENUM_BUDGET
+        calls = []
+        monkeypatch.setattr(K, "enumerate_walks",
+                            lambda *a, **kw: calls.append(a))
+        stack = self.make_stack(g, depth, seed=3)
+        for k in range(stack.hidden):
+            lhs, rhs = K.check_theorem1(g, stack, None, k)
+            assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
+        assert calls == []
+
+    def test_decay_outside_kernel_config_range(self):
+        rng = np.random.default_rng(17)
+        g = random_graph(rng)
+        stack = self.make_stack(g, 2, seed=4, decay=1.5)
+        for k in range(stack.hidden):
+            lhs, rhs = K.check_theorem1(g, stack, None, k)
+            assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
+
     def test_requires_kernel_mode(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng)

@@ -5,12 +5,16 @@ outputs and one ``batch_loss`` value with its gradients per architecture,
 plus kernel values on each graph and a directed copy of it:
 ``rw_kernel_dp`` at hops 0-3 and the ``neighborhood_kernel`` matrix at hops 2
 for three graph pairs, ``enumerate_walks`` arrays of 1-4 nodes, and
-``check_theorem1`` pairs for every coordinate of a kernel-mode stack on the
-undirected graph.  Forward values, neighborhood matrices and the theorem's
-left-hand sides must match to 1e-12, relative to the largest magnitude of
-each array, and each ``rw_kernel_dp`` value to 1e-12 of itself; walk arrays
-and the theorem's right-hand sides (a sum over enumerated walks) must match
-exactly.
+Theorem-1 pairs for every coordinate of a kernel-mode stack on the
+undirected graph: ``check_theorem1``'s left-hand side, and the walk sum
+against the parameter path rows by enumeration (``_walk_sum_against_path``,
+kept here as the oracle that produced the pinned values).  Forward values,
+neighborhood matrices and the theorem's left-hand sides must match to 1e-12,
+relative to the largest magnitude of each array, and each ``rw_kernel_dp``
+value to 1e-12 of itself; walk arrays and the enumerated right-hand sides
+must match exactly.  ``check_theorem1``'s right-hand side (the hop recursion
+against ``param_path_graph``) and ``rw_kernel_enumerate`` against that graph
+must match the pinned right-hand sides to 1e-12 of their largest magnitude.
 ``PYTHONPATH=src python tests/test_parity.py`` adds the entries the fixture
 lacks, computed by the current code; delete an entry to recompute it.
 """
@@ -86,6 +90,40 @@ def directed(g):
                              g.link_features, g.n_labels, undirected=False)
 
 
+def theorem1_stack(g):
+    return L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4, depth=2,
+                        seed=5, **STACKS["rw-kernel"])
+
+
+def _param_path_rows(stack, k):
+    """Row-k node and link feature sequences of the parameter path graph.
+
+    The path has depth+1 nodes whose features are the k-th rows of the
+    node-transform matrices, and depth links whose features are the k-th rows
+    of the link-transform matrices.
+    """
+    node_rows = [np.asarray(stack.layers[0].W.data[k, :])]
+    link_rows = []
+    for p in stack.layers[1:]:
+        node_rows.append(np.asarray(p.W.data[k, :]))
+        link_rows.append(np.asarray(p.U.data[k, :]))
+    return node_rows, link_rows
+
+
+def _walk_sum_against_path(g, node_rows, link_rows, decay):
+    """Walk sum of g against a fixed feature path (full-path traversal)."""
+    m = len(node_rows)
+    nw, lw = K.enumerate_walks(g, m)
+    if nw.shape[0] == 0:
+        return 0.0
+    total = np.ones(nw.shape[0])
+    for i in range(m):
+        total *= g.node_features[nw[:, i]] @ node_rows[i]
+    for i in range(m - 1):
+        total *= g.link_features[lw[:, i]] @ link_rows[i]
+    return float(decay ** (m - 1) * total.sum())
+
+
 def compute_kernels():
     out = {}
     for gname, (g, _) in graphs().items():
@@ -104,10 +142,11 @@ def compute_kernels():
             "%s-%d" % (kind, m): [w.tolist() for w in K.enumerate_walks(h, m)]
             for kind, h in (("undirected", g), ("directed", gd))
             for m in range(1, 5)}
-        stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
-                             depth=2, seed=5, **STACKS["rw-kernel"])
+        stack = theorem1_stack(g)
         out["%s/kernel-theorem1" % gname] = [
-            list(K.check_theorem1(g, stack, None, k))
+            [K.check_theorem1(g, stack, None, k)[0],
+             _walk_sum_against_path(g, *_param_path_rows(stack, k),
+                                    stack.constant_decay)]
             for k in range(stack.hidden)]
     return out
 
@@ -170,6 +209,13 @@ def test_kernels_match_fixture(pinned_and_current, gname):
     new, old = np.array(current[key]), np.array(pinned[key])
     assert _close(new[:, 0], old[:, 0])
     assert new[:, 1].tolist() == old[:, 1].tolist()
+    g, _ = graphs()[gname]
+    stack = theorem1_stack(g)
+    cfg = K.KernelConfig(stack.constant_decay, stack.depth)
+    rhs = [K.check_theorem1(g, stack, None, k)[1] for k in range(stack.hidden)]
+    assert _close(rhs, old[:, 1])
+    assert _close([K.rw_kernel_enumerate(g, K.param_path_graph(stack, k), cfg)
+                   for k in range(stack.hidden)], old[:, 1])
 
 
 if __name__ == "__main__":
