@@ -70,23 +70,63 @@ class TestSummand:
             assert np.allclose(h[1][u], expected, atol=1e-12)
 
 
+def kernel_stack(g, depth, seed=5):
+    """Kernel-mode rw stack: constant gates, no activations, so the output
+    is linear in every neighbor sum and the sampled forward is unbiased at
+    any depth."""
+    return L.LayerStack("rw", g.d_node, g.d_link, hidden=3, depth=depth,
+                        kernel_mode=True, constant_decay=0.5, seed=seed)
+
+
+def path_graph(n=4, seed=0):
+    rng = np.random.default_rng(seed)
+    links = [(u, u + 1) for u in range(n - 1)]
+    return G.AttributedGraph(rng.normal(size=(n, 3)), [None] * n, links,
+                             rng.normal(size=(n - 1, 2)), 1)
+
+
 class TestEstimator:
+    """``layers.forward`` under a sampling plan: the estimator training runs,
+    (1/s) sum_j gate * term / p_j per (layer, node)."""
+
     def test_degree_one_exact(self):
-        lam = np.array([0.7])
-        gmat = np.array([[2.0, -1.0]])
-        p = np.array([1.0])
+        g = path_graph()
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=1,
+                             seed=0)
+        full = L.forward(g, stack, [0, 3]).data
         rng = np.random.default_rng(0)
         for s in (1, 3, 10):
-            est = S.estimate_neighbor_sum(lam, gmat, p, s, rng)
-            assert np.allclose(est, lam[0] * gmat[0], atol=1e-12)
+            plan = S.SamplePlan(strategy="uniform", sample_size=s)
+            est = L.forward(g, stack, [0, 3], plan, S.SamplerState(), rng)
+            assert np.allclose(est.data, full, rtol=0, atol=1e-12)
 
     def test_zero_summands_give_zero(self):
-        lam = np.ones(3)
-        gmat = np.zeros((3, 2))
-        p = np.full(3, 1 / 3)
-        est = S.estimate_neighbor_sum(lam, gmat, p, 5,
-                                      np.random.default_rng(1))
-        assert np.array_equal(est, np.zeros(2))
+        g, _ = G.synth_graph("interaction", 40, seed=5)
+        stack = kernel_stack(g, depth=2)
+        for p in stack.layers[1:]:
+            p.U.data[...] = 0.0
+        plan = S.SamplePlan(strategy="uniform", sample_size=5)
+        est = L.forward(g, stack, list(range(8)), plan, S.SamplerState(),
+                        np.random.default_rng(1))
+        assert np.array_equal(est.data, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
+    def test_sampled_forward_unbiased(self, depth, strategy):
+        g, _ = G.synth_graph("interaction", 40, seed=5)
+        stack = kernel_stack(g, depth)
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan)
+        batch = [u for u in range(g.n_nodes) if g.degree(u)][:6]
+        full = L.forward(g, stack, batch).data
+        rng = np.random.default_rng(21)
+        n = 1500
+        ests = np.stack([L.forward(g, stack, batch, plan, state, rng).data
+                         for _ in range(n)])
+        mean = ests.mean(axis=0)
+        se = ests.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(mean - full) <= 4.5 * se + 1e-12)
 
     @pytest.mark.parametrize("strategy", ["uniform", "gate", "minvar"])
     def test_unbiasedness(self, strategy):
