@@ -52,7 +52,7 @@ class Tensor2:
 
 
 class TapeError(RuntimeError):
-    """Misuse of the tape: backward without a tape, or a consumed tape."""
+    """Misuse of the tape: a non-scalar loss, or a consumed tape."""
 
 
 _ACTIVE = []
@@ -109,18 +109,6 @@ class Tape:
             loss.grad += grads[id(loss)]
 
 
-def _tape():
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def backward(loss):
-    """Run reverse-mode accumulation for ``loss`` on the active tape."""
-    tape = _tape()
-    if tape is None:
-        raise TapeError("no active tape")
-    tape.backward(loss)
-
-
 def _finite(arr, op):
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite value produced by %s" % op)
@@ -129,9 +117,8 @@ def _finite(arr, op):
 
 def _make(data, op, inputs=None, vjp=None):
     out = Tensor2(_finite(data, op))
-    tape = _tape()
-    if tape is not None and vjp is not None:
-        tape.record(out, inputs, vjp)
+    if _ACTIVE and vjp is not None:
+        _ACTIVE[-1].record(out, inputs, vjp)
     return out
 
 
@@ -217,13 +204,6 @@ def concat(parts):
     out = np.concatenate([p.data for p in parts], axis=0)
     cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
     return _make(out, "concat", tuple(parts), lambda g: tuple(np.split(g, cuts)))
-
-
-def reduce_sum(a):
-    def vjp(g):
-        return (np.full_like(a.data, g[0, 0]),)
-
-    return _make(np.array([[np.sum(a.data)]]), "reduce_sum", (a,), vjp)
 
 
 def inner(a, b):

@@ -304,12 +304,12 @@ def _cmd_sample_variance(args):
                               seed=args.seed)
     ctx = layers.full_forward(g, stack)
     rng = np.random.default_rng(args.seed)
-    candidates = [u for u in range(g.n_nodes) if g.degree(u) >= 2]
+    candidates = np.flatnonzero(np.diff(g.arc_ptr) >= 2)
     chosen = rng.choice(candidates, size=min(args.neighborhoods,
                                              len(candidates)), replace=False)
     lines = ["strategy,neighborhood_id,analytic_var,empirical_var"]
     for u in chosen:
-        lam, gmat = sampling.neighborhood_terms(g, stack, ctx, 1, int(u))
+        lam, gmat = sampling.neighborhood_terms(g, ctx, 1, u)
         dists = {
             "uniform": sampling.probs_uniform(lam.size),
             "gate": sampling.probs_from_gates(lam),

@@ -1,9 +1,8 @@
 """Attributed graph container, TSV loading, splits and synthetic generators.
 
-Graphs are immutable after construction: node features, link features, the
-directed arcs (dst, src, link) sorted by (dst, src) and the per-node adjacency
-(the (src, link) pairs of each node's arcs) are plain numpy arrays / tuples.
-Node files are tab-separated
+Graphs are immutable after construction: node features, link features and
+the directed arcs (dst, src, link) sorted by (dst, src) are plain numpy
+arrays, and the arcs are the only neighbor index.  Node files are tab-separated
 ``id<TAB>label<TAB>f1,f2,...`` with ``-`` for a missing label; link files are
 ``src<TAB>dst<TAB>f1,f2,...``.  A sidecar JSON manifest may carry
 ``{d_node, d_link, n_labels, undirected}`` and overrides inference.
@@ -49,12 +48,17 @@ class AttributedGraph:
             raise GraphError("link features must be (n_links, d_link)")
         self.n_labels = int(n_labels)
         self.undirected = bool(undirected)
-        self._validate()
-        self._build_arcs()
+        try:
+            ends = np.array(self.links, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # ids beyond int64, clamped: they stay dangling
+            ends = np.array([[min(max(x, -1), self.n_nodes) for x in l]
+                             for l in self.links])
+        self._validate(ends)
+        self._build_arcs(ends)
 
     # -- construction helpers ------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, ends):
         n = self.n_nodes
         if not np.all(np.isfinite(self.node_features)):
             raise GraphError("non-finite node feature value")
@@ -62,25 +66,25 @@ class AttributedGraph:
             raise GraphError("non-finite link feature value")
         if len(self.links) != self.link_features.shape[0]:
             raise GraphError("link count disagrees with link feature rows")
-        seen = set()
-        for (s, d) in self.links:
-            if not (0 <= s < n and 0 <= d < n):
-                raise GraphError("dangling link endpoint (%d, %d)" % (s, d))
-            if s == d:
-                raise GraphError("self-loop (%d, %d) not supported" % (s, d))
-            key = (min(s, d), max(s, d)) if self.undirected else (s, d)
-            if key in seen:
-                raise GraphError("duplicate link between %d and %d" % (s, d))
-            seen.add(key)
+        # The lowest-index faulty link raises, naming its first fault below.
+        _, first = np.unique(np.sort(ends, axis=1) if self.undirected else ends,
+                             axis=0, return_index=True)
+        dangling = np.any((ends < 0) | (ends >= n), axis=1)
+        repeated = ~np.isin(np.arange(len(ends)), first)
+        faults = {"dangling link endpoint (%d, %d)": dangling,
+                  "self-loop (%d, %d) not supported": ends[:, 0] == ends[:, 1],
+                  "duplicate link between %d and %d": repeated}
+        bad = np.flatnonzero(np.any(list(faults.values()), axis=0))
+        if bad.size:
+            raise GraphError(next(m for m, at in faults.items() if at[bad[0]])
+                             % self.links[bad[0]])
         for lab in self.labels:
             if lab is not None and not (0 <= lab < self.n_labels):
                 raise GraphError("label %r out of range" % (lab,))
 
-    def _build_arcs(self):
-        """Directed arcs (dst, src, link) sorted by (dst, src), and from them
-        the adjacency: the arcs into node u are ``arc_ptr[u]:arc_ptr[u + 1]``,
-        and ``adjacency[u]`` lists their (src, link) pairs."""
-        ends = np.array(self.links, dtype=np.intp).reshape(-1, 2)
+    def _build_arcs(self, ends):
+        """Directed arcs (dst, src, link) sorted by (dst, src); the arcs into
+        node u are ``arc_ptr[u]:arc_ptr[u + 1]``."""
         eid = np.arange(len(ends))
         dst, src = ends[:, 0], ends[:, 1]
         if self.undirected:
@@ -90,9 +94,6 @@ class AttributedGraph:
         self.arc_dst, self.arc_src = dst[order], src[order]
         self.arc_link = eid[order]
         self.arc_ptr = np.searchsorted(self.arc_dst, np.arange(self.n_nodes + 1))
-        pairs = list(zip(self.arc_src.tolist(), self.arc_link.tolist()))
-        ptr = self.arc_ptr.tolist()
-        self.adjacency = tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -114,10 +115,17 @@ class AttributedGraph:
 
     def neighbors(self, u):
         """Sorted (neighbor id, link id) pairs of node u."""
-        return self.adjacency[u]
+        lo, hi = self.arc_ptr[u], self.arc_ptr[u + 1]
+        return tuple(zip(self.arc_src[lo:hi].tolist(),
+                         self.arc_link[lo:hi].tolist()))
 
     def degree(self, u):
-        return len(self.adjacency[u])
+        return int(self.arc_ptr[u + 1] - self.arc_ptr[u])
+
+    @property
+    def adjacency(self):
+        """``neighbors(u)`` of every node, built on each access."""
+        return tuple(self.neighbors(u) for u in range(self.n_nodes))
 
     def arcs_into(self, nodes):
         """Every arc into ``nodes`` (an integer array), grouped by node in list
@@ -234,12 +242,11 @@ def make_split(g, fractions=(0.65, 0.15, 0.20), seed=0):
     order = rng.permutation(g.n_nodes)
     n_train = int(math.floor(fractions[0] * g.n_nodes))
     n_val = int(math.floor(fractions[1] * g.n_nodes))
-    train = [int(u) for u in order[:n_train] if g.degree(int(u)) > 0]
-    val = [int(u) for u in order[n_train:n_train + n_val]]
-    test = [int(u) for u in order[n_train + n_val:]]
-    if not train:
+    train, val, test = np.split(order, [n_train, n_train + n_val])
+    train = train[np.diff(g.arc_ptr)[train] > 0]
+    if not train.size:
         raise ValueError("empty train set: all candidate train nodes are isolated")
-    return Split(tuple(sorted(train)), tuple(sorted(val)), tuple(sorted(test)))
+    return Split(*(tuple(np.sort(ids).tolist()) for ids in (train, val, test)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +274,17 @@ def _random_regular_links(n, deg, rng):
     return sorted(links)
 
 
-def _pairing_rule(g, u):
-    """Ground-truth statistic of the interaction generator for node u."""
-    s = 0.0
-    for v, eid in g.neighbors(u):
-        s += float(g.node_features[v] @ g.link_features[eid])
-    return s
+def _pairing_rule(g):
+    """Ground-truth statistic of the interaction generator, per node: the sum
+    over its arcs of neighbor features dotted with link features."""
+    terms = np.sum(g.node_features[g.arc_src] * g.link_features[g.arc_link],
+                   axis=1)
+    return np.bincount(g.arc_dst, weights=terms, minlength=g.n_nodes)
 
 
 def interaction_label(g, u):
     """Replay the interaction generator's labelling rule for node u."""
-    return int(_pairing_rule(g, u) > 0.0)
+    return int(_pairing_rule(g)[u] > 0.0)
 
 
 def synth_graph(kind, n, seed=0):
@@ -305,14 +312,13 @@ def synth_graph(kind, n, seed=0):
         links = _random_regular_links(n, deg, rng)
         nf = rng.choice([-1.0, 1.0], size=(n, d))
         lf = rng.choice([-1.0, 1.0], size=(len(links), d))
-        g = AttributedGraph(nf, [None] * n, links, lf, 2)
+        s = _pairing_rule(AttributedGraph(nf, [None] * n, links, lf, 2))
         # Odd per-neighbor contributions; nodes with even degree can tie at 0,
-        # and a tied node draws its label at random.
-        labels = []
-        for u in range(n):
-            s = _pairing_rule(g, u)
-            labels.append(int(s > 0.0) if s != 0.0 else int(rng.integers(2)))
-        g = AttributedGraph(nf, labels, links, lf, 2)
+        # and a tied node draws its label at random, in node order.
+        labels = (s > 0.0).astype(int)
+        tied = np.flatnonzero(s == 0.0)
+        labels[tied] = [rng.integers(2) for _ in tied]
+        g = AttributedGraph(nf, labels.tolist(), links, lf, 2)
         return g, make_split(g, seed=seed + 1)
 
     if kind == "concat-blind":

@@ -86,36 +86,13 @@ def probs_minvar_weights(lam, gmat):
     return _floor_normalize(lam * np.linalg.norm(gmat, axis=1))
 
 
-def neighborhood_terms(g, stack, ctx, l, u):
-    """(gates, summands) over N(u) at layer l, in adjacency order.
+def neighborhood_terms(g, ctx, l, u):
+    """(gates, summands) over N(u) at layer l, in arc order (by neighbor id).
 
     A slice of the per-arc arrays of a ``layers.full_forward`` context.
     """
     lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
     return ctx["gates"][l][lo:hi], ctx["terms"][l][:, lo:hi].T
-
-
-def neighbor_summand(g, stack, l, u, v):
-    """The lambda-free per-neighbor term g(v|u) at layer l (full forward)."""
-    nbrs = g.neighbors(u)
-    idx = [j for j, (w, _) in enumerate(nbrs) if w == v]
-    if not idx:
-        raise ValueError("%d is not a neighbor of %d" % (v, u))
-    ctx = layers.full_forward(g, stack)
-    _, gmat = neighborhood_terms(g, stack, ctx, l, u)
-    return gmat[idx[0]]
-
-
-def estimate_neighbor_sum(lam, gmat, p, s, rng):
-    """(1/s) sum_j lambda_j g_j / p_j over s draws with replacement."""
-    lam = np.asarray(lam, float)
-    gmat = np.asarray(gmat, float)
-    p = np.asarray(p, float)
-    idx = rng.choice(lam.size, size=s, p=p)
-    acc = np.zeros(gmat.shape[1])
-    for j in idx:
-        acc = acc + lam[j] * gmat[j] / p[j]
-    return acc / s
 
 
 def estimator_variance(lam, gmat, p):

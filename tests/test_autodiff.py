@@ -105,7 +105,7 @@ class TestBackward:
     def test_matvec_zero_weight_gradient(self):
         x = t([1.0, 2.0], grad=True)
         with ad.Tape() as tape:
-            loss = ad.reduce_sum(ad.matvec(t(np.zeros((2, 2))), x))
+            loss = ad.inner(ad.matvec(t(np.zeros((2, 2))), x), t([1.0, 1.0]))
             tape.backward(loss)
         assert np.array_equal(x.grad, np.zeros((2, 1)))
 
@@ -116,10 +116,6 @@ class TestBackward:
             loss = ad.add(ad.inner(w, t(x)), ad.inner(w, t(x)))
             tape.backward(loss)
         assert np.array_equal(w.grad[:, 0], 2 * x)
-
-    def test_backward_requires_tape(self):
-        with pytest.raises(ad.TapeError):
-            ad.backward(t([1.0]))
 
     def test_backward_requires_scalar(self):
         with ad.Tape() as tape:

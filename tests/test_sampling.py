@@ -44,14 +44,6 @@ class TestDistributions:
 
 
 class TestSummand:
-    def test_not_a_neighbor(self):
-        g, _, stack, _ = stack_and_ctx()
-        u = 0
-        non = next(v for v in range(g.n_nodes)
-                   if v != u and v not in [w for w, _ in g.neighbors(u)])
-        with pytest.raises(ValueError, match="not a neighbor"):
-            S.neighbor_summand(g, stack, 1, u, non)
-
     def test_full_sum_matches_layer_term(self):
         g, _, stack, ctx = stack_and_ctx(seed=1)
         stack2 = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=1,
@@ -61,7 +53,7 @@ class TestSummand:
         for u in range(6):
             if not g.degree(u):
                 continue
-            lam, gmat = S.neighborhood_terms(g, stack2, ctx, 1, u)
+            lam, gmat = S.neighborhood_terms(g, ctx, 1, u)
             nbsum = np.zeros(gmat.shape[1])
             for j in range(lam.size):
                 nbsum = nbsum + lam[j] * gmat[j]
@@ -238,7 +230,7 @@ class TestRefresh:
             for u in range(g.n_nodes):
                 if not g.degree(u):
                     continue
-                lam, gmat = S.neighborhood_terms(g, stack, ctx, l, u)
+                lam, gmat = S.neighborhood_terms(g, ctx, l, u)
                 expected = (S.probs_from_gates(lam) if strategy == "gate"
                             else S.probs_minvar_weights(lam, gmat))
                 got = S.plan_probs(g, stack, state, plan, l, u)
