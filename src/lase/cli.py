@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -59,17 +60,6 @@ def _at_least(lo):
     return count
 
 
-def _load_split(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return graphmod.Split(tuple(d["train"]), tuple(d["val"]), tuple(d["test"]))
-
-
-def _split_dict(split):
-    return {"train": list(split.train), "val": list(split.val),
-            "test": list(split.test)}
-
-
 def build_parser():
     p = _Parser(prog="lase", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -83,9 +73,7 @@ def build_parser():
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, required=True)
     sp.add_argument("--n", type=int, default=600)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--nodes", required=True)
-    sp.add_argument("--links", required=True)
-    sp.add_argument("--manifest", default=None)
+    add_graph_flags(sp)
     sp.add_argument("--split", default=None, help="write the split JSON here")
 
     sp = sub.add_parser("train", help="train a model from a config JSON")
@@ -162,7 +150,7 @@ def _cmd_synth(args):
     g, split = graphmod.synth_graph(args.kind, args.n, seed=args.seed)
     graphmod.save_graph(g, args.nodes, args.links, args.manifest)
     if args.split:
-        _write_json(args.split, _split_dict(split))
+        _write_json(args.split, asdict(split))
     print("synth %s: %d nodes, %d links, %d labels"
           % (args.kind, g.n_nodes, g.n_links, g.n_labels))
     return EXIT_OK
@@ -179,7 +167,7 @@ def _cmd_train(args):
     g = _load_graph_args(args)
     run = _get_run(args)
     if args.split:
-        split = _load_split(args.split)
+        split = graphmod.load_split(args.split, g.n_nodes)
     else:
         split = graphmod.make_split(g, seed=run.seed)
     model, hist = training.train(g, split, run)
@@ -205,7 +193,7 @@ def _cmd_eval(args):
         run = training.TrainRun.from_dict(meta["run"])
     model = training.build_model(g, run)
     model.load(args.checkpoint)
-    split = _load_split(args.split)
+    split = graphmod.load_split(args.split, g.n_nodes)
     nodes = getattr(split, args.subset)
     f1 = training.evaluate(g, model, nodes)
     if args.out:
@@ -327,19 +315,11 @@ def _cmd_sample_variance(args):
     return EXIT_OK
 
 
-def _parse_snrs(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(math.inf if tok in ("inf", "Inf") else float(tok))
-    return out
-
-
 def _cmd_snr_sweep(args):
     if args.nodes or args.links:
         g = _load_graph_args(args)
-        split = _load_split(args.split) if args.split else graphmod.make_split(
-            g, seed=args.seed)
+        split = (graphmod.load_split(args.split, g.n_nodes) if args.split
+                 else graphmod.make_split(g, seed=args.seed))
     else:
         g, split = graphmod.synth_graph(args.kind, args.n, seed=args.seed)
     if args.config:
@@ -347,11 +327,11 @@ def _cmd_snr_sweep(args):
     else:
         run = training.TrainRun(arch="sage", hidden=16, depth=1, lr=1e-2,
                                 max_epochs=25, patience=25, seed=args.seed)
-    rows = training.snr_sweep(g, split, run, _parse_snrs(args.snr))
+    snrs = [float(t) for t in args.snr.split(",")]
+    rows = training.snr_sweep(g, split, run, snrs)
     lines = ["snr,test_f1"]
     for snr, f1 in rows:
-        lines.append("%s,%s" % ("inf" if math.isinf(snr) else repr(float(snr)),
-                                repr(float(f1))))
+        lines.append("%s,%s" % (repr(float(snr)), repr(float(f1))))
     atomic_write(args.out, "\n".join(lines) + "\n")
     for snr, f1 in rows:
         print("snr %s -> test micro-F1 %.4f" % (snr, f1))

@@ -51,8 +51,8 @@ class AttributedGraph:
         try:
             ends = np.array(self.links, dtype=np.int64).reshape(-1, 2)
         except OverflowError:  # ids beyond int64, clamped: they stay dangling
-            ends = np.array([[min(max(x, -1), self.n_nodes) for x in l]
-                             for l in self.links])
+            ends = np.clip(np.array(self.links, dtype=object), -1,
+                           self.n_nodes).astype(np.int64)
         self._validate(ends)
         self._build_arcs(ends)
 
@@ -160,6 +160,13 @@ def _parse_feats(text, expect, what, lineno):
     return vals
 
 
+def _parse_int(text, what, lineno, field):
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError("%s line %d: bad %s %r" % (what, lineno, field, text))
+
+
 def _data_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -183,10 +190,10 @@ def load_graph(nodes_path, links_path, manifest_path=None, undirected=True):
         parts = line.split("\t")
         if len(parts) != 3:
             raise GraphError("node line %d: expected 3 tab-separated fields" % lineno)
-        nid = int(parts[0])
-        if nid != len(feats):
+        if _parse_int(parts[0], "node", lineno, "id") != len(feats):
             raise GraphError("node line %d: ids must be dense and in order" % lineno)
-        labels.append(None if parts[1] == "-" else int(parts[1]))
+        labels.append(None if parts[1] == "-"
+                      else _parse_int(parts[1], "node", lineno, "label"))
         row = _parse_feats(parts[2], d_node, "node", lineno)
         if d_node is None:
             d_node = len(row)
@@ -198,7 +205,8 @@ def load_graph(nodes_path, links_path, manifest_path=None, undirected=True):
         parts = line.split("\t")
         if len(parts) != 3:
             raise GraphError("link line %d: expected 3 tab-separated fields" % lineno)
-        links.append((int(parts[0]), int(parts[1])))
+        links.append(tuple(_parse_int(t, "link", lineno, "endpoint")
+                           for t in parts[:2]))
         row = _parse_feats(parts[2], d_link, "link", lineno)
         if d_link is None:
             d_link = len(row)
@@ -207,9 +215,7 @@ def load_graph(nodes_path, links_path, manifest_path=None, undirected=True):
     n_labels = manifest.get("n_labels")
     if n_labels is None:
         n_labels = 1 + max((l for l in labels if l is not None), default=-1)
-    lf = np.asarray(lfeats, dtype=np.float64)
-    if lf.size == 0:
-        lf = np.zeros((0, d_link or 1))
+    lf = np.asarray(lfeats, dtype=np.float64).reshape(-1, d_link or 1)
     return AttributedGraph(np.asarray(feats, dtype=np.float64), labels,
                            links, lf, n_labels, undirected=undirected)
 
@@ -233,6 +239,27 @@ def save_graph(g, nodes_path, links_path, manifest_path=None):
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
+
+def load_split(path, n_nodes):
+    """The split JSON of ``lase synth --split``: its train, val and test
+    lists hold integer node ids in [0, n_nodes), no id twice."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = json.load(fh)
+    keys = ("train", "val", "test")
+    sets = [d.get(key) if isinstance(d, dict) else None for key in keys]
+    seen = set()
+    for key, ids in zip(keys, sets):
+        if not isinstance(ids, list):
+            raise GraphError("split: %r must be a list of node ids" % key)
+        for u in ids:
+            if type(u) is not int or not 0 <= u < n_nodes:
+                raise GraphError("split: %s id %r is not a node id in [0, %d)"
+                                 % (key, u, n_nodes))
+            if u in seen:
+                raise GraphError("split: node %d is listed more than once" % u)
+            seen.add(u)
+    return Split(*map(tuple, sets))
+
 
 def make_split(g, fractions=(0.65, 0.15, 0.20), seed=0):
     """Deterministic train/val/test split; isolated nodes never train."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -15,6 +15,27 @@ from . import layers, sampling
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during optimization."""
+
+
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _check_fields(cls, d, what):
+    """Check the JSON object ``d`` as keyword arguments of dataclass ``cls``:
+    a non-object, an unknown key or a value of the wrong type raises."""
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object, not %s"
+                         % (what, type(d).__name__))
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError("%s: unknown keys %s" % (what, ", ".join(unknown)))
+    for name, v in d.items():
+        f, want = known[name], _JSON_TYPES.get(known[name].type, object)
+        if not (v is None and f.default is None or isinstance(v, want)
+                and (type(v) is bool) == (want is bool)):
+            raise ValueError("%s: %s must be of type %s, not %r"
+                             % (what, name, f.type, v))
 
 
 @dataclass
@@ -55,9 +76,10 @@ class TrainRun:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if d.get("snr") == "inf":
-            d["snr"] = math.inf
+        if isinstance(d, dict) and d.get("snr") == "inf":
+            d = {**d, "snr": math.inf}
+        _check_fields(cls, d, "config")
+        _check_fields(sampling.SamplePlan, d.get("plan", {}), "config plan")
         return cls(**d)
 
     @classmethod

@@ -109,6 +109,58 @@ class TestDataErrors:
                        "--split", synth_files["split"])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("fault, message", [
+        (dict(val=None), "'val' must be a list"),
+        (dict(test=[999]), "test id 999 is not a node id"),
+        (dict(overlap=True), "listed more than once"),
+        (dict(train=[0, 1.5]), "train id 1.5 is not a node id"),
+    ])
+    def test_bad_split(self, synth_files, tmp_path, capsys, command, fault,
+                       message):
+        cfg = write_config(tmp_path, max_epochs=1)
+        graph = ("--nodes", synth_files["nodes"], "--links",
+                 synth_files["links"], "--manifest", synth_files["manifest"])
+        out = str(tmp_path / "run")
+        if command == "eval":
+            assert run_cli("train", *graph, "--split", synth_files["split"],
+                           "--config", cfg, "--out", out) == 0
+        split = json.loads(open(synth_files["split"]).read())
+        if "overlap" in fault:
+            split["val"].append(split["train"][0])
+        else:
+            split.update(fault)
+        split = {k: v for k, v in split.items() if v is not None}
+        bad = tmp_path / "bad_split.json"
+        bad.write_text(json.dumps(split))
+        tail = (("--config", cfg, "--out", out) if command == "train"
+                else ("--checkpoint", out + ".ckpt"))
+        assert run_cli(command, *graph, "--split", str(bad),
+                       *tail) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"hiddn": 4}, "unknown keys hiddn"),
+        ({"hidden": "four"}, "hidden must be of type int"),
+        ({"hidden": True}, "hidden must be of type int"),
+        ({"lr": "0.1"}, "lr must be of type float"),
+        ({"plan": {"strategy": "minvar", "sample_sz": 3}},
+         "config plan: unknown keys sample_sz"),
+        ({"plan": {"sample_size": 2.0}}, "sample_size must be of type int"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_bad_config(self, synth_files, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("train", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run.metrics.csv").exists()
+
     def test_kernel_over_enumeration_budget(self, tmp_path, monkeypatch,
                                             capsys):
         g, _ = G.synth_graph("random", 200, seed=0)

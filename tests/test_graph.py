@@ -13,6 +13,22 @@ def write_graph(tmp_path, node_lines, link_lines):
     return str(np_), str(lp)
 
 
+def reference_link_fault(links, n, undirected):
+    """The per-link loop the vectorized check replaced: the message of the
+    first faulty link, or None."""
+    seen = set()
+    for s, d in links:
+        if not (0 <= s < n and 0 <= d < n):
+            return "dangling link endpoint (%d, %d)" % (s, d)
+        if s == d:
+            return "self-loop (%d, %d) not supported" % (s, d)
+        key = (min(s, d), max(s, d)) if undirected else (s, d)
+        if key in seen:
+            return "duplicate link between %d and %d" % (s, d)
+        seen.add(key)
+    return None
+
+
 class TestLoad:
     def test_path_graph_adjacency(self, tmp_path):
         nodes, links = write_graph(
@@ -49,6 +65,40 @@ class TestLoad:
             ["0\t1\t1.0", "1\t0\t2.0"])
         with pytest.raises(G.GraphError, match="duplicate"):
             G.load_graph(nodes, links)
+
+    @pytest.mark.parametrize("node_line, link_line, message", [
+        ("1\tx\t2.0", "0\t1\t1.0", "node line 2: bad label 'x'"),
+        ("one\t0\t2.0", "0\t1\t1.0", "node line 2: bad id 'one'"),
+        ("1\t0\t2.0", "0\t1.5\t1.0", "link line 1: bad endpoint '1.5'"),
+    ])
+    def test_bad_integer_field_names_its_line(self, tmp_path, node_line,
+                                              link_line, message):
+        nodes, links = write_graph(tmp_path, ["0\t0\t1.0", node_line],
+                                   [link_line])
+        with pytest.raises(G.GraphError, match=message):
+            G.load_graph(nodes, links)
+
+    def test_link_faults_match_per_link_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0, 8))
+            links = [tuple(rng.integers(-1, n + 1, size=2).tolist())
+                     for _ in range(m)]
+            undirected = bool(rng.integers(2))
+            try:
+                G.AttributedGraph(np.ones((n, 1)), [None] * n, links,
+                                  np.ones((m, 1)), 1, undirected=undirected)
+                got = None
+            except G.GraphError as exc:
+                got = str(exc)
+            assert got == reference_link_fault(links, n, undirected), links
+
+    def test_endpoint_beyond_int64_is_dangling(self):
+        links = [(0, 1), (0, 10 ** 20)]
+        with pytest.raises(G.GraphError) as exc:
+            G.AttributedGraph(np.ones((2, 1)), [None] * 2, links,
+                              np.ones((2, 1)), 1)
+        assert str(exc.value) == "dangling link endpoint (0, %d)" % 10 ** 20
 
     def test_non_finite_value(self, tmp_path):
         nodes, links = write_graph(tmp_path, ["0\t0\tnan"], [])

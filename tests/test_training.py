@@ -18,6 +18,16 @@ def quick_run(**kw):
     return T.TrainRun(**base)
 
 
+class TestRunConfig:
+    def test_from_dict_accepts_json_forms(self):
+        run = T.TrainRun.from_dict({"lr": 1, "snr": "inf", "hidden": 4,
+                                    "plan": {"strategy": "minvar"}})
+        assert run.lr == 1 and run.snr == math.inf
+        assert run.plan == S.SamplePlan(strategy="minvar")
+        assert T.TrainRun.from_dict(run.to_dict()) == run
+        assert T.TrainRun.from_dict({"snr": None}).snr is None
+
+
 class TestMicroF1:
     def test_all_correct(self):
         assert T.micro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
