@@ -53,31 +53,31 @@ class AttributedGraph:
         except OverflowError:  # ids beyond int64, clamped: they stay dangling
             ends = np.clip(np.array(self.links, dtype=object), -1,
                            self.n_nodes).astype(np.int64)
-        self._validate(ends)
         self._build_arcs(ends)
+        self._validate(ends)
 
     # -- construction helpers ------------------------------------------------
 
     def _validate(self, ends):
-        n = self.n_nodes
         if not np.all(np.isfinite(self.node_features)):
             raise GraphError("non-finite node feature value")
         if self.link_features.size and not np.all(np.isfinite(self.link_features)):
             raise GraphError("non-finite link feature value")
         if len(self.links) != self.link_features.shape[0]:
             raise GraphError("link count disagrees with link feature rows")
-        # The lowest-index faulty link raises, naming its first fault below.
-        _, first = np.unique(np.sort(ends, axis=1) if self.undirected else ends,
-                             axis=0, return_index=True)
-        dangling = np.any((ends < 0) | (ends >= n), axis=1)
-        repeated = ~np.isin(np.arange(len(ends)), first)
-        faults = {"dangling link endpoint (%d, %d)": dangling,
-                  "self-loop (%d, %d) not supported": ends[:, 0] == ends[:, 1],
-                  "duplicate link between %d and %d": repeated}
-        bad = np.flatnonzero(np.any(list(faults.values()), axis=0))
+        # Equal arcs are adjacent, in link order: each after the first repeats.
+        same = ((self.arc_dst[1:] == self.arc_dst[:-1])
+                & (self.arc_src[1:] == self.arc_src[:-1]))
+        repeated = np.bincount(self.arc_link[1:][same], minlength=len(ends)) > 0
+        dangling = ((ends < 0) | (ends >= self.n_nodes)).any(axis=1)
+        loop = ends[:, 0] == ends[:, 1]
+        bad = np.flatnonzero(dangling | loop | repeated)
         if bad.size:
-            raise GraphError(next(m for m, at in faults.items() if at[bad[0]])
-                             % self.links[bad[0]])
+            i = bad[0]
+            raise GraphError(("dangling link endpoint (%d, %d)" if dangling[i]
+                              else "self-loop (%d, %d) not supported" if loop[i]
+                              else "duplicate link between %d and %d")
+                             % self.links[i])
         for lab in self.labels:
             if lab is not None and not (0 <= lab < self.n_labels):
                 raise GraphError("label %r out of range" % (lab,))
@@ -90,7 +90,7 @@ class AttributedGraph:
         if self.undirected:
             dst, src = np.concatenate([dst, src]), np.concatenate([src, dst])
             eid = np.concatenate([eid, eid])
-        order = np.lexsort((src, dst))
+        order = np.lexsort((eid, src, dst))
         self.arc_dst, self.arc_src = dst[order], src[order]
         self.arc_link = eid[order]
         self.arc_ptr = np.searchsorted(self.arc_dst, np.arange(self.n_nodes + 1))
