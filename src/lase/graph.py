@@ -83,8 +83,8 @@ class AttributedGraph:
                 raise GraphError("label %r out of range" % (lab,))
 
     def _build_arcs(self, ends):
-        """Directed arcs (dst, src, link) sorted by (dst, src); the arcs into
-        node u are ``arc_ptr[u]:arc_ptr[u + 1]``."""
+        """Directed arcs (dst, src, link), sorted in that key order; the arcs
+        into node u are ``arc_ptr[u]:arc_ptr[u + 1]``."""
         eid = np.arange(len(ends))
         dst, src = ends[:, 0], ends[:, 1]
         if self.undirected:
