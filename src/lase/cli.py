@@ -99,7 +99,8 @@ def build_parser():
     sp.add_argument("--hops", type=int, default=2)
     sp.add_argument("--decay", type=float, default=0.5)
     sp.add_argument("--gram", type=_at_least(0), default=0,
-                    help="also emit a Gram CSV over this many random graphs")
+                    help="write a Gram CSV over this many random graphs to "
+                    "--out, or to standard output")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
 
@@ -214,7 +215,10 @@ def _cmd_kernel(args):
                          for row in rows) + "\n"
         if args.out:
             atomic_write(args.out, text)
-        print("kernel: %d x %d Gram matrix written" % (args.gram, args.gram))
+            print("kernel: %d x %d Gram matrix written"
+                  % (args.gram, args.gram))
+        else:
+            sys.stdout.write(text)
         return EXIT_OK
     g1 = _load_graph_args(args)
     g2 = _load_graph_args(args, "2") if args.nodes2 or args.links2 else g1

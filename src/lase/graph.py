@@ -176,13 +176,31 @@ def _data_lines(path):
             yield lineno, line
 
 
+def _load_manifest(path):
+    """The manifest JSON object; each key it carries has the type the loader
+    needs: ``d_node``, ``d_link`` and ``n_labels`` non-negative integers and
+    ``undirected`` a boolean."""
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise GraphError("manifest: expected a JSON object")
+    for key in ("d_node", "d_link", "n_labels"):
+        v = manifest.get(key, 0)
+        if type(v) is not int or v < 0:
+            raise GraphError("manifest: %r must be a non-negative integer, "
+                             "not %r" % (key, v))
+    if type(manifest.get("undirected", True)) is not bool:
+        raise GraphError("manifest: 'undirected' must be true or false, not %r"
+                         % (manifest["undirected"],))
+    return manifest
+
+
 def load_graph(nodes_path, links_path, manifest_path=None, undirected=True):
     """Load an AttributedGraph from node/link TSV files."""
     manifest = {}
     if manifest_path is not None:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        undirected = bool(manifest.get("undirected", undirected))
+        manifest = _load_manifest(manifest_path)
+        undirected = manifest.get("undirected", undirected)
 
     feats, labels = [], []
     d_node = manifest.get("d_node")

@@ -10,9 +10,13 @@ Hop recursion (Vishwanathan et al., "Graph Kernels", JMLR 2010): M[u, u2]
 sums the kernel products of the walk pairs from u in g1 and u2 in g2.  With
 the link Gram factorized over link-feature coordinates k, one hop is
 M <- S (*) decay * sum_k R1_k M R2_k^T, where S is the node Gram and row u of
-R_k x sums fe[link, k] x[v] over the arcs v -> u (v a neighbor of u).  It
-holds O(n1 n2 + A1 n2 + n1 A2) numbers for A arcs: no arc-pair matrix and no
-dense adjacency.
+R_k x sums fe[link, k] x[v] over the arcs v -> u (v a neighbor of u).  A hop
+gathers M's rows at the arcs' sources once; each R_k product is a segment sum
+by one weighted ``np.bincount`` over flat (arc, column) indices, built once per
+call for each graph, which adds the terms into zeros in arc order, so the sums
+are bit for bit those of ``np.add.at``.  It holds O(n1 n2 + A1 n2 + n1 A2)
+numbers for A arcs, the gathered rows and the index arrays included: no
+arc-pair matrix and no dense adjacency.
 
 Walk convention: a walk with ``hops`` links visits ``hops + 1`` nodes; the
 decay prefactor is ``decay ** hops`` (one factor per traversed link), which
@@ -80,12 +84,23 @@ def _check_dims(g1, g2):
         raise ValueError("link feature dimension mismatch between graphs")
 
 
-def _propagate(g, x, w):
-    """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order;
-    ``w`` is a scalar or a column with one row per arc."""
-    out = np.zeros(x.shape)
-    np.add.at(out, g.arc_dst, w * x[g.arc_src])
-    return out
+def _segment_index(g, width):
+    """Flat positions ``arc_dst[a] * width + j`` of an (A, width) arc array
+    in an (n, width) output, in arc order: the segment-sum index of
+    ``_propagate``."""
+    return (g.arc_dst[:, None] * width + np.arange(width)).ravel()
+
+
+def _propagate(g, rows, w, index):
+    """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order.
+
+    ``rows`` is the gather ``x[g.arc_src]``, ``w`` a scalar or a column with
+    one row per arc, and ``index`` is ``_segment_index(g, rows.shape[1])``.
+    One weighted bincount adds the terms into zeros in arc order, as
+    ``np.add.at`` would, so the sums are the same bit for bit."""
+    width = rows.shape[1]
+    return np.bincount(index, (w * rows).ravel(),
+                       minlength=g.n_nodes * width).reshape(g.n_nodes, width)
 
 
 def _walk_matrix(g1, g2, hops, decay):
@@ -94,12 +109,15 @@ def _walk_matrix(g1, g2, hops, decay):
     s = g1.node_features @ g2.node_features.T
     w1 = g1.link_features[g1.arc_link]
     w2 = g2.link_features[g2.arc_link]
+    index1 = _segment_index(g1, g2.n_nodes)
+    index2 = _segment_index(g2, g1.n_nodes)
     m = s
     for _ in range(hops):
+        rows = m[g1.arc_src]
         acc = np.zeros_like(s)
         for k in range(g1.d_link):
-            acc += _propagate(g2, _propagate(g1, m, w1[:, k:k + 1]).T,
-                              w2[:, k:k + 1]).T
+            half = _propagate(g1, rows, w1[:, k:k + 1], index1).T
+            acc += _propagate(g2, half[g2.arc_src], w2[:, k:k + 1], index2).T
         m = s * decay * acc
     return m
 
@@ -113,8 +131,9 @@ def count_walks(g, hops):
     """Number of directed walks with ``hops`` links: the entry sum of A^hops
     (in float64, exact up to 2**53, which is far above any budget)."""
     c = np.ones((g.n_nodes, 1))
+    index = _segment_index(g, 1)
     for _ in range(hops):
-        c = _propagate(g, c, 1.0)
+        c = _propagate(g, c[g.arc_src], 1.0, index)
     return float(c.sum())
 
 
@@ -196,7 +215,7 @@ def param_path_graph(stack, k):
 
 def check_theorem1(g, stack, cfg, k):
     """Network sum vs random-walk kernel against the parameter path graph,
-    for coordinate k.
+    for coordinate k in ``0..stack.hidden - 1``.
 
     lhs: sum over nodes of coordinate k of the kernel-mode forward pass.
     rhs: the hop recursion's walk-pair sum of g against
@@ -210,6 +229,9 @@ def check_theorem1(g, stack, cfg, k):
     if cfg is not None and (cfg.hops != stack.depth
                             or cfg.decay != stack.constant_decay):
         raise ValueError("kernel config disagrees with the layer stack")
+    if not 0 <= k < stack.hidden:
+        raise ValueError("coordinate k=%d outside 0..%d"
+                         % (k, stack.hidden - 1))
     h = layers.full_hidden_arrays(g, stack)[-1]
     lhs = float(h[:, k].sum())
     path = param_path_graph(stack, k)

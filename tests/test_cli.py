@@ -161,6 +161,27 @@ class TestDataErrors:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "run.metrics.csv").exists()
 
+    @pytest.mark.parametrize("manifest, message", [
+        ([1], "manifest: expected a JSON object"),
+        ({"d_node": "3"}, "'d_node' must be a non-negative integer"),
+        ({"d_link": -1}, "'d_link' must be a non-negative integer"),
+        ({"n_labels": True}, "'n_labels' must be a non-negative integer"),
+        ({"n_labels": 2.0}, "'n_labels' must be a non-negative integer"),
+        ({"d_node": None}, "'d_node' must be a non-negative integer"),
+        ({"undirected": "no"}, "'undirected' must be true or false"),
+        ({"undirected": 0}, "'undirected' must be true or false"),
+    ])
+    def test_bad_manifest(self, synth_files, tmp_path, capsys, manifest,
+                          message):
+        path = tmp_path / "bad_manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = run_cli("kernel", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", str(path))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_kernel_over_enumeration_budget(self, tmp_path, monkeypatch,
                                             capsys):
         g, _ = G.synth_graph("random", 200, seed=0)
@@ -252,12 +273,20 @@ class TestChecks:
         res = json.loads(out.read_text())
         assert res["rel_err"] < 1e-9
 
-    def test_kernel_gram(self, tmp_path):
+    def test_kernel_gram(self, tmp_path, capsys):
         out = tmp_path / "gram.csv"
-        assert run_cli("kernel", "--gram", "3", "--hops", "2",
+        assert run_cli("kernel", "--gram", "3", "--hops", "2", "--seed", "4",
                        "--out", str(out)) == 0
-        rows = out.read_text().strip().split("\n")
-        assert len(rows) == 3 and len(rows[0].split(",")) == 3
+        assert capsys.readouterr().out == "kernel: 3 x 3 Gram matrix written\n"
+        text = out.read_text()
+        gs = [G.synth_graph("random", 12, seed=4 + i)[0] for i in range(3)]
+        cfg = kernels.KernelConfig(0.5, 2)
+        assert text == "".join(
+            ",".join(repr(kernels.rw_kernel_dp(a, b, cfg)) for b in gs) + "\n"
+            for a in gs)
+        assert run_cli("kernel", "--gram", "3", "--hops", "2",
+                       "--seed", "4") == 0
+        assert capsys.readouterr().out == text
 
     def test_check_theorem1(self, tmp_path):
         out = tmp_path / "thm.json"

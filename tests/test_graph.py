@@ -130,6 +130,20 @@ class TestLoad:
         assert g.links == g2.links and g.labels == g2.labels
         assert g.adjacency == g2.adjacency
 
+    def test_saved_manifests_load(self, tmp_path):
+        g, _ = G.synth_graph("random", 12, seed=1)
+        directed = G.AttributedGraph(g.node_features, [None] * g.n_nodes,
+                                     g.links, g.link_features, 0,
+                                     undirected=False)
+        n, l, m = (str(tmp_path / x) for x in ("n.tsv", "l.tsv", "m.json"))
+        for h in (g, directed):
+            G.save_graph(h, n, l, m)
+            h2 = G.load_graph(n, l, manifest_path=m,
+                              undirected=not h.undirected)
+            assert h2.undirected == h.undirected
+            assert h2.n_labels == h.n_labels and h2.d_link == h.d_link
+            assert np.array_equal(h2.arc_src, h.arc_src)
+
 
 class TestSplit:
     def test_deterministic(self):

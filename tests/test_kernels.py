@@ -7,23 +7,12 @@ from lase import graph as G
 from lase import kernels as K
 from lase import layers as L
 
-from util import random_graph
+from util import random_digraph, random_graph
 
 
 def tiny_graph(nf, links, lf):
     return G.AttributedGraph(np.asarray(nf, float), [None] * len(nf), links,
                              np.asarray(lf, float), 1)
-
-
-def random_digraph(rng, max_nodes=8, **kw):
-    """Directed graph: random_graph's links, each reversed with probability
-    1/2, plus a reverse copy of about a third of them (new features)."""
-    g = random_graph(rng, max_nodes=max_nodes, **kw)
-    links = [(d, s) if rng.random() < 0.5 else (s, d) for s, d in g.links]
-    back = [(d, s) for s, d in links if rng.random() < 0.3]
-    lf = np.vstack([g.link_features, rng.normal(size=(len(back), g.d_link))])
-    return G.AttributedGraph(g.node_features, g.labels, links + back, lf, 1,
-                             undirected=False)
 
 
 class TestNeighborKernel:
@@ -288,6 +277,15 @@ class TestTheorem1:
         for k in range(stack.hidden):
             lhs, rhs = K.check_theorem1(g, stack, None, k)
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-9
+
+    @pytest.mark.parametrize("k", [-1, 4, 5])
+    def test_coordinate_out_of_range(self, k):
+        rng = np.random.default_rng(9)
+        g = random_graph(rng)
+        stack = self.make_stack(g, 2, seed=0)
+        assert stack.hidden == 4
+        with pytest.raises(ValueError, match="outside 0..3"):
+            K.check_theorem1(g, stack, None, k)
 
     def test_requires_kernel_mode(self):
         rng = np.random.default_rng(9)

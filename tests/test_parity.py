@@ -17,6 +17,11 @@ against ``param_path_graph``) and ``rw_kernel_enumerate`` against that graph
 must match the pinned right-hand sides to 1e-12 of their largest magnitude.
 ``PYTHONPATH=src python tests/test_parity.py`` adds the entries the fixture
 lacks, computed by the current code; delete an entry to recompute it.
+
+The hop recursion's bincount segment sums are also checked bit for bit
+against an ``np.add.at`` oracle (``_propagate_add_at``, the segment sum the
+recursion used before): ``kernels._walk_matrix`` and ``kernels.count_walks``
+must equal the recursion built on it exactly.
 """
 
 import json
@@ -30,6 +35,8 @@ from lase import graph as G
 from lase import kernels as K
 from lase import layers as L
 from lase import training as T
+
+from util import random_digraph, random_graph
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "parity.json")
@@ -122,6 +129,91 @@ def _walk_sum_against_path(g, node_rows, link_rows, decay):
     for i in range(m - 1):
         total *= g.link_features[lw[:, i]] @ link_rows[i]
     return float(decay ** (m - 1) * total.sum())
+
+
+def _propagate_add_at(g, x, w):
+    """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order."""
+    out = np.zeros(x.shape)
+    np.add.at(out, g.arc_dst, w * x[g.arc_src])
+    return out
+
+
+def _walk_matrix_add_at(g1, g2, hops, decay):
+    s = g1.node_features @ g2.node_features.T
+    w1 = g1.link_features[g1.arc_link]
+    w2 = g2.link_features[g2.arc_link]
+    m = s
+    for _ in range(hops):
+        acc = np.zeros_like(s)
+        for k in range(g1.d_link):
+            half = _propagate_add_at(g1, m, w1[:, k:k + 1]).T
+            acc += _propagate_add_at(g2, half, w2[:, k:k + 1]).T
+        m = s * decay * acc
+    return m
+
+
+def _count_walks_add_at(g, hops):
+    c = np.ones((g.n_nodes, 1))
+    for _ in range(hops):
+        c = _propagate_add_at(g, c, 1.0)
+    return float(c.sum())
+
+
+def _with_isolated(g, extra=3):
+    """g plus ``extra`` isolated nodes, between and after its own nodes."""
+    n = g.n_nodes + extra
+    old = np.linspace(0, n - 1, g.n_nodes).round().astype(int)
+    nf = np.zeros((n, g.d_node))
+    nf[old] = g.node_features
+    nf[np.setdiff1d(np.arange(n), old)] = 0.25
+    links = [(int(old[s]), int(old[d])) for s, d in g.links]
+    return G.AttributedGraph(nf, [None] * n, links, g.link_features, 1,
+                             undirected=g.undirected)
+
+
+def _without_links(g):
+    return G.AttributedGraph(g.node_features, g.labels, [],
+                             np.zeros((0, g.d_link)), 1,
+                             undirected=g.undirected)
+
+
+ORACLE_KINDS = {
+    "undirected": lambda rng: random_graph(rng, max_nodes=9),
+    "directed": lambda rng: random_digraph(rng, max_nodes=9),
+    "isolated": lambda rng: _with_isolated(random_graph(rng, max_nodes=7)),
+    "isolated-directed":
+        lambda rng: _with_isolated(random_digraph(rng, max_nodes=7)),
+    "no-links": lambda rng: _without_links(random_graph(rng, max_nodes=6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+def test_hop_recursion_matches_add_at_oracle(kind):
+    rng = np.random.default_rng(sorted(ORACLE_KINDS).index(kind))
+    make = ORACLE_KINDS[kind]
+    for _ in range(20):
+        g1, g2 = make(rng), make(rng)
+        if kind.startswith("isolated"):
+            assert np.diff(g1.arc_ptr).min() == 0
+        for hops in range(4):
+            for a, b in ((g1, g2), (g2, g1), (g1, g1)):
+                new = K._walk_matrix(a, b, hops, 0.5)
+                old = _walk_matrix_add_at(a, b, hops, 0.5)
+                assert new.shape == old.shape == (a.n_nodes, b.n_nodes)
+                assert np.array_equal(new, old)
+            assert K.count_walks(g1, hops) == _count_walks_add_at(g1, hops)
+
+
+def test_hop_recursion_against_a_linkless_graph():
+    rng = np.random.default_rng(7)
+    g, empty = random_graph(rng, max_nodes=9), _without_links(
+        random_graph(rng, max_nodes=6))
+    assert empty.arc_src.size == 0
+    for hops in range(4):
+        for a, b in ((g, empty), (empty, g)):
+            new = K._walk_matrix(a, b, hops, 0.5)
+            assert np.array_equal(new, _walk_matrix_add_at(a, b, hops, 0.5))
+            assert hops == 0 or not new.any()
 
 
 def compute_kernels():

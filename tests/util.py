@@ -3,7 +3,18 @@
 import numpy as np
 
 from lase import autodiff as ad
-from lase.graph import random_graph  # noqa: F401  (re-exported for the tests)
+from lase.graph import AttributedGraph, random_graph
+
+
+def random_digraph(rng, max_nodes=8, **kw):
+    """Directed graph: random_graph's links, each reversed with probability
+    1/2, plus a reverse copy of about a third of them (new features)."""
+    g = random_graph(rng, max_nodes=max_nodes, **kw)
+    links = [(d, s) if rng.random() < 0.5 else (s, d) for s, d in g.links]
+    back = [(d, s) for s, d in links if rng.random() < 0.3]
+    lf = np.vstack([g.link_features, rng.normal(size=(len(back), g.d_link))])
+    return AttributedGraph(g.node_features, g.labels, links + back, lf, 1,
+                           undirected=False)
 
 
 def finite_diff_worst(params, loss_fn, h=1e-6):
