@@ -126,7 +126,7 @@ def plan_probs(g, stack, state, plan, l, u):
     return p
 
 
-def refresh(state, g, stack, plan):
+def refresh(state, g, stack, plan, batch=None):
     """Recompute the per-arc proposal weights if the refresh interval elapsed.
 
     Returns True when a recomputation happened.  The weights cover every arc,

@@ -287,7 +287,7 @@ def train(g, split, run):
         for ofs in range(0, len(train_ids), run.batch_size):
             batch = [train_ids[i] for i in order[ofs:ofs + run.batch_size]]
             if sampled:
-                sampling.refresh(state, g, model.stack, run.plan)
+                sampling.refresh(state, g, model.stack, run.plan, batch)
             with ad.Tape() as tape:
                 loss = batch_loss(g, model, batch, plan=run.plan,
                                   state=state, rng=sample_rng)

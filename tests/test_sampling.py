@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+from lase import autodiff as ad
 from lase import graph as G
 from lase import layers as L
 from lase import sampling as S
@@ -235,6 +236,52 @@ class TestRefresh:
                             else S.probs_minvar_weights(lam, gmat))
                 got = S.plan_probs(g, stack, state, plan, l, u)
                 assert np.array_equal(got, expected), (l, u)
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("arch", ["sage", "rw", "wl", "concat"])
+    @pytest.mark.parametrize("strategy", ["gate", "minvar"])
+    def test_batch_refresh_matches_full_refresh(self, strategy, arch, depth,
+                                                interval, monkeypatch):
+        """Every distribution a batch is served after ``refresh(..., batch)``
+        equals the one of an eager refresh over every node taken at the same
+        time.  With interval 3 an Adam step separates the batches, so a node
+        first visited after it must still be weighed under the parameters of
+        the refresh."""
+        served = []
+        plan_probs = S.plan_probs
+
+        def recorded(g, stack, state, plan, l, u):
+            p = plan_probs(g, stack, state, plan, l, u)
+            served.append((l, u, p))
+            return p
+
+        monkeypatch.setattr(S, "plan_probs", recorded)
+        g, split = G.synth_graph("interaction", 40, seed=7)
+        run = T.TrainRun(arch=arch, hidden=4, depth=depth, lr=0.05, seed=7)
+        model = T.build_model(g, run)
+        opt = T.make_optimizer(run, model.parameters())
+        plan = S.SamplePlan(strategy=strategy, sample_size=2,
+                            refresh_interval=interval)
+        batched, eager = S.SamplerState(), S.SamplerState()
+        rng = np.random.default_rng(3)
+        for ofs in range(0, 24, 4):
+            batch = split.train[ofs:ofs + 4]
+            due = S.refresh(batched, g, model.stack, plan, batch)
+            assert S.refresh(eager, g, model.stack, plan) == due
+            served.clear()
+            with ad.Tape() as tape:
+                loss = T.batch_loss(g, model, batch, plan, batched, rng)
+                model.zero_grad()
+                tape.backward(loss)
+            opt.step()
+            batched.batches_since_refresh += 1
+            eager.batches_since_refresh += 1
+            assert served
+            for l, u, p in served:
+                expected = plan_probs(g, model.stack, eager, plan, l, u)
+                np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0,
+                                           err_msg=str((l, u)))
 
     @pytest.mark.parametrize("strategy", ["gate", "minvar"])
     def test_sampled_batches_never_fall_back(self, strategy, monkeypatch):
