@@ -206,6 +206,11 @@ def _cmd_eval(args):
 def _cmd_kernel(args):
     cfg = kernels.KernelConfig(decay=args.decay, hops=args.hops)
     if args.gram:
+        given = [f for f in ("nodes", "links", "manifest", "nodes2", "links2")
+                 if getattr(args, f)]
+        if given:
+            raise UsageError("kernel --gram draws its own random graphs and "
+                             "reads no --%s" % ", --".join(given))
         rows = []
         gs = [graphmod.synth_graph("random", 12, seed=args.seed + i)[0]
               for i in range(args.gram)]

@@ -21,6 +21,8 @@ turning the rw stack into an exact walk-sum evaluator.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import autodiff as ad
@@ -122,6 +124,17 @@ class LayerStack:
     @property
     def out_dim(self):
         return self.dims[-1]
+
+    def frozen(self):
+        """A stack with this one's wiring whose parameters are constant
+        copies of their current values."""
+        out = copy.copy(self)
+        out.P1, out.P2, out.Q = (t if t is None else ad.Tensor2(t.data.copy())
+                                 for t in (self.P1, self.P2, self.Q))
+        out.layers = [LayerParams(**{name: ad.Tensor2(t.data.copy())
+                                     for name, t in p.items()})
+                      for p in self.layers]
+        return out
 
     def parameters(self):
         out = []
@@ -337,19 +350,26 @@ def forward(g, stack, batch, plan=None, state=None, rng=None):
     return _run(g, stack, nodes, arcs)[-1][0]
 
 
-def full_forward(g, stack):
-    """Full-neighborhood forward pass over every node.
+def field_forward(g, stack, nodes, arcs):
+    """Untaped forward over a full-neighborhood field of ``_full_field``.
 
-    Returns {"H": [array (n, dim_l) per layer], "gates": [None, array (A,)
-    per layer], "terms": [None, array (dim, A) per layer]}: rows of H are
-    nodes, and gates and terms are per arc, in the graph's arc order.
+    Returns {"H": [array (len(nodes[l]), dim_l) per layer], "gates": [None,
+    array (A_l,) per layer], "terms": [None, array (dim, A_l) per layer]}:
+    rows of H follow nodes[l], and gates and terms follow layer l's arcs.
     """
-    out = _run(g, stack, *_full_field(g, np.arange(g.n_nodes), stack.depth))
+    out = _run(g, stack, nodes, arcs)
     return {"H": [h.data.T for h, _, _ in out],
             "gates": [None] + [lam.data[0] if isinstance(lam, ad.Tensor2)
-                               else np.full(len(g.arc_dst), lam)
-                               for _, lam, _ in out[1:]],
+                               else np.full(len(a[0]), lam)
+                               for (_, lam, _), a in zip(out[1:], arcs[1:])],
             "terms": [None] + [core.data for _, _, core in out[1:]]}
+
+
+def full_forward(g, stack):
+    """``field_forward`` over every node: rows of H are nodes, and gates and
+    terms are per arc, in the graph's arc order."""
+    return field_forward(g, stack, *_full_field(g, np.arange(g.n_nodes),
+                                                stack.depth))
 
 
 def full_hidden_arrays(g, stack):

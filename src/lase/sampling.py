@@ -10,10 +10,13 @@ estimator for the three strategies:
   gate     p proportional to lambda
   min_var  p proportional to lambda * ||g||   (single-draw variance optimum)
 
-Every ``refresh_interval`` batches, ``refresh`` runs one full-graph forward
-and keeps one proposal weight per arc and layer (lambda, or lambda * ||g||),
-floored at EPS so importance weights never blow up.  The weights cover every
-arc, so every non-isolated node has a distribution at every layer.
+Every ``refresh_interval`` batches, ``refresh`` freezes a copy of the
+parameters.  Before each batch it runs one forward, under that copy, over the
+batch's full receptive field, and keeps one proposal weight per arc and layer
+(lambda, or lambda * ||g||) for the (layer, node)s of the field not yet
+covered since the refresh, floored at EPS so importance weights never blow
+up.  The field holds every (layer, node) the batch can visit, and the weights
+are those a forward over the whole graph would give at the refresh.
 ``plan_probs`` normalizes a node's slice of them when a batch first visits
 it and keeps the result until the next refresh.  The uniform strategy needs
 no weights.
@@ -48,11 +51,14 @@ class SamplePlan:
 
 
 class SamplerState:
-    """Per-arc proposal weights of the last refresh, the per-(layer, node)
-    distributions normalized from them so far, and the refresh clock."""
+    """The parameters frozen at the last refresh, the per-arc proposal
+    weights computed under them so far, the per-(layer, node) distributions
+    normalized from those, and the refresh clock."""
 
     def __init__(self):
-        self.weights = None  # per layer: floored weight of each arc
+        self.params = None  # frozen LayerStack of the last refresh
+        self.weights = None  # per layer: floored weight of each arc, or nan
+        self.covered = None  # per layer: nodes whose arcs are weighed
         self.probs = {}
         self.batches_since_refresh = None  # None: never refreshed
         self.refresh_count = 0
@@ -127,27 +133,51 @@ def plan_probs(g, stack, state, plan, l, u):
 
 
 def refresh(state, g, stack, plan, batch=None):
-    """Recompute the per-arc proposal weights if the refresh interval elapsed.
+    """Start a refresh if the interval elapsed, then weigh the arcs that
+    ``batch`` can reach.
 
-    Returns True when a recomputation happened.  The weights cover every arc,
-    so every non-isolated node gets a distribution at every layer.  Under the
-    uniform strategy no weights are needed and no forward runs.
+    Returns True when a refresh started.  A refresh freezes a copy of the
+    stack's parameters and forgets every weight.  Each call then runs one
+    forward, under that copy, over the full receptive field of the batch
+    (``None``: of every node), and keeps the weights of the arcs into each
+    (layer, node) of the field that no call since the refresh has covered.
+    The field contains every (layer, node) a sampled batch can visit.  Under
+    the uniform strategy no weights are needed and no forward runs.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
-    if not due:
-        return False
-    state.probs = {}
+    if due:
+        state.probs = {}
+        if plan.strategy != "uniform":
+            state.params = stack.frozen()
+            state.weights = [None] + [np.full(len(g.arc_src), np.nan)
+                                      for _ in range(stack.depth)]
+            state.covered = [None] + [np.zeros(g.n_nodes, dtype=bool)
+                                      for _ in range(stack.depth)]
+        non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
+        state.refresh_work += stack.depth * non_isolated
+        state.batches_since_refresh = 0
+        state.refresh_count += 1
     if plan.strategy != "uniform":
-        ctx = layers.full_forward(g, stack)
-        state.weights = [None]
-        for l in range(1, stack.depth + 1):
-            w = ctx["gates"][l]
-            if plan.strategy == "minvar":
-                w = w * np.linalg.norm(ctx["terms"][l], axis=0)
-            state.weights.append(np.maximum(w, EPS))
-    non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
-    state.refresh_work += stack.depth * non_isolated
-    state.batches_since_refresh = 0
-    state.refresh_count += 1
-    return True
+        _weigh(state, g, plan, batch)
+    return due
+
+
+def _weigh(state, g, plan, batch):
+    """Weigh the arcs into the uncovered (layer, node)s of the batch's field."""
+    depth = state.params.depth
+    top = (np.arange(g.n_nodes) if batch is None
+           else np.unique(np.asarray(batch, dtype=np.intp)))
+    nodes, arcs = layers._full_field(g, top, depth)
+    new = [None] + [~state.covered[l][nodes[l]] for l in range(1, depth + 1)]
+    if not any(m.any() for m in new[1:]):
+        return
+    ctx = layers.field_forward(g, state.params, nodes, arcs)
+    for l in range(1, depth + 1):
+        ids, dst, _ = arcs[l]
+        w = ctx["gates"][l]
+        if plan.strategy == "minvar":
+            w = w * np.linalg.norm(ctx["terms"][l], axis=0)
+        fresh = new[l][dst]
+        state.weights[l][ids[fresh]] = np.maximum(w[fresh], EPS)
+        state.covered[l][nodes[l]] = True

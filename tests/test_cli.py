@@ -71,6 +71,22 @@ class TestUsageErrors:
         assert "needs both" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["l.tsv", "n.tsv"]
 
+    @pytest.mark.parametrize("flags", [
+        ("--nodes", "n.tsv", "--links", "l.tsv"),
+        ("--nodes2", "n.tsv", "--links2", "l.tsv"),
+        ("--manifest", "m.json"),
+    ])
+    def test_gram_with_graph_flags(self, flags, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        G.save_graph(G.synth_graph("random", 10)[0], "n.tsv", "l.tsv")
+        assert run_cli("kernel", "--gram", "2", *flags) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--gram" in captured.err and flags[0] in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.tsv", "n.tsv"]
+
     @pytest.mark.parametrize("argv", [
         ("check-theorem1", "--trials", "0"),
         ("figure3-check", "--trials", "0"),

@@ -303,6 +303,37 @@ class TestRefresh:
         assert all(all(hits) for hits in served.values())
         assert {u for l, u in served if l == 1} - set(split.train)
 
+    def test_sampled_training_weighs_only_batch_fields(self, monkeypatch):
+        """A depth-2 minvar training never runs a full-graph forward for the
+        sampler, and every distribution it serves is built from arcs weighed
+        since the last refresh."""
+        calls, served = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return L.full_forward(*args)
+
+        monkeypatch.setattr(S, "layers", types.SimpleNamespace(
+            **{**vars(L), "full_forward": counted}))
+        plan_probs = S.plan_probs
+
+        def recorded(g, stack, state, plan, l, u):
+            p = plan_probs(g, stack, state, plan, l, u)
+            lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+            served.append(bool(state.covered[l][u])
+                          and np.isfinite(state.weights[l][lo:hi]).all())
+            return p
+
+        monkeypatch.setattr(S, "plan_probs", recorded)
+        g, split = G.synth_graph("interaction", 80, seed=9)
+        plan = S.SamplePlan(strategy="minvar", sample_size=3,
+                            refresh_interval=3)
+        run = T.TrainRun(arch="sage", hidden=4, depth=2, batch_size=8,
+                         max_epochs=2, patience=2, seed=0, plan=plan)
+        T.train(g, split, run)
+        assert calls == []
+        assert served and all(served)
+
     def test_uniform_refresh_runs_no_forward(self, monkeypatch):
         calls = []
 
