@@ -117,9 +117,9 @@ def estimator_variance(lam, gmat, p):
 def plan_probs(g, stack, state, plan, l, u):
     """Distribution the sampled forward draws from for (layer l, node u).
 
-    The last refresh's arc weights over N(u), normalized on first use and
-    kept until the next refresh; uniform under the uniform strategy and
-    before the first refresh.
+    The arc weights over N(u) that ``refresh`` computed under the last
+    refresh's parameters, normalized on first use and kept until the next
+    refresh; uniform under the uniform strategy and before the first refresh.
     """
     lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
     if (plan.strategy == "uniform" or state is None or state.weights is None
