@@ -284,6 +284,34 @@ def test_batch_loss_and_gradients_match_fixture(pinned_and_current, gname,
 
 
 @pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("arch", L.ARCHITECTURES)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_predict_matches_full_graph_logits(gname, arch, depth):
+    """``Model.predict`` on a node list is the argmax of the full-graph
+    logits' rows, and the forward over those nodes gives ``full_forward``'s
+    rows in list order."""
+    g, _ = graphs()[gname]
+    split = G.make_split(g, seed=1)
+    isolated = np.flatnonzero(np.diff(g.arc_ptr) == 0)[:1].tolist()
+    assert isolated or gname == "interaction"
+    node_sets = {"val": split.val, "test": split.test,
+                 "all": range(g.n_nodes), "isolated": isolated,
+                 "repeated": [split.test[0], split.val[0]] + [split.test[0]] * 2}
+    model = T.build_model(g, T.TrainRun(arch=arch, hidden=4, depth=depth,
+                                        seed=7))
+    h = L.full_forward(g, model.stack)["H"][-1]
+    logits = h @ model.C.data.T + model.c.data[:, 0]
+    for name, nodes in node_sets.items():
+        nodes = list(nodes)
+        if not nodes:
+            continue
+        assert model.predict(g, nodes) == np.argmax(logits[nodes],
+                                                    axis=1).tolist(), name
+        cols = L.forward(g, model.stack, nodes).data.T
+        assert _close(cols, h[nodes]), name
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
 def test_kernels_match_fixture(pinned_and_current, gname):
     pinned, current = pinned_and_current
     key = "%s/kernel-dp" % gname
