@@ -269,16 +269,16 @@ def _cmd_figure3(args):
 
     concat_stack = layers.LayerStack("concat", g.d_node, g.d_link, hidden=8,
                                      depth=1, seed=args.seed)
-    h = layers.full_hidden_arrays(g, concat_stack)[-1]
-    concat_gap = float(np.max(np.abs(h[u] - h[u2])))
+    h = layers.forward(g, concat_stack, [u, u2]).data
+    concat_gap = float(np.max(np.abs(h[:, 0] - h[:, 1])))
 
     separations = {"rw": 0, "sage": 0}
     for arch in separations:
         for _ in range(args.trials):
             stack = layers.LayerStack(arch, g.d_node, g.d_link, hidden=8,
                                       depth=1, seed=int(rng.integers(2 ** 31)))
-            hh = layers.full_hidden_arrays(g, stack)[-1]
-            if float(np.max(np.abs(hh[u] - hh[u2]))) > 1e-6:
+            hh = layers.forward(g, stack, [u, u2]).data
+            if float(np.max(np.abs(hh[:, 0] - hh[:, 1]))) > 1e-6:
                 separations[arch] += 1
     ok = concat_gap < 1e-12 and all(
         c >= math.ceil(0.99 * args.trials) for c in separations.values())

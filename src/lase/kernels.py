@@ -232,7 +232,7 @@ def check_theorem1(g, stack, cfg, k):
     if not 0 <= k < stack.hidden:
         raise ValueError("coordinate k=%d outside 0..%d"
                          % (k, stack.hidden - 1))
-    h = layers.full_hidden_arrays(g, stack)[-1]
+    h = layers.full_forward(g, stack)["H"][-1]
     lhs = float(h[:, k].sum())
     path = param_path_graph(stack, k)
     rhs = float(_walk_matrix(g, path, stack.depth, stack.constant_decay).sum())

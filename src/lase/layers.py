@@ -372,11 +372,6 @@ def full_forward(g, stack):
                                                 stack.depth))
 
 
-def full_hidden_arrays(g, stack):
-    """Per-layer hidden matrices under full neighborhoods (no tape)."""
-    return full_forward(g, stack)["H"]
-
-
 def wl_relabel(g, stack, d):
     """Relabeling rounds r(0)=f(u) .. r(d) as an array; rows are nodes."""
     return _relabel(g, stack, *_full_field(g, np.arange(g.n_nodes), d)).data.T

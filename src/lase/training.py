@@ -122,14 +122,12 @@ class Model:
         for _, t in self.parameters():
             t.zero_grad()
 
-    def logits_full(self, g):
-        """Full-neighborhood logits for every node (no tape)."""
-        h = layers.full_hidden_arrays(g, self.stack)[-1]
-        return h @ self.C.data.T + self.c.data[:, 0]
-
     def predict(self, g, nodes):
-        logits = self.logits_full(g)
-        return [int(np.argmax(logits[u])) for u in nodes]
+        """Predicted labels of ``nodes``, in their order: the forward over
+        their full-neighborhood receptive field, run without a tape."""
+        h = layers.forward(g, self.stack, nodes).data
+        logits = self.C.data @ h + self.c.data
+        return np.argmax(logits, axis=0).tolist()
 
     def snapshot(self):
         return [(name, t.data.copy()) for name, t in self.parameters()]

@@ -65,14 +65,14 @@ class TestAcceptance:
             u, u2 = G.concat_blind_duos(g)[0]
             stack = L.LayerStack("concat", g.d_node, g.d_link, hidden=8,
                                  depth=1, seed=0)
-            h = L.full_hidden_arrays(g, stack)[-1]
+            h = L.full_forward(g, stack)["H"][-1]
             assert float(np.max(np.abs(h[u] - h[u2]))) < 1e-12
             for arch in ("rw", "sage"):
                 hits = 0
                 for s in range(100):
                     st = L.LayerStack(arch, g.d_node, g.d_link, hidden=8,
                                       depth=1, seed=1000 + s)
-                    hh = L.full_hidden_arrays(g, st)[-1]
+                    hh = L.full_forward(g, st)["H"][-1]
                     if float(np.max(np.abs(hh[u] - hh[u2]))) > 1e-6:
                         hits += 1
                 assert hits >= 99

@@ -188,7 +188,7 @@ class TestTheorem1:
         rng = np.random.default_rng(7)
         g = random_graph(rng)
         stack = self.make_stack(g, 1, seed=1)
-        h0 = L.full_hidden_arrays(g, stack)[0]
+        h0 = L.full_forward(g, stack)["H"][0]
         k = 2
         expected = sum(float(stack.layers[0].W.data[k] @ g.node_features[u])
                        for u in range(g.n_nodes))

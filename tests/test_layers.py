@@ -98,7 +98,7 @@ class TestForwardShapes:
         stack = L.LayerStack("rw", 2, 1, hidden=3, depth=1, kernel_mode=True,
                              constant_decay=1.0, seed=4)
         stack.layers[1].U.data[...] = 1.0  # U fe = ones
-        h = L.full_hidden_arrays(g, stack)
+        h = L.full_forward(g, stack)["H"]
         w0, w1 = stack.layers[0].W.data, stack.layers[1].W.data
         expected = (w0 @ nf[1]) * (w1 @ nf[0])
         assert np.allclose(h[1][0], expected, atol=1e-12)
@@ -108,7 +108,7 @@ class TestForwardShapes:
         g = G.AttributedGraph(nf, [None] * 3, [(0, 1)], np.ones((1, 1)), 1)
         for arch in ("rw", "wl", "sage"):
             stack = L.LayerStack(arch, 2, 1, hidden=3, depth=1, seed=5)
-            h = L.full_hidden_arrays(g, stack)[-1]
+            h = L.full_forward(g, stack)["H"][-1]
             if arch == "sage":
                 # neighbor half is zero; self transform remains
                 z2 = stack.layers[1].W2.data @ np.zeros(2)
@@ -122,7 +122,7 @@ class TestForwardShapes:
         stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=1,
                              combine="sum", seed=6)
         stack.layers[1].W2.data[...] = 0.0
-        h = L.full_hidden_arrays(g, stack)[-1]
+        h = L.full_forward(g, stack)["H"][-1]
         for u in range(g.n_nodes):
             expected = np.maximum(stack.layers[1].W1.data @ g.node_features[u], 0)
             assert np.allclose(h[u], expected, atol=1e-12)
@@ -131,7 +131,7 @@ class TestForwardShapes:
         nf = np.ones((3, 2))
         g = G.AttributedGraph(nf, [None] * 3, [(0, 1)], np.ones((1, 1)), 1)
         stack = L.LayerStack("concat", 2, 1, hidden=3, depth=1, seed=7)
-        h = L.full_hidden_arrays(g, stack)[-1]
+        h = L.full_forward(g, stack)["H"][-1]
         assert np.array_equal(h[2], np.zeros(3))
 
 
@@ -177,14 +177,14 @@ class TestFigure3:
         u, u2 = G.concat_blind_duos(g)[0]
         stack = L.LayerStack("concat", g.d_node, g.d_link, hidden=6, depth=1,
                              seed=13)
-        h = L.full_hidden_arrays(g, stack)[-1]
+        h = L.full_forward(g, stack)["H"][-1]
         assert np.max(np.abs(h[u] - h[u2])) < 1e-12
         hits = {"rw": 0, "sage": 0}
         for arch in hits:
             for s in range(20):
                 st = L.LayerStack(arch, g.d_node, g.d_link, hidden=6, depth=1,
                                   seed=100 + s)
-                hh = L.full_hidden_arrays(g, st)[-1]
+                hh = L.full_forward(g, st)["H"][-1]
                 if np.max(np.abs(hh[u] - hh[u2])) > 1e-6:
                     hits[arch] += 1
         assert hits["rw"] >= 19 and hits["sage"] >= 19
@@ -210,8 +210,8 @@ class TestInvariance:
         for arch in ("rw", "wl", "sage", "concat"):
             stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
                                  seed=15)
-            h1 = L.full_hidden_arrays(g, stack)[-1]
-            h2 = L.full_hidden_arrays(g2, stack)[-1]
+            h1 = L.full_forward(g, stack)["H"][-1]
+            h2 = L.full_forward(g2, stack)["H"][-1]
             assert np.array_equal(h1, h2)
             with ad.Tape():
                 t1 = L.forward(g, stack, batch).data
@@ -233,7 +233,7 @@ class TestTapedMatchesFull:
         g, _ = small_graph(seed=18, n=20)
         stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                              depth=2, seed=19, **kw)
-        full = L.full_hidden_arrays(g, stack)[-1]
+        full = L.full_forward(g, stack)["H"][-1]
         batch = [5, 17, 2, 9, 0]
         with ad.Tape():
             taped = L.forward(g, stack, batch).data
@@ -260,6 +260,6 @@ class TestGradients:
         s1 = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2, seed=2)
         s2 = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2, seed=2,
                           strict_paper_rw=True)
-        h1 = L.full_hidden_arrays(g, s1)[-1]
-        h2 = L.full_hidden_arrays(g, s2)[-1]
+        h1 = L.full_forward(g, s1)["H"][-1]
+        h2 = L.full_forward(g, s2)["H"][-1]
         assert np.max(np.abs(h1 - h2)) > 1e-6

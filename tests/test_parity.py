@@ -1,6 +1,6 @@
 """Pinned forward and kernel values against a fixture.
 
-``data/parity.json`` holds, for two small graphs, ``full_hidden_arrays``
+``data/parity.json`` holds, for two small graphs, ``full_forward``'s ``"H"``
 outputs and one ``batch_loss`` value with its gradients per architecture,
 plus kernel values on each graph and a directed copy of it:
 ``rw_kernel_dp`` at hops 0-3 and the ``neighborhood_kernel`` matrix at hops 2
@@ -74,7 +74,7 @@ def compute():
         for sname, kw in STACKS.items():
             stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                                  depth=2, seed=5, **kw)
-            hs = L.full_hidden_arrays(g, stack)
+            hs = L.full_forward(g, stack)["H"]
             out["%s/%s" % (gname, sname)] = [h.tolist() for h in hs]
         for arch in L.ARCHITECTURES:
             run = T.TrainRun(arch=arch, hidden=4, depth=2, seed=6)
