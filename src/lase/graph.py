@@ -31,7 +31,10 @@ class Split:
 
 
 class AttributedGraph:
-    """Nodes and links with feature vectors; undirected by default."""
+    """Nodes and links with feature vectors; undirected by default.
+
+    ``links`` is kept as an (n_links, 2) int64 array of (src, dst) rows.
+    """
 
     def __init__(self, node_features, labels, links, link_features,
                  n_labels, undirected=True):
@@ -39,7 +42,15 @@ class AttributedGraph:
         if self.node_features.ndim != 2 or self.node_features.shape[1] < 1:
             raise GraphError("node features must be (n_nodes, d_node) with d_node > 0")
         self.labels = list(labels)
-        self.links = [(int(s), int(d)) for (s, d) in links]
+        try:
+            self.links = shown = np.array(links, dtype=np.int64)
+        except OverflowError:  # ids beyond int64, clamped: they stay dangling
+            shown = np.array(links, dtype=object)
+            self.links = np.clip(shown, -1, self.n_nodes).astype(np.int64)
+        if self.links.size == 0:
+            self.links = self.links.reshape(0, 2)
+        if self.links.ndim != 2 or self.links.shape[1] != 2:
+            raise GraphError("links must be (src, dst) pairs")
         self.link_features = np.asarray(link_features, dtype=np.float64)
         if len(self.links) == 0 and self.link_features.ndim != 2:
             d = self.link_features.shape[-1] if self.link_features.ndim else 1
@@ -48,17 +59,14 @@ class AttributedGraph:
             raise GraphError("link features must be (n_links, d_link)")
         self.n_labels = int(n_labels)
         self.undirected = bool(undirected)
-        try:
-            ends = np.array(self.links, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # ids beyond int64, clamped: they stay dangling
-            ends = np.clip(np.array(self.links, dtype=object), -1,
-                           self.n_nodes).astype(np.int64)
-        self._build_arcs(ends)
-        self._validate(ends)
+        self._build_arcs(self.links)
+        self._validate(shown)
 
     # -- construction helpers ------------------------------------------------
 
-    def _validate(self, ends):
+    def _validate(self, shown):
+        """``shown`` holds the endpoints as given, for the error messages."""
+        ends = self.links
         if not np.all(np.isfinite(self.node_features)):
             raise GraphError("non-finite node feature value")
         if self.link_features.size and not np.all(np.isfinite(self.link_features)):
@@ -77,7 +85,7 @@ class AttributedGraph:
             raise GraphError(("dangling link endpoint (%d, %d)" if dangling[i]
                               else "self-loop (%d, %d) not supported" if loop[i]
                               else "duplicate link between %d and %d")
-                             % self.links[i])
+                             % tuple(shown[i].tolist()))
         for lab in self.labels:
             if lab is not None and not (0 <= lab < self.n_labels):
                 raise GraphError("label %r out of range" % (lab,))
@@ -247,7 +255,7 @@ def save_graph(g, nodes_path, links_path, manifest_path=None):
     atomic_write(links_path, "".join(
         "%d\t%d\t%s\n" % (s, d, ",".join(repr(float(v))
                                           for v in g.link_features[eid]))
-        for eid, (s, d) in enumerate(g.links)))
+        for eid, (s, d) in enumerate(g.links.tolist())))
     if manifest_path is not None:
         atomic_write(manifest_path, json.dumps(
             {"d_node": g.d_node, "d_link": g.d_link, "n_labels": g.n_labels,

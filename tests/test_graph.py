@@ -127,7 +127,7 @@ class TestLoad:
         g2 = G.load_graph(n, l, manifest_path=m)
         assert np.array_equal(g.node_features, g2.node_features)
         assert np.array_equal(g.link_features, g2.link_features)
-        assert g.links == g2.links and g.labels == g2.labels
+        assert np.array_equal(g.links, g2.links) and g.labels == g2.labels
         assert g.adjacency == g2.adjacency
 
     def test_saved_manifests_load(self, tmp_path):
