@@ -288,17 +288,21 @@ def load_split(path, n_nodes):
 
 
 def make_split(g, fractions=(0.65, 0.15, 0.20), seed=0):
-    """Deterministic train/val/test split; isolated nodes never train."""
+    """Deterministic train/val/test split; isolated nodes never train, and
+    unlabelled nodes are in no set."""
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(g.n_nodes)
     n_train = int(math.floor(fractions[0] * g.n_nodes))
     n_val = int(math.floor(fractions[1] * g.n_nodes))
-    train, val, test = np.split(order, [n_train, n_train + n_val])
+    labelled = np.array([lab is not None for lab in g.labels], dtype=bool)
+    train, val, test = (ids[labelled[ids]] for ids in
+                        np.split(order, [n_train, n_train + n_val]))
     train = train[np.diff(g.arc_ptr)[train] > 0]
     if not train.size:
-        raise ValueError("empty train set: all candidate train nodes are isolated")
+        raise ValueError("empty train set: all candidate train nodes are "
+                         "isolated or unlabelled")
     return Split(*(tuple(np.sort(ids).tolist()) for ids in (train, val, test)))
 
 

@@ -60,6 +60,10 @@ class LayerStack:
             raise ValueError("unknown combine op %r" % (combine,))
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        if hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if wl_depth < 1:
+            raise ValueError("wl_depth must be >= 1")
         if kernel_mode and arch != "rw":
             raise ValueError("kernel mode is defined for the rw architecture")
         self.arch = arch

@@ -61,6 +61,8 @@ class TrainRun:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.snr is not None and not self.snr > 0:
@@ -264,6 +266,9 @@ def train(g, split, run):
     """
     if not split.train:
         raise ValueError("empty train split")
+    unlabelled = [u for u in split.train if g.labels[u] is None]
+    if unlabelled:
+        raise ValueError("train node %d has no label" % unlabelled[0])
     if run.snr is not None:
         g = contaminate_links(g, run.snr, seed=run.seed)
     model = build_model(g, run)

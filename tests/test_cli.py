@@ -156,7 +156,40 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("with_split", [False, True])
+    def test_unlabelled_train_node(self, synth_files, tmp_path, capsys,
+                                   with_split):
+        """Without --split the unlabelled nodes are left out of every set;
+        a given split that trains on one is a data error naming it."""
+        split = json.loads(open(synth_files["split"]).read())
+        u = split["train"][0]
+        lines = open(synth_files["nodes"]).read().splitlines(True)
+        fields = lines[u].split("\t")
+        lines[u] = "\t".join([fields[0], "-"] + fields[2:])
+        nodes = tmp_path / "unlabelled.tsv"
+        nodes.write_text("".join(lines))
+        out = tmp_path / "run"
+        code = run_cli("train", "--nodes", str(nodes),
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       "--config", write_config(tmp_path, max_epochs=1),
+                       "--out", str(out),
+                       *(("--split", synth_files["split"]) if with_split
+                         else ()))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if with_split:
+            assert code == cli.EXIT_DATA
+            assert "train node %d has no label" % u in err
+            assert not (tmp_path / "run.metrics.csv").exists()
+        else:
+            assert code == 0 and (tmp_path / "run.metrics.csv").exists()
+
     @pytest.mark.parametrize("config, message", [
+        ({"hidden": 0}, "hidden must be >= 1"),
+        ({"arch": "wl", "wl_depth": 0}, "wl_depth must be >= 1"),
+        ({"arch": "wl", "wl_depth": -1}, "wl_depth must be >= 1"),
+        ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"hiddn": 4}, "unknown keys hiddn"),
         ({"hidden": "four"}, "hidden must be of type int"),
         ({"hidden": True}, "hidden must be of type int"),

@@ -167,6 +167,15 @@ class TestSplit:
         assert len(s.train) <= 13
         assert all(g.degree(u) > 0 for u in s.train)
 
+    def test_unlabelled_nodes_in_no_set(self):
+        g, _ = G.synth_graph("random", 100, seed=2)
+        labels = [None if u % 7 == 3 else lab for u, lab in enumerate(g.labels)]
+        h = G.AttributedGraph(g.node_features, labels, g.links,
+                              g.link_features, g.n_labels)
+        full, part = G.make_split(g, seed=7), G.make_split(h, seed=7)
+        for ids, kept in zip(full.__dict__.values(), part.__dict__.values()):
+            assert kept == tuple(u for u in ids if labels[u] is not None)
+
     def test_bad_fractions(self):
         g, _ = G.synth_graph("random", 20, seed=2)
         with pytest.raises(ValueError):
