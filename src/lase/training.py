@@ -266,9 +266,11 @@ def train(g, split, run):
     """
     if not split.train:
         raise ValueError("empty train split")
-    unlabelled = [u for u in split.train if g.labels[u] is None]
-    if unlabelled:
-        raise ValueError("train node %d has no label" % unlabelled[0])
+    for name, ids in (("train", split.train), ("val", split.val),
+                      ("test", split.test)):
+        unlabelled = [u for u in ids if g.labels[u] is None]
+        if unlabelled:
+            raise ValueError("%s node %d has no label" % (name, unlabelled[0]))
     if run.snr is not None:
         g = contaminate_links(g, run.snr, seed=run.seed)
     model = build_model(g, run)

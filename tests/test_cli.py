@@ -156,13 +156,15 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("with_split", [False, True])
-    def test_unlabelled_train_node(self, synth_files, tmp_path, capsys,
-                                   with_split):
+    @pytest.mark.parametrize("where, with_split", [
+        ("train", False), ("train", True), ("val", True), ("test", True)])
+    def test_unlabelled_node(self, synth_files, tmp_path, capsys, where,
+                             with_split):
         """Without --split the unlabelled nodes are left out of every set;
-        a given split that trains on one is a data error naming it."""
+        a given split that holds one is a data error naming it, raised
+        before any training."""
         split = json.loads(open(synth_files["split"]).read())
-        u = split["train"][0]
+        u = split[where][0]
         lines = open(synth_files["nodes"]).read().splitlines(True)
         fields = lines[u].split("\t")
         lines[u] = "\t".join([fields[0], "-"] + fields[2:])
@@ -180,7 +182,7 @@ class TestDataErrors:
         assert "Traceback" not in err
         if with_split:
             assert code == cli.EXIT_DATA
-            assert "train node %d has no label" % u in err
+            assert "%s node %d has no label" % (where, u) in err
             assert not (tmp_path / "run.metrics.csv").exists()
         else:
             assert code == 0 and (tmp_path / "run.metrics.csv").exists()

@@ -100,6 +100,12 @@ class TestLoad:
                               np.ones((2, 1)), 1)
         assert str(exc.value) == "dangling link endpoint (0, %d)" % 10 ** 20
 
+    @pytest.mark.parametrize("links", [[(0, 1, 1)], [0, 1]])
+    def test_links_must_be_pairs(self, links):
+        with pytest.raises(G.GraphError, match="links must be"):
+            G.AttributedGraph(np.ones((2, 1)), [None] * 2, links,
+                              np.ones((1, 1)), 1)
+
     def test_non_finite_value(self, tmp_path):
         nodes, links = write_graph(tmp_path, ["0\t0\tnan"], [])
         with pytest.raises(G.GraphError, match="non-finite"):
