@@ -188,10 +188,6 @@ class TestDataErrors:
             assert code == 0 and (tmp_path / "run.metrics.csv").exists()
 
     @pytest.mark.parametrize("config, message", [
-        ({"hidden": 0}, "hidden must be >= 1"),
-        ({"arch": "wl", "wl_depth": 0}, "wl_depth must be >= 1"),
-        ({"arch": "wl", "wl_depth": -1}, "wl_depth must be >= 1"),
-        ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"hiddn": 4}, "unknown keys hiddn"),
         ({"hidden": "four"}, "hidden must be of type int"),
         ({"hidden": True}, "hidden must be of type int"),
@@ -200,6 +196,10 @@ class TestDataErrors:
          "config plan: unknown keys sample_sz"),
         ({"plan": {"sample_size": 2.0}}, "sample_size must be of type int"),
         ([1, 2], "config must be a JSON object"),
+        ({"hidden": 0}, "hidden must be >= 1"),
+        ({"arch": "wl", "wl_depth": 0}, "wl_depth must be >= 1"),
+        ({"arch": "wl", "wl_depth": -1}, "wl_depth must be >= 1"),
+        ({"max_epochs": 0}, "max_epochs must be >= 1"),
     ])
     def test_bad_config(self, synth_files, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
