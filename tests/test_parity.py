@@ -8,11 +8,15 @@ for three graph pairs, ``enumerate_walks`` arrays of 1-4 nodes, and
 Theorem-1 pairs for every coordinate of a kernel-mode stack on the
 undirected graph: ``check_theorem1``'s left-hand side, and the walk sum
 against the parameter path rows by enumeration (``_walk_sum_against_path``,
-kept here as the oracle that produced the pinned values).  Forward values,
+kept here as the oracle that produced the pinned values).  It also holds the
+sampled fields ``layers._sampled_field`` draws for three batches per
+architecture, depth 1-3 and sampling strategy, each after a refresh: node
+lists, and per layer the drawn arc ids, destinations and coefficients.  Forward values,
 neighborhood matrices and the theorem's left-hand sides must match to 1e-12,
 relative to the largest magnitude of each array, and each ``rw_kernel_dp``
 value to 1e-12 of itself; walk arrays and the enumerated right-hand sides
-must match exactly.  ``check_theorem1``'s right-hand side (the hop recursion
+must match exactly, and so must the sampled fields, which fix every draw.
+``check_theorem1``'s right-hand side (the hop recursion
 against ``param_path_graph``) and ``rw_kernel_enumerate`` against that graph
 must match the pinned right-hand sides to 1e-12 of their largest magnitude.
 ``PYTHONPATH=src python tests/test_parity.py`` adds the entries the fixture
@@ -34,6 +38,7 @@ from lase import autodiff as ad
 from lase import graph as G
 from lase import kernels as K
 from lase import layers as L
+from lase import sampling as S
 from lase import training as T
 
 from util import random_digraph, random_graph
@@ -243,6 +248,34 @@ def compute_kernels():
     return out
 
 
+def compute_sampled():
+    out = {}
+    for gname, (g, batch) in graphs().items():
+        batches = [list(batch), list(batch)[::-1], list(range(1, g.n_nodes, 3))]
+        for arch in L.ARCHITECTURES:
+            for depth in (1, 2, 3):
+                for strategy in ("uniform", "gate", "minvar"):
+                    stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4,
+                                         depth=depth, seed=5)
+                    plan = S.SamplePlan(strategy=strategy, sample_size=3)
+                    state, rng = S.SamplerState(), np.random.default_rng(9)
+                    fields = []
+                    for b in batches:
+                        S.refresh(state, g, stack, plan, b)
+                        nodes, arcs = L._sampled_field(g, stack, b, plan,
+                                                       state, rng)
+                        state.batches_since_refresh += 1
+                        fields.append({
+                            "nodes": [n.tolist() for n in nodes],
+                            "arcs": [[ids.tolist(), dst.tolist(),
+                                      coef[0].tolist()]
+                                     for ids, dst, coef in arcs[1:]]})
+                    key = "%s/sampled-%s-%d-%s" % (gname, arch, depth,
+                                                   strategy)
+                    out[key] = fields
+    return out
+
+
 def _close(new, old):
     new, old = np.asarray(new, float), np.asarray(old, float)
     assert new.shape == old.shape
@@ -253,7 +286,8 @@ def _close(new, old):
 @pytest.fixture(scope="module")
 def pinned_and_current():
     with open(FIXTURE, "r", encoding="utf-8") as fh:
-        return json.load(fh), {**compute(), **compute_kernels()}
+        return json.load(fh), {**compute(), **compute_kernels(),
+                               **compute_sampled()}
 
 
 def test_fixture_covers_every_case(pinned_and_current):
@@ -312,6 +346,25 @@ def test_predict_matches_full_graph_logits(gname, arch, depth):
 
 
 @pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("arch", L.ARCHITECTURES)
+def test_sampled_fields_match_fixture(pinned_and_current, gname, arch):
+    """Every drawn arc, destination and coefficient equals the pinned one."""
+    pinned, current = pinned_and_current
+    keys = [k for k in pinned if k.startswith("%s/sampled-%s-" % (gname, arch))]
+    assert len(keys) == 9
+    for key in keys:
+        assert len(current[key]) == len(pinned[key]) == 3
+        for new, old in zip(current[key], pinned[key]):
+            assert len(new["nodes"]) == len(old["nodes"])
+            for a, b in zip(new["nodes"], old["nodes"]):
+                assert np.array_equal(a, b), key
+            assert len(new["arcs"]) == len(old["arcs"])
+            for a, b in zip(new["arcs"], old["arcs"]):
+                for x, y in zip(a, b):
+                    assert np.array_equal(x, y), key
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
 def test_kernels_match_fixture(pinned_and_current, gname):
     pinned, current = pinned_and_current
     key = "%s/kernel-dp" % gname
@@ -341,7 +394,7 @@ def test_kernels_match_fixture(pinned_and_current, gname):
 if __name__ == "__main__":
     with open(FIXTURE, "r", encoding="utf-8") as fh:
         pinned = json.load(fh)
-    current = {**compute(), **compute_kernels()}
+    current = {**compute(), **compute_kernels(), **compute_sampled()}
     pinned.update({k: v for k, v in current.items() if k not in pinned})
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(pinned, fh, sort_keys=True)
