@@ -196,7 +196,7 @@ def _cmd_eval(args):
     model.load(args.checkpoint)
     split = graphmod.load_split(args.split, g.n_nodes)
     nodes = getattr(split, args.subset)
-    f1 = training.evaluate(g, model, nodes)
+    f1 = training.evaluate(g, model, nodes, args.subset)
     if args.out:
         _write_json(args.out, {"subset": args.subset, "micro_f1": f1})
     print("eval: %s micro-F1 %.4f" % (args.subset, f1))
@@ -314,7 +314,7 @@ def _cmd_sample_variance(args):
         }
         for name, p in dists.items():
             analytic = sampling.estimator_variance(lam, gmat, p)
-            draws = rng.choice(lam.size, size=args.draws, p=p)
+            draws = sampling.draw(p, args.draws, rng)
             ests = (lam[draws, None] * gmat[draws] / p[draws, None])
             empirical = float(np.sum(np.var(ests, axis=0)))
             lines.append("%s,%d,%s,%s" % (name, u, repr(float(analytic)),

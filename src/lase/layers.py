@@ -211,33 +211,37 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     Draws come depth first from the batch, so the draw sequence is fixed by
     the batch and the seed: at each newly visited (layer, node), draw s
     neighbors with replacement, then visit the node one layer down (every
-    architecture but concat reads it), then each drawn neighbor.
+    architecture but concat reads it), then each drawn neighbor.  Each draw
+    is ``sampling.draw``'s inverse-CDF lookup, the same draws as
+    ``Generator.choice``.  Layer 0 draws nothing, so a layer-1 visit adds
+    its nodes to layer 0's set directly.
     """
     from . import sampling
 
     s = plan.sample_size
-    drawn = [{} for _ in range(stack.depth + 1)]  # per layer: u -> arcs, coefs
+    ptr = g.arc_ptr.tolist()
+    own = stack.arch != "concat"
+    empty = np.zeros(0, dtype=np.intp), np.zeros(0)
+    drawn = [set()] + [{} for _ in range(stack.depth)]  # u -> arcs, coefs
 
     def visit(l, u):
-        if u in drawn[l]:
-            return
-        drawn[l][u] = None
-        if l == 0:
-            return
-        lo, deg = g.arc_ptr[u], int(g.arc_ptr[u + 1] - g.arc_ptr[u])
-        ids, coef = np.zeros(0, dtype=np.intp), np.zeros(0)
-        if deg:
+        lo, hi = ptr[u], ptr[u + 1]
+        drawn[l][u], below = empty, [u] if own else []
+        if hi > lo:
             p = sampling.plan_probs(g, stack, state, plan, l, u)
-            j = rng.choice(deg, size=s, p=p)
-            ids, coef = lo + j, 1.0 / (s * p[j])
-        drawn[l][u] = ids, coef
-        if stack.arch != "concat":
-            visit(l - 1, u)
-        for v in g.arc_src[ids].tolist():
-            visit(l - 1, v)
+            j = sampling.draw(p, s, rng)
+            drawn[l][u] = lo + j, 1.0 / (s * p[j])
+            below += g.arc_src[lo + j].tolist()
+        if l == 1:
+            drawn[0].update(below)
+            return
+        for v in below:
+            if v not in drawn[l - 1]:
+                visit(l - 1, v)
 
     for u in batch:
-        visit(stack.depth, u)
+        if u not in drawn[-1]:
+            visit(stack.depth, u)
     nodes = [np.array(sorted(d), dtype=np.intp) for d in drawn[:-1]]
     nodes.append(np.array(batch, dtype=np.intp))
     arcs = [None]

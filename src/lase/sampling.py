@@ -71,6 +71,21 @@ def _floor_normalize(p):
     return p / p.sum()
 
 
+def draw(p, s, rng):
+    """s indices drawn with replacement from the distribution p.
+
+    numpy's inverse-CDF lookup, called directly: the indices, and the
+    generator's state afterwards, are those of
+    ``rng.choice(len(p), size=s, p=p)``, which also rejects a p with a
+    negative or NaN entry.
+    """
+    if not p.min() >= 0:
+        raise ValueError("probabilities contain a negative or NaN entry")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(s), side="right")
+
+
 def probs_uniform(degree):
     if degree < 1:
         raise ValueError("empty neighborhood")

@@ -44,6 +44,51 @@ class TestDistributions:
         assert p.min() >= S.EPS / 2 and p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestDraw:
+    @pytest.mark.parametrize("kind", ["uniform", "random", "floored"])
+    def test_draw_matches_generator_choice(self, kind):
+        """The same indices as ``Generator.choice`` with replacement, and the
+        generator left in the same state."""
+        for seed in range(12):
+            for deg in range(1, 13):
+                r = np.random.default_rng((seed, deg))
+                if kind == "uniform":
+                    p = S.probs_uniform(deg)
+                elif kind == "random":
+                    p = S.probs_from_gates(r.random(deg))
+                else:
+                    p = S.probs_from_gates(r.random(deg) * (r.random(deg) < 0.5))
+                for s in (1, 3, 8):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = S.draw(p, s, a)
+                    assert np.array_equal(got, b.choice(deg, size=s, p=p))
+                    assert a.random() == b.random()
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5]])
+    def test_draw_rejects_what_choice_rejects(self, bad):
+        p = np.array(bad)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, size=2, p=p)
+        with pytest.raises(ValueError, match="negative or NaN"):
+            S.draw(p, 2, np.random.default_rng(0))
+
+    def test_uncovered_node_is_an_error(self):
+        """A (layer, node) no refresh has weighed has NaN weights; drawing
+        from them is an error, not a silent draw of its first neighbor."""
+        g, _, stack, _ = stack_and_ctx(seed=5)
+        plan = S.SamplePlan(strategy="minvar", sample_size=2)
+        state = S.SamplerState()
+        u, v = [u for u in range(g.n_nodes) if g.degree(u)][:2]
+        S.refresh(state, g, stack, plan, [u])
+        assert np.isfinite(S.plan_probs(g, stack, state, plan, 1, u)).all()
+        p = S.plan_probs(g, stack, state, plan, 1, v)
+        assert np.isnan(p).all()
+        with pytest.raises(ValueError, match="negative or NaN"):
+            S.draw(p, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="negative or NaN"):
+            L.forward(g, stack, [v], plan, state, np.random.default_rng(0))
+
+
 class TestSummand:
     def test_full_sum_matches_layer_term(self):
         g, _, stack, ctx = stack_and_ctx(seed=1)
