@@ -110,7 +110,7 @@ class Tape:
 
 
 def _finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError("non-finite value produced by %s" % op)
     return arr
 

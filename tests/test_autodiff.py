@@ -68,6 +68,23 @@ class TestForward:
         with pytest.raises(FloatingPointError):
             ad.hadamard(ad.matvec(t([[1e308]]), big), ad.matvec(t([[1e308]]), big))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gather_and_segment_sum_are_errors(self, bad):
+        a = t([[1.0, bad, 2.0]])
+        assert ad.gather(a, [0, 2]).data.tolist() == [[1.0, 2.0]]
+        with pytest.raises(FloatingPointError, match="gather"):
+            ad.gather(a, [2, 1])
+        with pytest.raises(FloatingPointError, match="segment_sum"):
+            ad.segment_sum(a, np.array([0, 1, 0]), 2)
+
+    def test_overflowing_segment_sum_is_error(self):
+        a = t([[1e308, 1e308, -1e308]])
+        assert ad.segment_sum(a, np.array([0, 1, 1]), 2).data.tolist() == [
+            [1e308, 0.0]]
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                       match="segment_sum"):
+            ad.segment_sum(a, np.array([0, 0, 1]), 2)
+
     def test_linearity_of_matvec(self):
         rng = np.random.default_rng(1)
         w = t(rng.normal(size=(4, 3)))
