@@ -186,14 +186,21 @@ def micro_f1(y_true, y_pred, n_labels):
     return 2 * precision * recall / (precision + recall)
 
 
-def evaluate(g, model, nodes):
-    """Micro-F1 of the model over a labelled node set (full neighborhoods)."""
+def require_labels(g, nodes, name):
+    """Raise a ValueError naming the first node of ``nodes`` with no label."""
+    u = next((u for u in nodes if g.labels[u] is None), None)
+    if u is not None:
+        raise ValueError("%s node %d has no label" % (name, u))
+
+
+def evaluate(g, model, nodes, name="evaluated"):
+    """Micro-F1 of the model over a labelled node set (full neighborhoods);
+    ``name`` names the set in the error for an unlabelled node."""
     nodes = list(nodes)
     if not nodes:
         raise ValueError("evaluate on an empty node set")
+    require_labels(g, nodes, name)
     y_true = [g.labels[u] for u in nodes]
-    if any(t is None for t in y_true):
-        raise ValueError("evaluate requires labelled nodes")
     y_pred = model.predict(g, nodes)
     return micro_f1(y_true, y_pred, g.n_labels)
 
@@ -268,9 +275,7 @@ def train(g, split, run):
         raise ValueError("empty train split")
     for name, ids in (("train", split.train), ("val", split.val),
                       ("test", split.test)):
-        unlabelled = [u for u in ids if g.labels[u] is None]
-        if unlabelled:
-            raise ValueError("%s node %d has no label" % (name, unlabelled[0]))
+        require_labels(g, ids, name)
     if run.snr is not None:
         g = contaminate_links(g, run.snr, seed=run.seed)
     model = build_model(g, run)

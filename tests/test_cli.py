@@ -187,6 +187,30 @@ class TestDataErrors:
         else:
             assert code == 0 and (tmp_path / "run.metrics.csv").exists()
 
+    @pytest.mark.parametrize("subset", ["val", "test"])
+    def test_eval_unlabelled_node(self, synth_files, tmp_path, capsys, subset):
+        """``eval`` on a set holding an unlabelled node names it, as
+        ``train`` does."""
+        out = str(tmp_path / "run")
+        graph = ["--links", synth_files["links"],
+                 "--manifest", synth_files["manifest"],
+                 "--split", synth_files["split"]]
+        assert run_cli("train", "--nodes", synth_files["nodes"], *graph,
+                       "--config", write_config(tmp_path, max_epochs=1),
+                       "--out", out) == 0
+        u = json.loads(open(synth_files["split"]).read())[subset][0]
+        lines = open(synth_files["nodes"]).read().splitlines(True)
+        fields = lines[u].split("\t")
+        lines[u] = "\t".join([fields[0], "-"] + fields[2:])
+        nodes = tmp_path / "unlabelled.tsv"
+        nodes.write_text("".join(lines))
+        capsys.readouterr()
+        code = run_cli("eval", "--nodes", str(nodes), *graph,
+                       "--checkpoint", out + ".ckpt", "--subset", subset)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA and "Traceback" not in err
+        assert "%s node %d has no label" % (subset, u) in err
+
     @pytest.mark.parametrize("config, message", [
         ({"hiddn": 4}, "unknown keys hiddn"),
         ({"hidden": "four"}, "hidden must be of type int"),
