@@ -211,22 +211,20 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     Draws come depth first from the batch, so the draw sequence is fixed by
     the batch and the seed: at each newly visited (layer, node), draw s
     neighbors with replacement, then visit the node one layer down (every
-    architecture but concat reads it), then each drawn neighbor.  Each draw
-    is ``sampling.draw``'s inverse-CDF lookup, the same draws as
-    ``Generator.choice``.  Layer 0 draws nothing, so a layer-1 visit adds
-    its nodes to layer 0's set directly.
+    architecture but concat reads it), then each drawn neighbor.  Draws are
+    ``sampling.draw``'s inverse-CDF lookups, the same as ``Generator.choice``.
+    Layer 0 draws nothing: a layer-1 visit adds its nodes to that layer's set.
     """
     from . import sampling
 
     s = plan.sample_size
     ptr = g.arc_ptr.tolist()
-    own = stack.arch != "concat"
     empty = np.zeros(0, dtype=np.intp), np.zeros(0)
     drawn = [set()] + [{} for _ in range(stack.depth)]  # u -> arcs, coefs
 
     def visit(l, u):
         lo, hi = ptr[u], ptr[u + 1]
-        drawn[l][u], below = empty, [u] if own else []
+        drawn[l][u], below = empty, [u] if stack.arch != "concat" else []
         if hi > lo:
             p = sampling.plan_probs(g, stack, state, plan, l, u)
             j = sampling.draw(p, s, rng)
@@ -242,6 +240,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     for u in batch:
         if u not in drawn[-1]:
             visit(stack.depth, u)
+    del visit  # it refers to itself: free the field now, not at a gc pass
     nodes = [np.array(sorted(d), dtype=np.intp) for d in drawn[:-1]]
     nodes.append(np.array(batch, dtype=np.intp))
     arcs = [None]

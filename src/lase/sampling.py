@@ -19,7 +19,8 @@ up.  The field holds every (layer, node) the batch can visit, and the weights
 are those a forward over the whole graph would give at the refresh.
 ``plan_probs`` normalizes a node's slice of them when a batch first visits
 it and keeps the result until the next refresh.  The uniform strategy needs
-no weights.
+no weights.  ``draw`` takes s indices from a distribution by an inverse-CDF
+lookup, the same draws as ``Generator.choice`` with replacement.
 """
 
 from __future__ import annotations
@@ -72,13 +73,9 @@ def _floor_normalize(p):
 
 
 def draw(p, s, rng):
-    """s indices drawn with replacement from the distribution p.
-
-    numpy's inverse-CDF lookup, called directly: the indices, and the
-    generator's state afterwards, are those of
-    ``rng.choice(len(p), size=s, p=p)``, which also rejects a p with a
-    negative or NaN entry.
-    """
+    """s indices drawn with replacement from p by the inverse-CDF lookup of
+    ``rng.choice(len(p), size=s, p=p)``: the same indices, the same generator
+    state after it, and its error for a p with a negative or NaN entry."""
     if not p.min() >= 0:
         raise ValueError("probabilities contain a negative or NaN entry")
     cdf = p.cumsum()

@@ -194,8 +194,7 @@ def require_labels(g, nodes, name):
 
 
 def evaluate(g, model, nodes, name="evaluated"):
-    """Micro-F1 of the model over a labelled node set (full neighborhoods);
-    ``name`` names the set in the error for an unlabelled node."""
+    """Micro-F1 of the model over the labelled node set ``name``."""
     nodes = list(nodes)
     if not nodes:
         raise ValueError("evaluate on an empty node set")

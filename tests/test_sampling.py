@@ -1,5 +1,6 @@
 """Sampling distributions, estimator unbiasedness and variance."""
 
+import gc
 import types
 
 import numpy as np
@@ -87,6 +88,25 @@ class TestDraw:
             S.draw(p, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="negative or NaN"):
             L.forward(g, stack, [v], plan, state, np.random.default_rng(0))
+
+
+    def test_sampled_field_leaves_no_cyclic_garbage(self):
+        """The field a batch drew is freed when the caller drops it, not at
+        the collector's next full pass."""
+        g, split = G.synth_graph("interaction", 40, seed=7)
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=7)
+        plan = S.SamplePlan(strategy="minvar", sample_size=3)
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan, split.train[:8])
+        gc.collect()
+        gc.disable()
+        try:
+            L._sampled_field(g, stack, split.train[:8], plan, state,
+                             np.random.default_rng(0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSummand:
