@@ -186,7 +186,7 @@ def micro_f1(y_true, y_pred, n_labels):
     return 2 * precision * recall / (precision + recall)
 
 
-def require_labels(g, nodes, name):
+def _require_labels(g, nodes, name):
     """Raise a ValueError naming the first node of ``nodes`` with no label."""
     u = next((u for u in nodes if g.labels[u] is None), None)
     if u is not None:
@@ -198,7 +198,7 @@ def evaluate(g, model, nodes, name="evaluated"):
     nodes = list(nodes)
     if not nodes:
         raise ValueError("evaluate on an empty node set")
-    require_labels(g, nodes, name)
+    _require_labels(g, nodes, name)
     y_true = [g.labels[u] for u in nodes]
     y_pred = model.predict(g, nodes)
     return micro_f1(y_true, y_pred, g.n_labels)
@@ -274,7 +274,7 @@ def train(g, split, run):
         raise ValueError("empty train split")
     for name, ids in (("train", split.train), ("val", split.val),
                       ("test", split.test)):
-        require_labels(g, ids, name)
+        _require_labels(g, ids, name)
     if run.snr is not None:
         g = contaminate_links(g, run.snr, seed=run.seed)
     model = build_model(g, run)

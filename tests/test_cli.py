@@ -39,6 +39,16 @@ def write_config(tmp_path, **kw):
     return str(path)
 
 
+def unlabel(synth_files, tmp_path, u):
+    """A copy of the synth node file whose node u has no label."""
+    lines = open(synth_files["nodes"]).read().splitlines(True)
+    fields = lines[u].split("\t")
+    lines[u] = "\t".join([fields[0], "-"] + fields[2:])
+    nodes = tmp_path / "unlabelled.tsv"
+    nodes.write_text("".join(lines))
+    return nodes
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert run_cli("synth", "--bogus", "1") == cli.EXIT_USAGE
@@ -163,13 +173,8 @@ class TestDataErrors:
         """Without --split the unlabelled nodes are left out of every set;
         a given split that holds one is a data error naming it, raised
         before any training."""
-        split = json.loads(open(synth_files["split"]).read())
-        u = split[where][0]
-        lines = open(synth_files["nodes"]).read().splitlines(True)
-        fields = lines[u].split("\t")
-        lines[u] = "\t".join([fields[0], "-"] + fields[2:])
-        nodes = tmp_path / "unlabelled.tsv"
-        nodes.write_text("".join(lines))
+        u = json.loads(open(synth_files["split"]).read())[where][0]
+        nodes = unlabel(synth_files, tmp_path, u)
         out = tmp_path / "run"
         code = run_cli("train", "--nodes", str(nodes),
                        "--links", synth_files["links"],
@@ -199,11 +204,7 @@ class TestDataErrors:
                        "--config", write_config(tmp_path, max_epochs=1),
                        "--out", out) == 0
         u = json.loads(open(synth_files["split"]).read())[subset][0]
-        lines = open(synth_files["nodes"]).read().splitlines(True)
-        fields = lines[u].split("\t")
-        lines[u] = "\t".join([fields[0], "-"] + fields[2:])
-        nodes = tmp_path / "unlabelled.tsv"
-        nodes.write_text("".join(lines))
+        nodes = unlabel(synth_files, tmp_path, u)
         capsys.readouterr()
         code = run_cli("eval", "--nodes", str(nodes), *graph,
                        "--checkpoint", out + ".ckpt", "--subset", subset)
