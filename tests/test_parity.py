@@ -25,7 +25,9 @@ lacks, computed by the current code; delete an entry to recompute it.
 The hop recursion's bincount segment sums are also checked bit for bit
 against an ``np.add.at`` oracle (``_propagate_add_at``, the segment sum the
 recursion used before): ``kernels._walk_matrix`` and ``kernels.count_walks``
-must equal the recursion built on it exactly.
+must equal the recursion built on it exactly.  Likewise
+``layers._sampled_field`` must equal, bit for bit and in the generator state
+it leaves, the per-visit walk it replaced (``_sampled_field_per_visit``).
 """
 
 import json
@@ -246,6 +248,96 @@ def compute_kernels():
                                     stack.constant_decay)]
             for k in range(stack.hidden)]
     return out
+
+
+def _sampled_field_per_visit(g, stack, batch, plan, state, rng):
+    """The sampled field drawn one (layer, node) at a time.
+
+    ``layers._sampled_field`` as it was before its draws were batched: a
+    recursive visit per (layer, node), with one ``plan_probs`` lookup and one
+    ``draw`` each.  Kept as the oracle that the batched field must equal in
+    every node, arc, coefficient and generator state.
+    """
+    s = plan.sample_size
+    ptr = g.arc_ptr.tolist()
+    empty = np.zeros(0, dtype=np.intp), np.zeros(0)
+    drawn = [set()] + [{} for _ in range(stack.depth)]  # u -> arcs, coefs
+
+    def visit(l, u):
+        lo, hi = ptr[u], ptr[u + 1]
+        drawn[l][u], below = empty, [u] if stack.arch != "concat" else []
+        if hi > lo:
+            p = S.plan_probs(g, stack, state, plan, l, u)
+            j = S.draw(p, s, rng)
+            drawn[l][u] = lo + j, 1.0 / (s * p[j])
+            below += g.arc_src[lo + j].tolist()
+        if l == 1:
+            drawn[0].update(below)
+            return
+        for v in below:
+            if v not in drawn[l - 1]:
+                visit(l - 1, v)
+
+    for u in batch:
+        if u not in drawn[-1]:
+            visit(stack.depth, u)
+    del visit  # it refers to itself: free the field now, not at a gc pass
+    nodes = [np.array(sorted(d), dtype=np.intp) for d in drawn[:-1]]
+    nodes.append(np.array(batch, dtype=np.intp))
+    arcs = [None]
+    for l in range(1, stack.depth + 1):
+        parts = [drawn[l][u] for u in nodes[l].tolist()]
+        arcs.append((np.concatenate([ids for ids, _ in parts]),
+                     np.repeat(np.arange(len(parts)), [len(i) for i, _ in parts]),
+                     np.concatenate([c for _, c in parts]).reshape(1, -1)))
+    return nodes, arcs
+
+
+def oracle_batches(g, batch):
+    """Batches for the per-visit oracle: the graph's batch, reversed, with
+    repeated nodes, a strided range and every node."""
+    b = list(batch)
+    return [b, b[::-1], [b[1], b[0], b[1], b[2], b[0], b[1]],
+            list(range(1, g.n_nodes, 3)), list(range(g.n_nodes))]
+
+
+@pytest.mark.parametrize("arch", L.ARCHITECTURES)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sampled_field_matches_per_visit_oracle(arch, depth):
+    """Nodes, arc ids, destinations, coefficients and the generator state
+    after every batch equal the per-visit oracle's, for every strategy,
+    sample sizes 1, 3 and 8 and refresh intervals 1 and 3."""
+    for gname, (g, batch) in graphs().items():
+        for strategy in ("uniform", "gate", "minvar"):
+            for s in (1, 3, 8):
+                for interval in (1, 3):
+                    case = (gname, strategy, s, interval)
+                    stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4,
+                                         depth=depth, seed=5)
+                    plan = S.SamplePlan(strategy=strategy, sample_size=s,
+                                        refresh_interval=interval)
+                    state = S.SamplerState()
+                    rng, oracle_rng = (np.random.default_rng(9),
+                                       np.random.default_rng(9))
+                    for b in oracle_batches(g, batch):
+                        S.refresh(state, g, stack, plan, b)
+                        nodes, arcs = L._sampled_field(g, stack, b, plan,
+                                                       state, rng)
+                        want_nodes, want_arcs = _sampled_field_per_visit(
+                            g, stack, b, plan, state, oracle_rng)
+                        state.batches_since_refresh += 1
+                        assert len(nodes) == len(want_nodes) == depth + 1
+                        for a, w in zip(nodes, want_nodes):
+                            assert a.dtype == w.dtype, case
+                            assert np.array_equal(a, w), case
+                        assert arcs[0] is None and len(arcs) == len(want_arcs)
+                        for got, want in zip(arcs[1:], want_arcs[1:]):
+                            for a, w in zip(got, want):
+                                assert a.dtype == w.dtype, case
+                                assert a.shape == w.shape, case
+                                assert np.array_equal(a, w), case
+                        assert (rng.bit_generator.state
+                                == oracle_rng.bit_generator.state), case
 
 
 def compute_sampled():
