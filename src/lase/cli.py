@@ -60,6 +60,29 @@ def _at_least(lo):
     return count
 
 
+def _finite(text):
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, not %r" % text)
+    return value
+
+
+def _snr_list(text):
+    """argparse type: comma-separated SNRs, each a positive float or inf."""
+    values = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "%r is not a number" % item) from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError("%r is not positive" % item)
+        values.append(value)
+    return values
+
+
 def build_parser():
     p = _Parser(prog="lase", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -109,7 +132,7 @@ def build_parser():
                         "parameter path graph")
     add_graph_flags(sp, required=False)
     sp.add_argument("--hops", type=int, default=2)
-    sp.add_argument("--decay", type=float, default=0.5)
+    sp.add_argument("--decay", type=_finite, default=0.5)
     sp.add_argument("--trials", type=_at_least(1), default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -137,7 +160,7 @@ def build_parser():
     sp.add_argument("--config", default=None)
     sp.add_argument("--split", default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--snr", default="inf,4,2,1,0.5",
+    sp.add_argument("--snr", type=_snr_list, default="inf,4,2,1,0.5",
                     help="comma-separated SNR list; 'inf' for no noise")
     sp.add_argument("--out", required=True)
     return p
@@ -336,8 +359,7 @@ def _cmd_snr_sweep(args):
     else:
         run = training.TrainRun(arch="sage", hidden=16, depth=1, lr=1e-2,
                                 max_epochs=25, patience=25, seed=args.seed)
-    snrs = [float(t) for t in args.snr.split(",")]
-    rows = training.snr_sweep(g, split, run, snrs)
+    rows = training.snr_sweep(g, split, run, args.snr)
     lines = ["snr,test_f1"]
     for snr, f1 in rows:
         lines.append("%s,%s" % (repr(float(snr)), repr(float(f1))))

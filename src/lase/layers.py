@@ -21,6 +21,7 @@ turning the rw stack into an exact walk-sum evaluator.
 
 from __future__ import annotations
 
+import bisect
 import copy
 
 import numpy as np
@@ -205,50 +206,119 @@ def _full_field(g, top, depth):
     return nodes, arcs
 
 
+def _served_rows(g, state, plan, l, nodes):
+    """For each of ``nodes``, all with neighbors, the lists a scalar walk
+    draws from: (arc ids, cdf row, probability row, (source, whether it has
+    neighbors) per arc), padded as ``sampling.layer_probs`` pads them."""
+    from . import sampling
+
+    arcs, p = sampling.layer_probs(g, state, plan, l, nodes)
+    src = g.arc_src[arcs]
+    live = g.arc_ptr[src + 1] > g.arc_ptr[src]
+    below = [list(zip(*row)) for row in zip(src.tolist(), live.tolist())]
+    return dict(zip(nodes.tolist(), zip(arcs.tolist(),
+                                        sampling.cdf_rows(p).tolist(),
+                                        p.tolist(), below)))
+
+
 def _sampled_field(g, stack, batch, plan, state, rng):
     """Node lists and drawn arcs of a sampled batch.
 
     Draws come depth first from the batch, so the draw sequence is fixed by
     the batch and the seed: at each newly visited (layer, node), draw s
-    neighbors with replacement, then visit the node one layer down (every
-    architecture but concat reads it), then each drawn neighbor.  Draws are
-    ``sampling.draw``'s inverse-CDF lookups, the same as ``Generator.choice``.
-    Layer 0 draws nothing: a layer-1 visit adds its nodes to that layer's set.
+    neighbors with replacement by the inverse-CDF lookup of s uniforms from
+    ``rng`` (``sampling.draw``, the same as ``Generator.choice``), then visit
+    the node one layer down (every architecture but concat reads it), then
+    each drawn neighbor.  Layer 0 draws nothing.
+
+    The walk is a scalar loop over a block of uniforms drawn ahead, which
+    only books each visit's offset into the block; the generator is then
+    reset and advanced by what the walk used.  Above layer 1 it looks draws
+    up in rows that ``sampling.layer_probs`` serves in batches: the whole top
+    layer at once, and below it the neighbors of each expanded node.  A
+    layer-1 visit draws nothing below itself, so its draws wait until the
+    walk ends and then run as one array lookup.  Nodes, arcs, coefficients
+    and the generator state are those of one ``sampling.draw`` per visit.
     """
     from . import sampling
 
-    s = plan.sample_size
-    ptr = g.arc_ptr.tolist()
-    empty = np.zeros(0, dtype=np.intp), np.zeros(0)
-    drawn = [set()] + [{} for _ in range(stack.depth)]  # u -> arcs, coefs
+    s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
+    own = stack.arch != "concat"
+    batch = np.array(batch, dtype=np.intp)
+    top = np.array(list(dict.fromkeys(batch.tolist())), dtype=np.intp)
+    live = ptr[top + 1] > ptr[top]
+    served = [{} for _ in range(depth + 1)]
+    if depth > 1:
+        served[depth] = _served_rows(g, state, plan, depth, top[live])
+    visits, cap = 0, len(top)  # cap bounds the visits to a layer
+    for _ in range(depth):
+        visits, cap = visits + cap, min(g.n_nodes, cap * (s + 1))
+    saved = rng.bit_generator.state
+    x = rng.random(s * visits)
+    xs = x.tolist()
 
-    def visit(l, u):
-        lo, hi = ptr[u], ptr[u + 1]
-        drawn[l][u], below = empty, [u] if stack.arch != "concat" else []
-        if hi > lo:
-            p = sampling.plan_probs(g, stack, state, plan, l, u)
-            j = sampling.draw(p, s, rng)
-            drawn[l][u] = lo + j, 1.0 / (s * p[j])
-            below += g.arc_src[lo + j].tolist()
+    seen = [set() for _ in range(depth + 1)]
+    drawn = [([], [], []) for _ in range(depth + 1)]  # nodes, arc ids, coefs
+    at, ofs = [], 0  # offsets into x of the layer-1 draws
+    todo = [(depth, u, lv) for u, lv in zip(top.tolist(), live.tolist())]
+    todo.reverse()
+    while todo:
+        l, u, lv = todo.pop()
+        if u in seen[l]:
+            continue
+        seen[l].add(u)
         if l == 1:
-            drawn[0].update(below)
-            return
-        for v in below:
-            if v not in drawn[l - 1]:
-                visit(l - 1, v)
+            if lv:
+                drawn[1][0].append(u)
+                at.append(ofs)
+                ofs += s
+            continue
+        below = [(u, lv)] if own else []
+        if lv:
+            arcs, cdf, p, nbrs = served[l][u]
+            j = [bisect.bisect_right(cdf, v) for v in xs[ofs:ofs + s]]
+            ofs += s
+            nodes_l, ids, coefs = drawn[l]
+            nodes_l.append(u)
+            ids += [arcs[k] for k in j]
+            coefs += [1.0 / (s * p[k]) for k in j]
+            below += [nbrs[k] for k in j]
+        if l > 2:
+            fresh = [v for v, vl in dict.fromkeys(below)
+                     if vl and v not in served[l - 1]]
+            if fresh:
+                served[l - 1].update(_served_rows(
+                    g, state, plan, l - 1, np.array(fresh, dtype=np.intp)))
+        todo += [(l - 1, v, vl) for v, vl in reversed(below)]
+    rng.bit_generator.state = saved
+    rng.random(ofs)
 
-    for u in batch:
-        if u not in drawn[-1]:
-            visit(stack.depth, u)
-    del visit  # it refers to itself: free the field now, not at a gc pass
-    nodes = [np.array(sorted(d), dtype=np.intp) for d in drawn[:-1]]
-    nodes.append(np.array(batch, dtype=np.intp))
+    ones = np.array(drawn[1][0], dtype=np.intp)
+    arcs, p = sampling.layer_probs(g, state, plan, 1, ones)
+    j = sampling.draw_rows(p, x[np.array(at, dtype=np.intp)[:, None]
+                                + np.arange(s)])
+    r = np.arange(len(ones))[:, None]
+    rows = [None, (ones, arcs[r, j], 1.0 / (s * p[r, j]))]
+    rows += [(np.array(nodes_l, dtype=np.intp),
+              np.array(ids, dtype=np.intp).reshape(-1, s),
+              np.array(coefs).reshape(-1, s)) for nodes_l, ids, coefs in drawn[2:]]
+
+    nodes = ([None] + [np.array(sorted(d), dtype=np.intp) for d in seen[1:-1]]
+             + [batch])
+    below = np.zeros(g.n_nodes, dtype=bool)
+    below[g.arc_src[rows[1][1].ravel()]] = True
+    if own:
+        below[nodes[1]] = True
+    nodes[0] = np.flatnonzero(below)
     arcs = [None]
-    for l in range(1, stack.depth + 1):
-        parts = [drawn[l][u] for u in nodes[l].tolist()]
-        arcs.append((np.concatenate([ids for ids, _ in parts]),
-                     np.repeat(np.arange(len(parts)), [len(i) for i, _ in parts]),
-                     np.concatenate([c for _, c in parts]).reshape(1, -1)))
+    for l in range(1, depth + 1):
+        # a column with neighbors takes its node's drawn row; others none
+        cols = np.flatnonzero(ptr[nodes[l] + 1] > ptr[nodes[l]])
+        rnodes, ids, coefs = rows[l]
+        order = np.argsort(rnodes)
+        r = order[np.searchsorted(rnodes[order], nodes[l][cols])]
+        arcs.append((ids[r].ravel(), np.repeat(cols, s),
+                     coefs[r].reshape(1, -1)))
     return nodes, arcs
 
 

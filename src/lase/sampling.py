@@ -72,15 +72,28 @@ def _floor_normalize(p):
     return p / p.sum()
 
 
+def cdf_rows(P):
+    """Normalized cumulative sums of the rows of P, as ``rng.choice`` forms
+    them, and its error for a row with a negative or NaN entry."""
+    if P.size and not P.min() >= 0:
+        raise ValueError("probabilities contain a negative or NaN entry")
+    cdf = P.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def draw_rows(P, u):
+    """Row i: the indices drawn from P[i] for the uniforms u[i], by the
+    inverse-CDF lookup ``searchsorted(side="right")``, the count of cdf
+    entries at most each uniform."""
+    return (cdf_rows(P)[:, None, :] <= u[:, :, None]).sum(-1)
+
+
 def draw(p, s, rng):
     """s indices drawn with replacement from p by the inverse-CDF lookup of
     ``rng.choice(len(p), size=s, p=p)``: the same indices, the same generator
     state after it, and its error for a p with a negative or NaN entry."""
-    if not p.min() >= 0:
-        raise ValueError("probabilities contain a negative or NaN entry")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(s), side="right")
+    return draw_rows(p[None], rng.random((1, s)))[0]
 
 
 def probs_uniform(degree):
@@ -126,21 +139,45 @@ def estimator_variance(lam, gmat, p):
     return float(np.sum(second - mean ** 2))
 
 
-def plan_probs(g, stack, state, plan, l, u):
-    """Distribution the sampled forward draws from for (layer l, node u).
+def layer_probs(g, state, plan, l, nodes):
+    """Arcs and distributions the sampled forward draws from for the
+    (layer l, node) rows ``nodes``, each of degree at least 1.
 
-    The arc weights over N(u) that ``refresh`` computed under the last
-    refresh's parameters, normalized on first use and kept until the next
-    refresh; uniform under the uniform strategy and before the first refresh.
+    Returns (arcs, P), two (len(nodes), D) arrays, D the largest degree:
+    row i holds the ids of the arcs into nodes[i] in arc order and their
+    probabilities, padded with its last arc at probability 0.  A row's
+    probabilities are the node's arc weights that ``refresh`` computed under
+    the last refresh's parameters, normalized; uniform under the uniform
+    strategy and before the first refresh.  Weights are summed per degree,
+    over C-contiguous blocks, whose row sums equal each row's own
+    ``w.sum()`` bit for bit.
     """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    lo = g.arc_ptr[nodes]
+    deg = g.arc_ptr[nodes + 1] - lo
+    cols = np.arange(deg.max(initial=0))
+    arcs = lo[:, None] + np.minimum(cols, deg[:, None] - 1)
+    real = cols < deg[:, None]
+    if plan.strategy == "uniform" or state is None or state.weights is None:
+        return arcs, np.where(real, 1.0 / deg[:, None], 0.0)
+    w = np.where(real, state.weights[l][arcs], 0.0)
+    total = np.empty(len(nodes))
+    for d in set(deg.tolist()):
+        rows = deg == d
+        total[rows] = w[rows, :d].sum(axis=1)
+    return arcs, w / total[:, None]
+
+
+def plan_probs(g, stack, state, plan, l, u):
+    """Distribution for (layer l, node u): its row of ``layer_probs``, kept
+    in ``state.probs`` until the next refresh."""
     lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
     if (plan.strategy == "uniform" or state is None or state.weights is None
             or lo == hi):
         return probs_uniform(int(hi - lo))
     p = state.probs.get((l, u))
     if p is None:
-        w = state.weights[l][lo:hi]
-        p = state.probs[(l, u)] = w / w.sum()
+        p = state.probs[(l, u)] = layer_probs(g, state, plan, l, [u])[1][0]
     return p
 
 

@@ -112,6 +112,29 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("snr", ["abc", "4,-1", "0", "1,,2", "inf,nan",
+                                     "-inf"])
+    def test_snr_entry_not_positive_number(self, snr, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        trainings = []
+        monkeypatch.setattr(T, "train", lambda *a, **kw: trainings.append(a))
+        assert run_cli("snr-sweep", "--n", "40", "--snr", snr,
+                       "--out", "s.csv") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--snr" in err and "Traceback" not in err
+        assert trainings == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("decay", ["nan", "inf", "-inf", "x"])
+    def test_nonfinite_decay(self, decay, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("check-theorem1", "--decay", decay, "--trials", "2",
+                       "--out", "t.json") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--decay" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDataErrors:
     def test_bad_graph_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -369,6 +392,12 @@ class TestChecks:
         code = run_cli("check-theorem1", "--hops", "2", "--decay", "0.5",
                        "--trials", "5", "--seed", "1", "--out", str(out))
         assert code == 0
+        assert json.loads(out.read_text())["max_rel_err"] < 1e-9
+
+    def test_check_theorem1_decay_outside_unit_interval(self, tmp_path):
+        out = tmp_path / "thm.json"
+        assert run_cli("check-theorem1", "--decay", "1.5", "--trials", "3",
+                       "--out", str(out)) == 0
         assert json.loads(out.read_text())["max_rel_err"] < 1e-9
 
     def test_check_theorem1_loads_graph_once(self, synth_files, tmp_path,

@@ -89,6 +89,23 @@ class TestDraw:
         with pytest.raises(ValueError, match="negative or NaN"):
             L.forward(g, stack, [v], plan, state, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("arch", ["sage", "concat"])
+    def test_uncovered_node_below_the_top_is_an_error(self, arch):
+        """At depth 2 a drawn layer-1 node whose arc weights are NaN makes
+        the batched layer-1 draw an error."""
+        g, split = G.synth_graph("interaction", 40, seed=5)
+        stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=5)
+        plan = S.SamplePlan(strategy="minvar", sample_size=2)
+        state = S.SamplerState()
+        u = split.train[0]
+        S.refresh(state, g, stack, plan, [u])
+        nodes, _ = L._sampled_field(g, stack, [u], plan, state,
+                                    np.random.default_rng(0))
+        v = next(v for v in nodes[1].tolist() if g.degree(v))
+        state.weights[1][g.arc_ptr[v]:g.arc_ptr[v + 1]] = np.nan
+        with pytest.raises(ValueError, match="negative or NaN"):
+            L.forward(g, stack, [u], plan, state, np.random.default_rng(0))
 
     def test_sampled_field_leaves_no_cyclic_garbage(self):
         """The field a batch drew is freed when the caller drops it, not at
@@ -107,6 +124,39 @@ class TestDraw:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNumpyRowReductions:
+    """Two numpy behaviours the batched draws rely on, bit for bit; a numpy
+    that changes its reduction order fails here."""
+
+    @staticmethod
+    def blocks(seed):
+        """Random positive (rows, d) weight blocks for degrees 1-64, taken
+        from a wider array the way ``sampling.layer_probs`` takes them."""
+        rng = np.random.default_rng(seed)
+        for d in range(1, 65):
+            for rows in (1, 2, 7, 40):
+                wide = np.maximum(rng.random((rows + 3, d + 5)) ** 3, S.EPS)
+                pick = np.zeros(rows + 3, dtype=bool)
+                pick[rng.choice(rows + 3, size=rows, replace=False)] = True
+                yield wide[pick, :d]
+
+    def test_row_sums_equal_each_rows_sum(self):
+        for W in self.blocks(0):
+            assert W.flags.c_contiguous
+            want = np.array([w.sum() for w in W])
+            assert np.array_equal(W.sum(axis=1), want), W.shape
+            assert np.array_equal(W.sum(axis=1, keepdims=True)[:, 0], want)
+
+    def test_row_cumsums_equal_each_rows_cumsum(self):
+        for W in self.blocks(1):
+            P = W / W.sum(axis=1, keepdims=True)
+            got = P.cumsum(axis=1)
+            padded = np.hstack([P, np.zeros((len(P), 3))]).cumsum(axis=1)
+            for p, row, prow in zip(P, got, padded):
+                assert np.array_equal(row, p.cumsum()), P.shape
+                assert np.array_equal(prow[:len(p)], p.cumsum()), P.shape
 
 
 class TestSummand:
@@ -314,14 +364,15 @@ class TestRefresh:
         first visited after it must still be weighed under the parameters of
         the refresh."""
         served = []
-        plan_probs = S.plan_probs
+        layer_probs = S.layer_probs
 
-        def recorded(g, stack, state, plan, l, u):
-            p = plan_probs(g, stack, state, plan, l, u)
-            served.append((l, u, p))
-            return p
+        def recorded(g, state, plan, l, nodes):
+            arcs, p = layer_probs(g, state, plan, l, nodes)
+            served.extend((l, u, row[:g.degree(u)])
+                          for u, row in zip(nodes.tolist(), p))
+            return arcs, p
 
-        monkeypatch.setattr(S, "plan_probs", recorded)
+        monkeypatch.setattr(S, "layer_probs", recorded)
         g, split = G.synth_graph("interaction", 40, seed=7)
         run = T.TrainRun(arch=arch, hidden=4, depth=depth, lr=0.05, seed=7)
         model = T.build_model(g, run)
@@ -344,21 +395,27 @@ class TestRefresh:
             eager.batches_since_refresh += 1
             assert served
             for l, u, p in served:
-                expected = plan_probs(g, model.stack, eager, plan, l, u)
+                expected = layer_probs(g, eager, plan, l, [u])[1][0]
                 np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0,
                                            err_msg=str((l, u)))
 
     @pytest.mark.parametrize("strategy", ["gate", "minvar"])
     def test_sampled_batches_never_fall_back(self, strategy, monkeypatch):
         served = {}
-        plan_probs = S.plan_probs
+        layer_probs = S.layer_probs
 
-        def recorded(g, stack, state, plan, l, u):
-            p = plan_probs(g, stack, state, plan, l, u)
-            served.setdefault((l, u), []).append(p is state.probs.get((l, u)))
-            return p
+        def recorded(g, state, plan, l, nodes):
+            """Whether each row served is its node's normalized refresh
+            weights, not a uniform fallback."""
+            arcs, p = layer_probs(g, state, plan, l, nodes)
+            for u, row in zip(nodes.tolist(), p):
+                lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+                w = state.weights[l][lo:hi]
+                served.setdefault((l, u), []).append(
+                    np.array_equal(row[:hi - lo], w / w.sum()))
+            return arcs, p
 
-        monkeypatch.setattr(S, "plan_probs", recorded)
+        monkeypatch.setattr(S, "layer_probs", recorded)
         g, split = G.synth_graph("interaction", 80, seed=9)
         plan = S.SamplePlan(strategy=strategy, sample_size=3,
                             refresh_interval=3)
@@ -380,16 +437,16 @@ class TestRefresh:
 
         monkeypatch.setattr(S, "layers", types.SimpleNamespace(
             **{**vars(L), "full_forward": counted}))
-        plan_probs = S.plan_probs
+        layer_probs = S.layer_probs
 
-        def recorded(g, stack, state, plan, l, u):
-            p = plan_probs(g, stack, state, plan, l, u)
-            lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
-            served.append(bool(state.covered[l][u])
-                          and np.isfinite(state.weights[l][lo:hi]).all())
-            return p
+        def recorded(g, state, plan, l, nodes):
+            for u in nodes.tolist():
+                lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+                served.append(bool(state.covered[l][u])
+                              and np.isfinite(state.weights[l][lo:hi]).all())
+            return layer_probs(g, state, plan, l, nodes)
 
-        monkeypatch.setattr(S, "plan_probs", recorded)
+        monkeypatch.setattr(S, "layer_probs", recorded)
         g, split = G.synth_graph("interaction", 80, seed=9)
         plan = S.SamplePlan(strategy="minvar", sample_size=3,
                             refresh_interval=3)
