@@ -259,7 +259,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
 
     seen = [set() for _ in range(depth + 1)]
     drawn = [([], [], []) for _ in range(depth + 1)]  # nodes, arc ids, coefs
-    at, ofs = [], 0  # offsets into x of the layer-1 draws
+    ones, at, ofs = [], [], 0  # layer-1 drawing nodes, their offsets in x
     todo = [(depth, u, lv) for u, lv in zip(top.tolist(), live.tolist())]
     todo.reverse()
     while todo:
@@ -269,7 +269,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
         seen[l].add(u)
         if l == 1:
             if lv:
-                drawn[1][0].append(u)
+                ones.append(u)
                 at.append(ofs)
                 ofs += s
             continue
@@ -293,7 +293,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     rng.bit_generator.state = saved
     rng.random(ofs)
 
-    ones = np.array(drawn[1][0], dtype=np.intp)
+    ones = np.array(ones, dtype=np.intp)
     arcs, p = sampling.layer_probs(g, state, plan, 1, ones)
     j = sampling.draw_rows(p, x[np.array(at, dtype=np.intp)[:, None]
                                 + np.arange(s)])

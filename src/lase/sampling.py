@@ -16,11 +16,17 @@ batch's full receptive field, and keeps one proposal weight per arc and layer
 (lambda, or lambda * ||g||) for the (layer, node)s of the field not yet
 covered since the refresh, floored at EPS so importance weights never blow
 up.  The field holds every (layer, node) the batch can visit, and the weights
-are those a forward over the whole graph would give at the refresh.
-``plan_probs`` normalizes a node's slice of them when a batch first visits
-it and keeps the result until the next refresh.  The uniform strategy needs
-no weights.  ``draw`` takes s indices from a distribution by an inverse-CDF
-lookup, the same draws as ``Generator.choice`` with replacement.
+are those a forward over the whole graph would give at the refresh.  The
+uniform strategy needs no weights.
+
+``layer_probs`` normalizes the weights of a block of (layer, node) rows at
+once, padded to the largest degree, and ``draw_rows`` draws from each row
+for its own block of uniforms by an inverse-CDF lookup: the same draws as
+``Generator.choice`` with replacement, so a sampled batch can draw a whole
+layer in one array operation and still use the generator's stream exactly
+as one ``choice`` call per (layer, node) would.  ``draw`` is the one-row
+form for many uniforms, and ``plan_probs`` one row of ``layer_probs``, kept
+until the next refresh.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ def draw(p, s, rng):
     """s indices drawn with replacement from p by the inverse-CDF lookup of
     ``rng.choice(len(p), size=s, p=p)``: the same indices, the same generator
     state after it, and its error for a p with a negative or NaN entry."""
-    return draw_rows(p[None], rng.random((1, s)))[0]
+    return cdf_rows(p[None])[0].searchsorted(rng.random(s), side="right")
 
 
 def probs_uniform(degree):
@@ -145,7 +151,8 @@ def layer_probs(g, state, plan, l, nodes):
 
     Returns (arcs, P), two (len(nodes), D) arrays, D the largest degree:
     row i holds the ids of the arcs into nodes[i] in arc order and their
-    probabilities, padded with its last arc at probability 0.  A row's
+    probabilities, padded with its last arc at probability 0, so one
+    high-degree node widens every row.  A row's
     probabilities are the node's arc weights that ``refresh`` computed under
     the last refresh's parameters, normalized; uniform under the uniform
     strategy and before the first refresh.  Weights are summed per degree,

@@ -340,6 +340,28 @@ def test_sampled_field_matches_per_visit_oracle(arch, depth):
                                 == oracle_rng.bit_generator.state), case
 
 
+@pytest.mark.parametrize("arch", L.ARCHITECTURES)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sampled_batch_of_isolated_nodes(arch, depth):
+    """A batch of isolated nodes draws nothing, leaves the generator as it
+    was, and its sampled forward equals its full-neighborhood forward."""
+    g, _ = graphs()["random+isolated"]
+    batch = [12, 12]
+    assert g.degree(12) == 0
+    stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=depth,
+                         seed=5)
+    plan = S.SamplePlan(strategy="minvar", sample_size=3)
+    state, rng = S.SamplerState(), np.random.default_rng(9)
+    S.refresh(state, g, stack, plan, batch)
+    before = rng.bit_generator.state
+    _, arcs = L._sampled_field(g, stack, batch, plan, state, rng)
+    assert rng.bit_generator.state == before
+    assert all(ids.size == dst.size == coef.size == 0
+               for ids, dst, coef in arcs[1:])
+    sampled = L.forward(g, stack, batch, plan, state, rng).data
+    assert np.array_equal(sampled, L.forward(g, stack, batch).data)
+
+
 def compute_sampled():
     out = {}
     for gname, (g, batch) in graphs().items():

@@ -49,8 +49,10 @@ class TestDraw:
     @pytest.mark.parametrize("kind", ["uniform", "random", "floored"])
     def test_draw_matches_generator_choice(self, kind):
         """The same indices as ``Generator.choice`` with replacement, and the
-        generator left in the same state."""
+        generator left in the same state; ``draw_rows`` gives them too, for
+        the twelve distributions as one zero-padded block."""
         for seed in range(12):
+            ps = []
             for deg in range(1, 13):
                 r = np.random.default_rng((seed, deg))
                 if kind == "uniform":
@@ -59,11 +61,21 @@ class TestDraw:
                     p = S.probs_from_gates(r.random(deg))
                 else:
                     p = S.probs_from_gates(r.random(deg) * (r.random(deg) < 0.5))
+                ps.append(p)
                 for s in (1, 3, 8):
                     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
                     got = S.draw(p, s, a)
                     assert np.array_equal(got, b.choice(deg, size=s, p=p))
                     assert a.random() == b.random()
+            P = np.zeros((len(ps), len(ps)))
+            for i, p in enumerate(ps):
+                P[i, :len(p)] = p
+            for s in (1, 3, 8):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = S.draw_rows(P, a.random((len(ps), s)))
+                for row, p in zip(got, ps):
+                    assert np.array_equal(row, b.choice(len(p), size=s, p=p))
+                assert a.random() == b.random()
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5]])
     def test_draw_rejects_what_choice_rejects(self, bad):
