@@ -209,16 +209,16 @@ def _full_field(g, top, depth):
 def _served_rows(g, state, plan, l, nodes):
     """For each of ``nodes``, all with neighbors, the lists a scalar walk
     draws from: (arc ids, cdf row, probability row, (source, whether it has
-    neighbors) per arc), padded as ``sampling.layer_probs`` pads them."""
+    neighbors) per arc)."""
     from . import sampling
 
-    arcs, p = sampling.layer_probs(g, state, plan, l, nodes)
+    order, ptr, arcs, p, cdf = sampling.layer_probs(g, state, plan, l, nodes)
     src = g.arc_src[arcs]
     live = g.arc_ptr[src + 1] > g.arc_ptr[src]
-    below = [list(zip(*row)) for row in zip(src.tolist(), live.tolist())]
-    return dict(zip(nodes.tolist(), zip(arcs.tolist(),
-                                        sampling.cdf_rows(p).tolist(),
-                                        p.tolist(), below)))
+    below = list(zip(src.tolist(), live.tolist()))
+    arcs, cdf, p, ptr = arcs.tolist(), cdf.tolist(), p.tolist(), ptr.tolist()
+    return {u: (arcs[a:b], cdf[a:b], p[a:b], below[a:b])
+            for u, a, b in zip(nodes[order].tolist(), ptr, ptr[1:])}
 
 
 def _sampled_field(g, stack, batch, plan, state, rng):
@@ -231,14 +231,16 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     the node one layer down (every architecture but concat reads it), then
     each drawn neighbor.  Layer 0 draws nothing.
 
-    The walk is a scalar loop over a block of uniforms drawn ahead, which
-    only books each visit's offset into the block; the generator is then
-    reset and advanced by what the walk used.  Above layer 1 it looks draws
-    up in rows that ``sampling.layer_probs`` serves in batches: the whole top
-    layer at once, and below it the neighbors of each expanded node.  A
-    layer-1 visit draws nothing below itself, so its draws wait until the
-    walk ends and then run as one array lookup.  Nodes, arcs, coefficients
-    and the generator state are those of one ``sampling.draw`` per visit.
+    A layer-1 visit draws nothing below itself, so the new layer-1 nodes
+    reached from one layer-2 visit, or from the batch at depth 1, take
+    their uniforms as one block, and all layer-1 draws run after the walk
+    as one ``sampling.draw_rows`` lookup.  Above layer 1 the walk draws per
+    visit and looks the draws up in rows that ``sampling.layer_probs``
+    serves in batches: the whole top layer at once, and below it the
+    neighbors of each expanded node, memory following the degrees summed.
+    Nodes, arcs, coefficients and the generator state are those of one
+    ``sampling.draw`` per visit; after a ValueError the generator's state is
+    unspecified.
     """
     from . import sampling
 
@@ -247,58 +249,55 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     batch = np.array(batch, dtype=np.intp)
     top = np.array(list(dict.fromkeys(batch.tolist())), dtype=np.intp)
     live = ptr[top + 1] > ptr[top]
-    served = [{} for _ in range(depth + 1)]
-    if depth > 1:
-        served[depth] = _served_rows(g, state, plan, depth, top[live])
-    visits, cap = 0, len(top)  # cap bounds the visits to a layer
-    for _ in range(depth):
-        visits, cap = visits + cap, min(g.n_nodes, cap * (s + 1))
-    saved = rng.bit_generator.state
-    x = rng.random(s * visits)
-    xs = x.tolist()
-
     seen = [set() for _ in range(depth + 1)]
     drawn = [([], [], []) for _ in range(depth + 1)]  # nodes, arc ids, coefs
-    ones, at, ofs = [], [], 0  # layer-1 drawing nodes, their offsets in x
-    todo = [(depth, u, lv) for u, lv in zip(top.tolist(), live.tolist())]
-    todo.reverse()
+    ones, x = [], [np.empty(0)]  # layer-1 drawing nodes, their uniforms
+
+    def reach_ones(below):
+        m = len(ones)
+        for v, vl in below:
+            if v not in seen[1]:
+                seen[1].add(v)
+                if vl:
+                    ones.append(v)
+        if len(ones) > m:
+            x.append(rng.random(s * (len(ones) - m)))
+
+    served, todo = [{} for _ in range(depth + 1)], []
+    if depth == 1:
+        reach_ones(zip(top.tolist(), live.tolist()))
+    else:
+        served[depth] = _served_rows(g, state, plan, depth, top[live])
+        todo = [(depth, u, lv) for u, lv in zip(top.tolist(), live.tolist())]
+        todo.reverse()
     while todo:
         l, u, lv = todo.pop()
         if u in seen[l]:
             continue
         seen[l].add(u)
-        if l == 1:
-            if lv:
-                ones.append(u)
-                at.append(ofs)
-                ofs += s
-            continue
         below = [(u, lv)] if own else []
         if lv:
-            arcs, cdf, p, nbrs = served[l][u]
-            j = [bisect.bisect_right(cdf, v) for v in xs[ofs:ofs + s]]
-            ofs += s
+            a, cdf, p, nbrs = served[l][u]
+            j = [bisect.bisect_right(cdf, v) for v in rng.random(s).tolist()]
             nodes_l, ids, coefs = drawn[l]
             nodes_l.append(u)
-            ids += [arcs[k] for k in j]
+            ids += [a[k] for k in j]
             coefs += [1.0 / (s * p[k]) for k in j]
             below += [nbrs[k] for k in j]
-        if l > 2:
-            fresh = [v for v, vl in dict.fromkeys(below)
-                     if vl and v not in served[l - 1]]
-            if fresh:
-                served[l - 1].update(_served_rows(
-                    g, state, plan, l - 1, np.array(fresh, dtype=np.intp)))
+        if l == 2:
+            reach_ones(below)
+            continue
+        fresh = [v for v, vl in dict.fromkeys(below)
+                 if vl and v not in served[l - 1]]
+        if fresh:
+            served[l - 1].update(_served_rows(
+                g, state, plan, l - 1, np.array(fresh, dtype=np.intp)))
         todo += [(l - 1, v, vl) for v, vl in reversed(below)]
-    rng.bit_generator.state = saved
-    rng.random(ofs)
 
     ones = np.array(ones, dtype=np.intp)
-    arcs, p = sampling.layer_probs(g, state, plan, 1, ones)
-    j = sampling.draw_rows(p, x[np.array(at, dtype=np.intp)[:, None]
-                                + np.arange(s)])
-    r = np.arange(len(ones))[:, None]
-    rows = [None, (ones, arcs[r, j], 1.0 / (s * p[r, j]))]
+    order, at, a, p, cdf = sampling.layer_probs(g, state, plan, 1, ones)
+    k = sampling.draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])
+    rows = [None, (ones[order], a[k], 1.0 / (s * p[k]))]
     rows += [(np.array(nodes_l, dtype=np.intp),
               np.array(ids, dtype=np.intp).reshape(-1, s),
               np.array(coefs).reshape(-1, s)) for nodes_l, ids, coefs in drawn[2:]]

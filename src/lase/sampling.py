@@ -19,14 +19,13 @@ up.  The field holds every (layer, node) the batch can visit, and the weights
 are those a forward over the whole graph would give at the refresh.  The
 uniform strategy needs no weights.
 
-``layer_probs`` normalizes the weights of a block of (layer, node) rows at
-once, padded to the largest degree, and ``draw_rows`` draws from each row
-for its own block of uniforms by an inverse-CDF lookup: the same draws as
+``layer_probs`` normalizes the weights of many (layer, node) rows at once,
+one block per degree, and lays them end to end; ``draw_rows`` draws from
+each row for its own uniforms by an inverse-CDF lookup: the same draws as
 ``Generator.choice`` with replacement, so a sampled batch can draw a whole
-layer in one array operation and still use the generator's stream exactly
-as one ``choice`` call per (layer, node) would.  ``draw`` is the one-row
-form for many uniforms, and ``plan_probs`` one row of ``layer_probs``, kept
-until the next refresh.
+layer in a few array operations and still use the generator's stream
+exactly as one ``choice`` call per (layer, node) would.  ``draw`` is the
+one-row form, and ``plan_probs`` one row, kept until the next refresh.
 """
 
 from __future__ import annotations
@@ -78,28 +77,26 @@ def _floor_normalize(p):
     return p / p.sum()
 
 
-def cdf_rows(P):
-    """Normalized cumulative sums of the rows of P, as ``rng.choice`` forms
-    them, and its error for a row with a negative or NaN entry."""
-    if P.size and not P.min() >= 0:
-        raise ValueError("probabilities contain a negative or NaN entry")
-    cdf = P.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return cdf
-
-
-def draw_rows(P, u):
-    """Row i: the indices drawn from P[i] for the uniforms u[i], by the
-    inverse-CDF lookup ``searchsorted(side="right")``, the count of cdf
-    entries at most each uniform."""
-    return (cdf_rows(P)[:, None, :] <= u[:, :, None]).sum(-1)
+def draw_rows(ptr, cdf, u):
+    """Row i: the positions in ``layer_probs``' flat arrays drawn from the
+    cdf row ptr[i]:ptr[i + 1] for the uniforms u[i], by the inverse-CDF
+    lookup ``searchsorted(side="right")``: the row's start plus the count of
+    its cdf entries at most each uniform.  Takes the cdf's length times
+    len(u[i]) in booleans."""
+    below = cdf[:, None] <= np.repeat(u, np.diff(ptr), axis=0)
+    return ptr[:-1, None] + np.add.reduceat(below, ptr[:-1], axis=0,
+                                            dtype=np.intp)
 
 
 def draw(p, s, rng):
     """s indices drawn with replacement from p by the inverse-CDF lookup of
     ``rng.choice(len(p), size=s, p=p)``: the same indices, the same generator
     state after it, and its error for a p with a negative or NaN entry."""
-    return cdf_rows(p[None])[0].searchsorted(rng.random(s), side="right")
+    if not p.min() >= 0:
+        raise ValueError("probabilities contain a negative or NaN entry")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(s), side="right")
 
 
 def probs_uniform(degree):
@@ -146,45 +143,66 @@ def estimator_variance(lam, gmat, p):
 
 
 def layer_probs(g, state, plan, l, nodes):
-    """Arcs and distributions the sampled forward draws from for the
-    (layer l, node) rows ``nodes``, each of degree at least 1.
+    """The distributions the sampled forward draws from for the (layer l,
+    node) rows ``nodes``, each of degree at least 1, laid end to end, so the
+    arrays hold the nodes' degrees summed.
 
-    Returns (arcs, P), two (len(nodes), D) arrays, D the largest degree:
-    row i holds the ids of the arcs into nodes[i] in arc order and their
-    probabilities, padded with its last arc at probability 0, so one
-    high-degree node widens every row.  A row's
-    probabilities are the node's arc weights that ``refresh`` computed under
-    the last refresh's parameters, normalized; uniform under the uniform
-    strategy and before the first refresh.  Weights are summed per degree,
-    over C-contiguous blocks, whose row sums equal each row's own
-    ``w.sum()`` bit for bit.
+    Returns (order, ptr, arcs, p, cdf).  Row i is node nodes[order[i]],
+    order sorting the nodes by degree, stably, and holds entries
+    ptr[i]:ptr[i + 1] of three flat arrays: arcs, the ids of the arcs into
+    its node in arc order; p, their probabilities; cdf, p's cumulative sums
+    over their last, as ``rng.choice`` forms them.  A row's probabilities
+    are ``plan_probs``': its arc weights from the last refresh, normalized,
+    or uniform.  The rows of one degree are normalized and summed as one
+    C-contiguous block, whose row sums and cumulative sums equal each row's
+    own ``w.sum()`` and ``cumsum()`` bit for bit.  A negative or NaN
+    probability (a node no refresh weighed) is a ValueError, as in ``draw``.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
-    lo = g.arc_ptr[nodes]
-    deg = g.arc_ptr[nodes + 1] - lo
-    cols = np.arange(deg.max(initial=0))
-    arcs = lo[:, None] + np.minimum(cols, deg[:, None] - 1)
-    real = cols < deg[:, None]
-    if plan.strategy == "uniform" or state is None or state.weights is None:
-        return arcs, np.where(real, 1.0 / deg[:, None], 0.0)
-    w = np.where(real, state.weights[l][arcs], 0.0)
-    total = np.empty(len(nodes))
-    for d in set(deg.tolist()):
-        rows = deg == d
-        total[rows] = w[rows, :d].sum(axis=1)
-    return arcs, w / total[:, None]
+    deg = g.arc_ptr[nodes + 1] - g.arc_ptr[nodes]
+    order = deg.argsort(kind="stable")
+    deg = deg[order]
+    ptr = np.zeros(len(deg) + 1, dtype=np.intp)
+    deg.cumsum(out=ptr[1:])
+    arcs = (g.arc_ptr[nodes[order]] - ptr[:-1]).repeat(deg) + np.arange(ptr[-1])
+    uniform = (plan.strategy == "uniform" or state is None
+               or state.weights is None)
+    if uniform:
+        p = (1.0 / deg).repeat(deg)
+    else:
+        w, p = state.weights[l][arcs], np.empty(len(arcs))
+    cdf = np.empty(len(arcs))
+    first = np.ones(len(deg), dtype=bool)  # the first row of each degree
+    first[1:] = deg[1:] != deg[:-1]
+    starts, ends, sizes = np.flatnonzero(first).tolist(), ptr.tolist(), deg.tolist()
+    for a, b in zip(starts, starts[1:] + [len(deg)]):
+        d, lo, hi = sizes[a], ends[a], ends[b]
+        P = p[lo:hi].reshape(-1, d)
+        if not uniform:
+            W = w[lo:hi].reshape(-1, d)
+            np.divide(W, W.sum(axis=1, keepdims=True), out=P)
+        P.cumsum(axis=1, out=cdf[lo:hi].reshape(-1, d))
+    cdf /= cdf[ptr[1:] - 1].repeat(deg)
+    if p.size and not p.min() >= 0:
+        raise ValueError("probabilities contain a negative or NaN entry")
+    return order, ptr, arcs, p, cdf
 
 
 def plan_probs(g, stack, state, plan, l, u):
-    """Distribution for (layer l, node u): its row of ``layer_probs``, kept
-    in ``state.probs`` until the next refresh."""
+    """Distribution the sampled forward draws from for (layer l, node u).
+
+    The arc weights over N(u) that ``refresh`` computed under the last
+    refresh's parameters, normalized on first use and kept until the next
+    refresh; uniform under the uniform strategy and before the first refresh.
+    """
     lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
     if (plan.strategy == "uniform" or state is None or state.weights is None
             or lo == hi):
         return probs_uniform(int(hi - lo))
     p = state.probs.get((l, u))
     if p is None:
-        p = state.probs[(l, u)] = layer_probs(g, state, plan, l, [u])[1][0]
+        w = state.weights[l][lo:hi]
+        p = state.probs[(l, u)] = w / w.sum()
     return p
 
 

@@ -293,6 +293,17 @@ def _sampled_field_per_visit(g, stack, batch, plan, state, rng):
     return nodes, arcs
 
 
+def _with_hub(g):
+    """g plus one node linked to every node of g."""
+    n = g.n_nodes
+    return G.AttributedGraph(
+        np.vstack([g.node_features, np.full((1, g.d_node), 0.5)]),
+        g.labels + [g.labels[0]],
+        np.vstack([g.links, [(n, v) for v in range(n)]]),
+        np.vstack([g.link_features, np.full((n, g.d_link), 0.5)]),
+        g.n_labels)
+
+
 def oracle_batches(g, batch):
     """Batches for the per-visit oracle: the graph's batch, reversed, with
     repeated nodes, a strided range and every node."""
@@ -306,8 +317,12 @@ def oracle_batches(g, batch):
 def test_sampled_field_matches_per_visit_oracle(arch, depth):
     """Nodes, arc ids, destinations, coefficients and the generator state
     after every batch equal the per-visit oracle's, for every strategy,
-    sample sizes 1, 3 and 8 and refresh intervals 1 and 3."""
-    for gname, (g, batch) in graphs().items():
+    sample sizes 1, 3 and 8 and refresh intervals 1 and 3, also on a graph
+    with one node linked to all others."""
+    cases = graphs()
+    g, batch = cases["interaction"]
+    cases["interaction+hub"] = _with_hub(g), list(batch) + [g.n_nodes]
+    for gname, (g, batch) in cases.items():
         for strategy in ("uniform", "gate", "minvar"):
             for s in (1, 3, 8):
                 for interval in (1, 3):

@@ -1,6 +1,7 @@
 """Sampling distributions, estimator unbiasedness and variance."""
 
 import gc
+import tracemalloc
 import types
 
 import numpy as np
@@ -11,6 +12,25 @@ from lase import graph as G
 from lase import layers as L
 from lase import sampling as S
 from lase import training as T
+
+
+def hub_graph(leaves, seed=0):
+    """A ring of ``leaves`` nodes, 1 to ``leaves``, each also linked to node
+    0, the hub."""
+    rng = np.random.default_rng(seed)
+    links = ([(0, v) for v in range(1, leaves + 1)]
+             + [(v, v % leaves + 1) for v in range(1, leaves + 1)])
+    return G.AttributedGraph(rng.random((leaves + 1, 3)),
+                             [v % 2 for v in range(leaves + 1)], links,
+                             rng.random((len(links), 2)), 2)
+
+
+def rows_of(nodes, served):
+    """(node, probability row) of each row of a ``sampling.layer_probs``
+    result for ``nodes``."""
+    order, ptr, _, p, _ = served
+    return zip(np.asarray(nodes)[order].tolist(),
+               [p[a:b] for a, b in zip(ptr, ptr[1:])])
 
 
 def stack_and_ctx(seed=0, n=40):
@@ -50,7 +70,7 @@ class TestDraw:
     def test_draw_matches_generator_choice(self, kind):
         """The same indices as ``Generator.choice`` with replacement, and the
         generator left in the same state; ``draw_rows`` gives them too, for
-        the twelve distributions as one zero-padded block."""
+        the twelve distributions laid end to end."""
         for seed in range(12):
             ps = []
             for deg in range(1, 13):
@@ -67,12 +87,12 @@ class TestDraw:
                     got = S.draw(p, s, a)
                     assert np.array_equal(got, b.choice(deg, size=s, p=p))
                     assert a.random() == b.random()
-            P = np.zeros((len(ps), len(ps)))
-            for i, p in enumerate(ps):
-                P[i, :len(p)] = p
+            ptr = np.cumsum([0] + [len(p) for p in ps])
+            cdf = np.concatenate([p.cumsum() / p.cumsum()[-1] for p in ps])
             for s in (1, 3, 8):
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = S.draw_rows(P, a.random((len(ps), s)))
+                got = (S.draw_rows(ptr, cdf, a.random((len(ps), s)))
+                       - ptr[:-1, None])
                 for row, p in zip(got, ps):
                     assert np.array_equal(row, b.choice(len(p), size=s, p=p))
                 assert a.random() == b.random()
@@ -119,6 +139,51 @@ class TestDraw:
         with pytest.raises(ValueError, match="negative or NaN"):
             L.forward(g, stack, [u], plan, state, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
+    def test_layer_probs_serve_each_row_once_by_degree(self, strategy):
+        """Rows come in order of degree and hold each node's arcs,
+        distribution and cdf once: as many entries as the degrees summed."""
+        g = hub_graph(50)
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=1,
+                             seed=0)
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan)
+        nodes = np.array([5, 0, 7, 5, 3])
+        order, ptr, arcs, p, cdf = S.layer_probs(g, state, plan, 1, nodes)
+        assert order.tolist() == [0, 2, 3, 4, 1]  # the hub, node 0, last
+        assert np.array_equal(np.diff(ptr), [3, 3, 3, 3, 50])
+        assert len(arcs) == len(p) == len(cdf) == ptr[-1]
+        for (u, row), lo, hi in zip(rows_of(nodes, (order, ptr, arcs, p, cdf)),
+                                    ptr, ptr[1:]):
+            assert np.array_equal(arcs[lo:hi], np.arange(g.arc_ptr[u],
+                                                         g.arc_ptr[u + 1]))
+            want = (S.probs_uniform(g.degree(u)) if strategy == "uniform"
+                    else S.plan_probs(g, stack, state, plan, 1, u))
+            assert np.array_equal(row, want)
+            assert np.array_equal(cdf[lo:hi], want.cumsum() / want.cumsum()[-1])
+
+    def test_sampled_field_memory_follows_the_degrees(self):
+        """A hub does not widen the rows of the other nodes: a depth-2 field
+        whose layer 1 holds a hub of degree 4000 and about 190 leaves draws
+        in under 1 MB, where rows padded to the hub's degree take over 20."""
+        g = hub_graph(4000)
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=0)
+        plan = S.SamplePlan(strategy="gate", sample_size=8)
+        state = S.SamplerState()
+        batch = np.arange(1, 4001, 60)
+        S.refresh(state, g, stack, plan, batch)
+        tracemalloc.start()
+        try:
+            nodes, _ = L._sampled_field(g, stack, batch, plan, state,
+                                        np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 in nodes[1] and len(nodes[1]) > 150
+        assert peak < 2 ** 20, peak
+
     def test_sampled_field_leaves_no_cyclic_garbage(self):
         """The field a batch drew is freed when the caller drops it, not at
         the collector's next full pass."""
@@ -145,14 +210,14 @@ class TestNumpyRowReductions:
     @staticmethod
     def blocks(seed):
         """Random positive (rows, d) weight blocks for degrees 1-64, taken
-        from a wider array the way ``sampling.layer_probs`` takes them."""
+        from a longer array the way ``sampling.layer_probs`` takes them: a
+        run of rows * d entries, reshaped."""
         rng = np.random.default_rng(seed)
         for d in range(1, 65):
             for rows in (1, 2, 7, 40):
-                wide = np.maximum(rng.random((rows + 3, d + 5)) ** 3, S.EPS)
-                pick = np.zeros(rows + 3, dtype=bool)
-                pick[rng.choice(rows + 3, size=rows, replace=False)] = True
-                yield wide[pick, :d]
+                flat = np.maximum(rng.random((rows + 3) * d + 5) ** 3, S.EPS)
+                ofs = int(rng.integers(0, 3 * d + 6))
+                yield flat[ofs:ofs + rows * d].reshape(rows, d)
 
     def test_row_sums_equal_each_rows_sum(self):
         for W in self.blocks(0):
@@ -164,11 +229,10 @@ class TestNumpyRowReductions:
     def test_row_cumsums_equal_each_rows_cumsum(self):
         for W in self.blocks(1):
             P = W / W.sum(axis=1, keepdims=True)
-            got = P.cumsum(axis=1)
-            padded = np.hstack([P, np.zeros((len(P), 3))]).cumsum(axis=1)
-            for p, row, prow in zip(P, got, padded):
+            got = np.empty(P.size + 2)[1:-1].reshape(P.shape)
+            P.cumsum(axis=1, out=got)
+            for p, row in zip(P, got):
                 assert np.array_equal(row, p.cumsum()), P.shape
-                assert np.array_equal(prow[:len(p)], p.cumsum()), P.shape
 
 
 class TestSummand:
@@ -379,10 +443,9 @@ class TestRefresh:
         layer_probs = S.layer_probs
 
         def recorded(g, state, plan, l, nodes):
-            arcs, p = layer_probs(g, state, plan, l, nodes)
-            served.extend((l, u, row[:g.degree(u)])
-                          for u, row in zip(nodes.tolist(), p))
-            return arcs, p
+            out = layer_probs(g, state, plan, l, nodes)
+            served.extend((l, u, row) for u, row in rows_of(nodes, out))
+            return out
 
         monkeypatch.setattr(S, "layer_probs", recorded)
         g, split = G.synth_graph("interaction", 40, seed=7)
@@ -407,7 +470,7 @@ class TestRefresh:
             eager.batches_since_refresh += 1
             assert served
             for l, u, p in served:
-                expected = layer_probs(g, eager, plan, l, [u])[1][0]
+                expected = S.plan_probs(g, model.stack, eager, plan, l, u)
                 np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0,
                                            err_msg=str((l, u)))
 
@@ -419,13 +482,12 @@ class TestRefresh:
         def recorded(g, state, plan, l, nodes):
             """Whether each row served is its node's normalized refresh
             weights, not a uniform fallback."""
-            arcs, p = layer_probs(g, state, plan, l, nodes)
-            for u, row in zip(nodes.tolist(), p):
-                lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
-                w = state.weights[l][lo:hi]
+            out = layer_probs(g, state, plan, l, nodes)
+            for u, row in rows_of(nodes, out):
+                w = state.weights[l][g.arc_ptr[u]:g.arc_ptr[u + 1]]
                 served.setdefault((l, u), []).append(
-                    np.array_equal(row[:hi - lo], w / w.sum()))
-            return arcs, p
+                    np.array_equal(row, w / w.sum()))
+            return out
 
         monkeypatch.setattr(S, "layer_probs", recorded)
         g, split = G.synth_graph("interaction", 80, seed=9)
@@ -452,7 +514,7 @@ class TestRefresh:
         layer_probs = S.layer_probs
 
         def recorded(g, state, plan, l, nodes):
-            for u in nodes.tolist():
+            for u in np.asarray(nodes).tolist():
                 lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
                 served.append(bool(state.covered[l][u])
                               and np.isfinite(state.weights[l][lo:hi]).all())
