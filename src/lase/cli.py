@@ -327,15 +327,18 @@ def _cmd_sample_variance(args):
     candidates = np.flatnonzero(np.diff(g.arc_ptr) >= 2)
     chosen = rng.choice(candidates, size=min(args.neighborhoods,
                                              len(candidates)), replace=False)
+    dists = {}  # per strategy: each chosen node's row, as training serves it
+    for name in ("uniform", "gate", "min_var"):
+        plan = sampling.SamplePlan(name.replace("_", ""))
+        state = sampling.SamplerState()
+        sampling.refresh(state, g, stack, plan)
+        order, ptr, _, p, _ = sampling.layer_probs(g, state, plan, 1, chosen)
+        dists[name] = dict(zip(chosen[order], np.split(p, ptr[1:-1])))
     lines = ["strategy,neighborhood_id,analytic_var,empirical_var"]
     for u in chosen:
         lam, gmat = sampling.neighborhood_terms(g, ctx, 1, u)
-        dists = {
-            "uniform": sampling.probs_uniform(lam.size),
-            "gate": sampling.probs_from_gates(lam),
-            "min_var": sampling.probs_minvar_weights(lam, gmat),
-        }
-        for name, p in dists.items():
+        for name, rows in dists.items():
+            p = rows[u]
             analytic = sampling.estimator_variance(lam, gmat, p)
             draws = sampling.draw(p, args.draws, rng)
             ests = (lam[draws, None] * gmat[draws] / p[draws, None])

@@ -413,12 +413,10 @@ def forward(g, stack, batch, plan=None, state=None, rng=None):
 
     ``plan=None`` (or strategy "full") means full neighborhoods.  With a
     sampling plan, each layer's neighbor sum is replaced by the
-    importance-sampled estimator (1/s) sum_j gate * term / p_j; probabilities
-    are constants of the draw and take no gradient.
+    importance-sampled estimator (1/s) sum_j gate * term / p_j, drawn with
+    ``rng``; probabilities are constants of the draw and take no gradient.
     """
     if plan is not None and plan.strategy != "full":
-        if rng is None:
-            rng = np.random.default_rng(plan.seed)
         nodes, arcs = _sampled_field(g, stack, batch, plan, state, rng)
     else:
         nodes, arcs = _full_field(g, np.array(batch, dtype=np.intp),

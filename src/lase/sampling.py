@@ -10,14 +10,14 @@ estimator for the three strategies:
   gate     p proportional to lambda
   min_var  p proportional to lambda * ||g||   (single-draw variance optimum)
 
-Every ``refresh_interval`` batches, ``refresh`` freezes a copy of the
-parameters.  Before each batch it runs one forward, under that copy, over the
-batch's full receptive field, and keeps one proposal weight per arc and layer
-(lambda, or lambda * ||g||) for the (layer, node)s of the field not yet
-covered since the refresh, floored at EPS so importance weights never blow
-up.  The field holds every (layer, node) the batch can visit, and the weights
-are those a forward over the whole graph would give at the refresh.  The
-uniform strategy needs no weights.
+``refresh`` runs before each batch and keeps the clock: every
+``refresh_interval`` batches it freezes a copy of the parameters and resets
+every arc's proposal weight to NaN.  Each call runs one forward, under that
+copy, over the batch's full receptive field and writes the weight (lambda, or
+lambda * ||g||) of each of its arcs still NaN, floored at EPS so importance
+weights never blow up.  The field holds every (layer, node) the batch can
+visit, and the weights are those a forward over the whole graph would give at
+the refresh.  The uniform strategy needs no weights.
 
 ``layer_probs`` normalizes the weights of many (layer, node) rows at once,
 one block per degree, and lays them end to end; ``draw_rows`` draws from
@@ -58,22 +58,25 @@ class SamplePlan:
 
 class SamplerState:
     """The parameters frozen at the last refresh, the per-arc proposal
-    weights computed under them so far, the per-(layer, node) distributions
-    normalized from those, and the refresh clock."""
+    weights computed under them so far (NaN: not yet), the per-(layer, node)
+    distributions normalized from those, and the clock ``refresh`` keeps."""
 
     def __init__(self):
         self.params = None  # frozen LayerStack of the last refresh
         self.weights = None  # per layer: floored weight of each arc, or nan
-        self.covered = None  # per layer: nodes whose arcs are weighed
         self.probs = {}
         self.batches_since_refresh = None  # None: never refreshed
         self.refresh_count = 0
         self.refresh_work = 0  # distributions made available, total
 
 
+def _floor(w):
+    """Proposal weights floored at EPS, so no importance weight blows up."""
+    return np.maximum(w, EPS)
+
+
 def _floor_normalize(p):
-    p = np.asarray(p, dtype=np.float64)
-    p = np.maximum(p, EPS)
+    p = _floor(np.asarray(p, dtype=np.float64))
     return p / p.sum()
 
 
@@ -207,16 +210,16 @@ def plan_probs(g, stack, state, plan, l, u):
 
 
 def refresh(state, g, stack, plan, batch=None):
-    """Start a refresh if the interval elapsed, then weigh the arcs that
-    ``batch`` can reach.
+    """Advance the refresh clock by one batch, starting a refresh if the
+    interval elapsed, then weigh the arcs that ``batch`` can reach.
 
-    Returns True when a refresh started.  A refresh freezes a copy of the
-    stack's parameters and forgets every weight.  Each call then runs one
-    forward, under that copy, over the full receptive field of the batch
-    (``None``: of every node), and keeps the weights of the arcs into each
-    (layer, node) of the field that no call since the refresh has covered.
-    The field contains every (layer, node) a sampled batch can visit.  Under
-    the uniform strategy no weights are needed and no forward runs.
+    Call it once before each batch.  Returns True when a refresh started.  A
+    refresh freezes a copy of the stack's parameters and resets every weight
+    to NaN.  Each call then runs one forward, under that copy, over the full
+    receptive field of the batch (``None``: of every node), and writes the
+    weights of the field's arcs still NaN.  The field contains every (layer,
+    node) a sampled batch can visit.  Under the uniform strategy no weights
+    are needed and no forward runs.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
@@ -226,32 +229,29 @@ def refresh(state, g, stack, plan, batch=None):
             state.params = stack.frozen()
             state.weights = [None] + [np.full(len(g.arc_src), np.nan)
                                       for _ in range(stack.depth)]
-            state.covered = [None] + [np.zeros(g.n_nodes, dtype=bool)
-                                      for _ in range(stack.depth)]
         non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
         state.refresh_work += stack.depth * non_isolated
         state.batches_since_refresh = 0
         state.refresh_count += 1
+    state.batches_since_refresh += 1
     if plan.strategy != "uniform":
         _weigh(state, g, plan, batch)
     return due
 
 
 def _weigh(state, g, plan, batch):
-    """Weigh the arcs into the uncovered (layer, node)s of the batch's field."""
+    """Weigh the batch field's arcs still NaN; no forward runs if none are."""
     depth = state.params.depth
     top = (np.arange(g.n_nodes) if batch is None
            else np.unique(np.asarray(batch, dtype=np.intp)))
     nodes, arcs = layers._full_field(g, top, depth)
-    new = [None] + [~state.covered[l][nodes[l]] for l in range(1, depth + 1)]
-    if not any(m.any() for m in new[1:]):
+    fresh = [None] + [np.isnan(state.weights[l][arcs[l][0]])
+                      for l in range(1, depth + 1)]
+    if not any(m.any() for m in fresh[1:]):
         return
     ctx = layers.field_forward(g, state.params, nodes, arcs)
     for l in range(1, depth + 1):
-        ids, dst, _ = arcs[l]
         w = ctx["gates"][l]
         if plan.strategy == "minvar":
             w = w * np.linalg.norm(ctx["terms"][l], axis=0)
-        fresh = new[l][dst]
-        state.weights[l][ids[fresh]] = np.maximum(w[fresh], EPS)
-        state.covered[l][nodes[l]] = True
+        state.weights[l][arcs[l][0][fresh[l]]] = _floor(w[fresh[l]])

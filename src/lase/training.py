@@ -307,8 +307,6 @@ def train(g, split, run):
             opt.step()
             losses.append(loss.item())
             history.n_batches += 1
-            if sampled:
-                state.batches_since_refresh += 1
         val = evaluate(g, model, split.val) if split.val else 0.0
         history.train_loss.append(float(np.mean(losses)))
         history.val_f1.append(val)

@@ -340,7 +340,6 @@ def test_sampled_field_matches_per_visit_oracle(arch, depth):
                                                        state, rng)
                         want_nodes, want_arcs = _sampled_field_per_visit(
                             g, stack, b, plan, state, oracle_rng)
-                        state.batches_since_refresh += 1
                         assert len(nodes) == len(want_nodes) == depth + 1
                         for a, w in zip(nodes, want_nodes):
                             assert a.dtype == w.dtype, case
@@ -393,7 +392,6 @@ def compute_sampled():
                         S.refresh(state, g, stack, plan, b)
                         nodes, arcs = L._sampled_field(g, stack, b, plan,
                                                        state, rng)
-                        state.batches_since_refresh += 1
                         fields.append({
                             "nodes": [n.tolist() for n in nodes],
                             "arcs": [[ids.tolist(), dst.tolist(),
