@@ -278,18 +278,47 @@ def save_checkpoint(path_prefix, named_tensors, meta=None):
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_manifest(manifest, where):
+    """A ValueError naming the key unless the manifest is an object whose
+    ``tensors`` is a list of objects, each with a string ``name`` and
+    non-negative integer ``rows`` and ``cols``, and whose ``meta`` is an
+    object."""
+    if not isinstance(manifest, dict):
+        raise ValueError("%s: expected a JSON object" % where)
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError("%s: 'tensors' must be a list" % where)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError("%s: tensors[%d] must be an object" % (where, i))
+        if not isinstance(entry.get("name"), str):
+            raise ValueError("%s: tensors[%d] 'name' must be a string"
+                             % (where, i))
+        for key in ("rows", "cols"):
+            v = entry.get(key)
+            if type(v) is not int or v < 0:
+                raise ValueError("%s: tensors[%d] %r must be a non-negative "
+                                 "integer, not %r" % (where, i, key, v))
+    if not isinstance(manifest.get("meta"), dict):
+        raise ValueError("%s: 'meta' must be an object" % where)
+
+
 def load_checkpoint(path_prefix):
+    """(named tensors, meta) of a checkpoint, after checking its manifest and
+    that the blob holds exactly the float64s the manifest lists."""
     with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     with open(path_prefix + ".bin", "rb") as fh:
         blob = fh.read()
+    _check_manifest(manifest, path_prefix + ".json")
+    entries = manifest["tensors"]
+    if sum(e["rows"] * e["cols"] * 8 for e in entries) != len(blob):
+        raise ValueError("checkpoint blob size disagrees with manifest")
     tensors, ofs = [], 0
-    for entry in manifest["tensors"]:
+    for entry in entries:
         r, c = entry["rows"], entry["cols"]
         n = r * c * 8
         arr = np.frombuffer(blob[ofs:ofs + n], dtype="<f8").reshape(r, c)
         ofs += n
         tensors.append((entry["name"], Tensor2(arr.copy())))
-    if ofs != len(blob):
-        raise ValueError("checkpoint blob size disagrees with manifest")
-    return tensors, manifest.get("meta", {})
+    return tensors, manifest["meta"]

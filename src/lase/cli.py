@@ -94,7 +94,7 @@ def build_parser():
 
     sp = sub.add_parser("synth", help="generate a synthetic labelled graph")
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, required=True)
-    sp.add_argument("--n", type=int, default=600)
+    sp.add_argument("--n", type=_at_least(10), default=600)
     sp.add_argument("--seed", type=int, default=0)
     add_graph_flags(sp)
     sp.add_argument("--split", default=None, help="write the split JSON here")
@@ -119,7 +119,7 @@ def build_parser():
     add_graph_flags(sp, required=False)
     sp.add_argument("--nodes2", default=None)
     sp.add_argument("--links2", default=None)
-    sp.add_argument("--hops", type=int, default=2)
+    sp.add_argument("--hops", type=_at_least(0), default=2)
     sp.add_argument("--decay", type=float, default=0.5)
     sp.add_argument("--gram", type=_at_least(0), default=0,
                     help="write a Gram CSV over this many random graphs to "
@@ -131,7 +131,7 @@ def build_parser():
                         help="network sum vs random-walk kernel against the "
                         "parameter path graph")
     add_graph_flags(sp, required=False)
-    sp.add_argument("--hops", type=int, default=2)
+    sp.add_argument("--hops", type=_at_least(1), default=2)
     sp.add_argument("--decay", type=_finite, default=0.5)
     sp.add_argument("--trials", type=_at_least(1), default=50)
     sp.add_argument("--seed", type=int, default=0)
@@ -147,7 +147,7 @@ def build_parser():
                         help="analytic vs empirical estimator variance")
     add_graph_flags(sp, required=False)
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, default="interaction")
-    sp.add_argument("--n", type=int, default=60)
+    sp.add_argument("--n", type=_at_least(10), default=60)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--neighborhoods", type=_at_least(1), default=10)
     sp.add_argument("--draws", type=_at_least(1), default=20000)
@@ -156,7 +156,7 @@ def build_parser():
     sp = sub.add_parser("snr-sweep", help="accuracy vs link-attribute noise")
     add_graph_flags(sp, required=False)
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, default="interaction")
-    sp.add_argument("--n", type=int, default=600)
+    sp.add_argument("--n", type=_at_least(10), default=600)
     sp.add_argument("--config", default=None)
     sp.add_argument("--split", default=None)
     sp.add_argument("--seed", type=int, default=0)
@@ -234,13 +234,14 @@ def _cmd_kernel(args):
         if given:
             raise UsageError("kernel --gram draws its own random graphs and "
                              "reads no --%s" % ", --".join(given))
-        rows = []
         gs = [graphmod.synth_graph("random", 12, seed=args.seed + i)[0]
               for i in range(args.gram)]
-        for a in gs:
-            rows.append([kernels.rw_kernel_dp(a, b, cfg) for b in gs])
+        gram = np.zeros((args.gram, args.gram))
+        for i, a in enumerate(gs):  # each unordered pair once, mirrored
+            for j in range(i, args.gram):
+                gram[i, j] = gram[j, i] = kernels.rw_kernel_dp(a, gs[j], cfg)
         text = "\n".join(",".join(repr(float(v)) for v in row)
-                         for row in rows) + "\n"
+                         for row in gram) + "\n"
         if args.out:
             atomic_write(args.out, text)
             print("kernel: %d x %d Gram matrix written"

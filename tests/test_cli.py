@@ -103,6 +103,13 @@ class TestUsageErrors:
         ("sample-variance", "--draws", "0", "--out", "v.csv"),
         ("sample-variance", "--neighborhoods", "0", "--out", "v.csv"),
         ("kernel", "--gram", "-3", "--out", "g.csv"),
+        ("kernel", "--gram", "2", "--hops", "-1"),
+        ("kernel", "--nodes", "n.tsv", "--links", "l.tsv", "--hops", "-1"),
+        ("check-theorem1", "--hops", "0"),
+        ("synth", "--kind", "random", "--n", "5", "--nodes", "n.tsv",
+         "--links", "l.tsv"),
+        ("sample-variance", "--n", "9", "--out", "v.csv"),
+        ("snr-sweep", "--n", "0", "--out", "s.csv"),
     ])
     def test_count_flag_below_minimum(self, argv, tmp_path, monkeypatch,
                                       capsys):
@@ -157,6 +164,55 @@ class TestDataErrors:
                        "--config", cfg, "--checkpoint", prefix,
                        "--split", synth_files["split"])
         assert code == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("tamper, message", [
+        ({"tensors": None}, "'tensors' must be a list"),
+        ({"tensors": {}}, "'tensors' must be a list"),
+        ({"tensors": [7]}, "tensors[0] must be an object"),
+        ({"tensors": [{"rows": 1, "cols": 1}]},
+         "tensors[0] 'name' must be a string"),
+        ({0: {"rows": "2"}}, "tensors[0] 'rows' must be a non-negative integer"),
+        ({2: {"rows": -1}}, "tensors[2] 'rows' must be a non-negative integer"),
+        ({1: {"cols": True}}, "tensors[1] 'cols' must be a non-negative integer"),
+        ({0: {"rows": 0}}, "blob size disagrees with manifest"),
+        ({"meta": []}, "'meta' must be an object"),
+        ({"meta": None}, "'meta' must be an object"),
+        (None, "expected a JSON object"),
+    ])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_bad_checkpoint_manifest(self, synth_files, tmp_path, capsys,
+                                     tamper, message, with_config):
+        """A tampered checkpoint manifest is a data error naming the key,
+        found before any tensor is read; nothing is written.  ``tamper``
+        sets top-level keys (None: deletes them) and fields of the
+        int-numbered tensor entries; None wraps the manifest in a list."""
+        cfg = write_config(tmp_path)
+        g = G.load_graph(synth_files["nodes"], synth_files["links"],
+                         manifest_path=synth_files["manifest"])
+        run = T.TrainRun.from_json(cfg)
+        prefix = tmp_path / "run.ckpt"
+        T.build_model(g, run).save(str(prefix), meta={"run": run.to_dict()})
+        path = tmp_path / "run.ckpt.json"
+        manifest = json.loads(path.read_text())
+        for key, value in (tamper or {}).items():
+            if isinstance(key, int):  # fields of the key-th tensor entry
+                manifest["tensors"][key].update(value)
+            elif value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+        path.write_text(json.dumps(manifest if tamper else [manifest]))
+        out = tmp_path / "eval.json"
+        code = run_cli("eval", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       *(("--config", cfg) if with_config else ()),
+                       "--checkpoint", str(prefix),
+                       "--split", synth_files["split"], "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("fault, message", [
@@ -380,9 +436,11 @@ class TestChecks:
         text = out.read_text()
         gs = [G.synth_graph("random", 12, seed=4 + i)[0] for i in range(3)]
         cfg = kernels.KernelConfig(0.5, 2)
-        assert text == "".join(
-            ",".join(repr(kernels.rw_kernel_dp(a, b, cfg)) for b in gs) + "\n"
-            for a in gs)
+        assert text == "".join(",".join(
+            repr(kernels.rw_kernel_dp(gs[min(i, j)], gs[max(i, j)], cfg))
+            for j in range(3)) + "\n" for i in range(3))
+        gram = [line.split(",") for line in text.splitlines()]
+        assert all(gram[i][j] == gram[j][i] for i in range(3) for j in range(3))
         assert run_cli("kernel", "--gram", "3", "--hops", "2",
                        "--seed", "4") == 0
         assert capsys.readouterr().out == text

@@ -255,6 +255,28 @@ class TestGradients:
 
         assert finite_diff_worst(model.parameters(), loss_fn) < 1e-4
 
+    @pytest.mark.parametrize("strategy", ["uniform", "gate", "minvar"])
+    @pytest.mark.parametrize("arch", L.ARCHITECTURES)
+    def test_sampled_stack_finite_difference(self, arch, strategy):
+        """Gradients through the importance-sampled forward, whose sums
+        scale each drawn summand by its coefficient.  One refresh fixes the
+        distributions and a fresh generator per evaluation the draws, so
+        every evaluation runs over the same sampled field.  Gaussian
+        features keep the ReLUs away from their kinks."""
+        g, split = G.synth_graph("random", 24, seed=3)
+        run = T.TrainRun(arch=arch, hidden=4, depth=2, seed=2, max_epochs=1)
+        model = T.build_model(g, run)
+        batch = list(split.train)[:4]
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
+        state = S.SamplerState()
+        S.refresh(state, g, model.stack, plan, batch)
+
+        def loss_fn():
+            return T.batch_loss(g, model, batch, plan, state,
+                                np.random.default_rng(5))
+
+        assert finite_diff_worst(model.parameters(), loss_fn) < 1e-4
+
     def test_strict_paper_rw_variant_runs_and_differs(self):
         g, split = small_graph(seed=17, n=16)
         s1 = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2, seed=2)
