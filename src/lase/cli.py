@@ -329,9 +329,9 @@ def _cmd_sample_variance(args):
     chosen = rng.choice(candidates, size=min(args.neighborhoods,
                                              len(candidates)), replace=False)
     dists = {}  # per strategy: each chosen node's row, as training serves it
-    for name in ("uniform", "gate", "min_var"):
-        plan = sampling.SamplePlan(name.replace("_", ""))
-        state = sampling.SamplerState()
+    for name, strategy in (("uniform", "uniform"), ("gate", "gate"),
+                           ("min_var", "minvar")):
+        plan, state = sampling.SamplePlan(strategy), sampling.SamplerState()
         sampling.refresh(state, g, stack, plan)
         order, ptr, _, p, _ = sampling.layer_probs(g, state, plan, 1, chosen)
         dists[name] = dict(zip(chosen[order], np.split(p, ptr[1:-1])))

@@ -8,6 +8,8 @@ from lase import autodiff as ad
 from lase import cli
 from lase import graph as G
 from lase import kernels
+from lase import layers as L
+from lase import sampling as S
 from lase import training as T
 
 
@@ -502,6 +504,32 @@ class TestChecks:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "strategy,neighborhood_id,analytic_var,empirical_var"
         assert len(lines) == 1 + 3 * 3
+
+    def test_sample_variance_serves_training_distributions(self, tmp_path,
+                                                           monkeypatch):
+        """The command draws from the rows ``refresh`` and ``layer_probs``
+        serve, calling none of the paper-formula oracles, and its analytic
+        variances equal the oracles' bit for bit."""
+        for name in ("probs_uniform", "probs_from_gates",
+                     "probs_minvar_weights"):
+            monkeypatch.setattr(S, name, None)
+        out = tmp_path / "var.csv"
+        assert run_cli("sample-variance", "--kind", "random", "--n", "30",
+                       "--seed", "7", "--neighborhoods", "4", "--draws", "50",
+                       "--out", str(out)) == 0
+        monkeypatch.undo()
+        g, _ = G.synth_graph("random", 30, seed=7)
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=8, depth=1,
+                             seed=7)
+        ctx = L.full_forward(g, stack)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 12
+        for name, u, analytic, _ in rows:
+            lam, gmat = S.neighborhood_terms(g, ctx, 1, int(u))
+            p = {"uniform": S.probs_uniform(lam.size),
+                 "gate": S.probs_from_gates(lam),
+                 "min_var": S.probs_minvar_weights(lam, gmat)}[name]
+            assert analytic == repr(S.estimator_variance(lam, gmat, p))
 
     def test_snr_sweep_csv(self, synth_files, tmp_path):
         out = tmp_path / "snr.csv"
