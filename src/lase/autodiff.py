@@ -84,6 +84,8 @@ class Tape:
             raise TapeError("backward requires a scalar loss")
         self._consumed = True
         grads = {id(loss): np.ones((1, 1))}
+        if loss.requires_grad:
+            loss.grad += grads[id(loss)]
         for out, inputs, vjp in reversed(self._nodes):
             g = grads.get(id(out))
             if g is None:
@@ -91,22 +93,14 @@ class Tape:
             for t, gt in zip(inputs, vjp(g)):
                 if gt is None:
                     continue
+                if t.requires_grad:  # a leaf: no op reads its gradient
+                    t.grad += gt
+                    continue
                 acc = grads.get(id(t))
                 if acc is None:
                     grads[id(t)] = gt.copy()
                 else:
                     acc += gt
-        # Push accumulated gradients into the leaves.
-        seen = set()
-        for out, inputs, _ in self._nodes:
-            for t in inputs:
-                if t.requires_grad and id(t) not in seen:
-                    seen.add(id(t))
-                    g = grads.get(id(t))
-                    if g is not None:
-                        t.grad += g
-        if loss.requires_grad and id(loss) not in seen:
-            loss.grad += grads[id(loss)]
 
 
 def _finite(arr, op):

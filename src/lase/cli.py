@@ -95,7 +95,7 @@ def build_parser():
     sp = sub.add_parser("synth", help="generate a synthetic labelled graph")
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, required=True)
     sp.add_argument("--n", type=_at_least(10), default=600)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     add_graph_flags(sp)
     sp.add_argument("--split", default=None, help="write the split JSON here")
 
@@ -103,7 +103,7 @@ def build_parser():
     add_graph_flags(sp)
     sp.add_argument("--config", required=True)
     sp.add_argument("--split", default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_at_least(0), default=None)
     sp.add_argument("--out", required=True, help="output path prefix")
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a node split")
@@ -124,7 +124,7 @@ def build_parser():
     sp.add_argument("--gram", type=_at_least(0), default=0,
                     help="write a Gram CSV over this many random graphs to "
                     "--out, or to standard output")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("check-theorem1",
@@ -134,12 +134,12 @@ def build_parser():
     sp.add_argument("--hops", type=_at_least(1), default=2)
     sp.add_argument("--decay", type=_finite, default=0.5)
     sp.add_argument("--trials", type=_at_least(1), default=50)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("figure3-check",
                         help="concat blindness vs rw/sage discrimination")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--trials", type=_at_least(1), default=100)
     sp.add_argument("--out", default=None)
 
@@ -148,7 +148,7 @@ def build_parser():
     add_graph_flags(sp, required=False)
     sp.add_argument("--kind", choices=graphmod.SYNTH_KINDS, default="interaction")
     sp.add_argument("--n", type=_at_least(10), default=60)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--neighborhoods", type=_at_least(1), default=10)
     sp.add_argument("--draws", type=_at_least(1), default=20000)
     sp.add_argument("--out", required=True)
@@ -159,7 +159,7 @@ def build_parser():
     sp.add_argument("--n", type=_at_least(10), default=600)
     sp.add_argument("--config", default=None)
     sp.add_argument("--split", default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--snr", type=_snr_list, default="inf,4,2,1,0.5",
                     help="comma-separated SNR list; 'inf' for no noise")
     sp.add_argument("--out", required=True)

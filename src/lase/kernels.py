@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers
 from .graph import AttributedGraph
 
 
@@ -222,8 +223,6 @@ def check_theorem1(g, stack, cfg, k):
     ``param_path_graph(stack, k)`` at ``depth`` hops; ``rw_kernel_enumerate``
     on the same pair is its small-graph oracle.
     """
-    from . import layers
-
     if not stack.kernel_mode or stack.arch != "rw":
         raise ValueError("theorem check requires a kernel-mode rw stack")
     if cfg is not None and (cfg.hops != stack.depth

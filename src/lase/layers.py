@@ -21,7 +21,6 @@ turning the rw stack into an exact walk-sum evaluator.
 
 from __future__ import annotations
 
-import bisect
 import copy
 
 import numpy as np
@@ -206,94 +205,60 @@ def _full_field(g, top, depth):
     return nodes, arcs
 
 
-def _served_rows(g, state, plan, l, nodes):
-    """For each of ``nodes``, all with neighbors, the lists a scalar walk
-    draws from: (arc ids, cdf row, probability row, (source, whether it has
-    neighbors) per arc)."""
-    from . import sampling
-
-    order, ptr, arcs, p, cdf = sampling.layer_probs(g, state, plan, l, nodes)
-    src = g.arc_src[arcs]
-    live = g.arc_ptr[src + 1] > g.arc_ptr[src]
-    below = list(zip(src.tolist(), live.tolist()))
-    arcs, cdf, p, ptr = arcs.tolist(), cdf.tolist(), p.tolist(), ptr.tolist()
-    return {u: (arcs[a:b], cdf[a:b], p[a:b], below[a:b])
-            for u, a, b in zip(nodes[order].tolist(), ptr, ptr[1:])}
-
-
 def _sampled_field(g, stack, batch, plan, state, rng):
     """Node lists and drawn arcs of a sampled batch.
 
     Draws come depth first from the batch, so the draw sequence is fixed by
-    the batch and the seed: at each newly visited (layer, node), draw s
-    neighbors with replacement by the inverse-CDF lookup of s uniforms from
-    ``rng`` (``sampling.draw``, the same as ``Generator.choice``), then visit
-    the node one layer down (every architecture but concat reads it), then
-    each drawn neighbor.  Layer 0 draws nothing.
-
-    A layer-1 visit draws nothing below itself, so the new layer-1 nodes
-    reached from one layer-2 visit, or from the batch at depth 1, take
-    their uniforms as one block, and all layer-1 draws run after the walk
-    as one ``sampling.draw_rows`` lookup.  Above layer 1 the walk draws per
-    visit and looks the draws up in rows that ``sampling.layer_probs``
-    serves in batches: the whole top layer at once, and below it the
-    neighbors of each expanded node, memory following the degrees summed.
-    Nodes, arcs, coefficients and the generator state are those of one
-    ``sampling.draw`` per visit; after a ValueError the generator's state is
-    unspecified.
+    the batch and the seed: at each newly visited (layer, node) above layer
+    1, draw s neighbors with replacement from ``sampling.plan_probs`` by
+    ``sampling.draw`` (the inverse-CDF lookup of ``Generator.choice``), then
+    visit the node one layer down (every architecture but concat reads it),
+    then each drawn neighbor.  The new layer-1 nodes one visit reaches take
+    their uniforms as one block, and all layer-1 draws run after the walk as
+    one ``sampling.layer_probs`` and ``sampling.draw_rows`` lookup: the same
+    nodes, arcs, coefficients and generator state as one ``draw`` per
+    visit.  Layer 0 draws nothing.  After a ValueError the generator's state
+    is unspecified.
     """
     from . import sampling
 
     s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
     own = stack.arch != "concat"
     batch = np.array(batch, dtype=np.intp)
-    top = np.array(list(dict.fromkeys(batch.tolist())), dtype=np.intp)
-    live = ptr[top + 1] > ptr[top]
     seen = [set() for _ in range(depth + 1)]
     drawn = [([], [], []) for _ in range(depth + 1)]  # nodes, arc ids, coefs
     ones, x = [], [np.empty(0)]  # layer-1 drawing nodes, their uniforms
 
-    def reach_ones(below):
-        m = len(ones)
-        for v, vl in below:
-            if v not in seen[1]:
-                seen[1].add(v)
-                if vl:
-                    ones.append(v)
-        if len(ones) > m:
-            x.append(rng.random(s * (len(ones) - m)))
+    def reach(l, reached):
+        """Visit each of ``reached`` at layer l, in order."""
+        if l == 1:
+            m = len(ones)
+            for u in reached:
+                if u not in seen[1]:
+                    seen[1].add(u)
+                    if ptr[u + 1] > ptr[u]:
+                        ones.append(u)
+            if len(ones) > m:
+                x.append(rng.random(s * (len(ones) - m)))
+            return
+        for u in reached:
+            if u in seen[l]:
+                continue
+            seen[l].add(u)
+            below = [u] if own else []
+            if ptr[u + 1] > ptr[u]:
+                p = sampling.plan_probs(g, stack, state, plan, l, u)
+                j = sampling.draw(p, s, rng)
+                a = ptr[u] + j
+                nodes_l, ids, coefs = drawn[l]
+                nodes_l.append(u)
+                ids += a.tolist()
+                coefs += (1.0 / (s * p[j])).tolist()
+                below += g.arc_src[a].tolist()
+            reach(l - 1, below)
 
-    served, todo = [{} for _ in range(depth + 1)], []
-    if depth == 1:
-        reach_ones(zip(top.tolist(), live.tolist()))
-    else:
-        served[depth] = _served_rows(g, state, plan, depth, top[live])
-        todo = [(depth, u, lv) for u, lv in zip(top.tolist(), live.tolist())]
-        todo.reverse()
-    while todo:
-        l, u, lv = todo.pop()
-        if u in seen[l]:
-            continue
-        seen[l].add(u)
-        below = [(u, lv)] if own else []
-        if lv:
-            a, cdf, p, nbrs = served[l][u]
-            j = [bisect.bisect_right(cdf, v) for v in rng.random(s).tolist()]
-            nodes_l, ids, coefs = drawn[l]
-            nodes_l.append(u)
-            ids += [a[k] for k in j]
-            coefs += [1.0 / (s * p[k]) for k in j]
-            below += [nbrs[k] for k in j]
-        if l == 2:
-            reach_ones(below)
-            continue
-        fresh = [v for v, vl in dict.fromkeys(below)
-                 if vl and v not in served[l - 1]]
-        if fresh:
-            served[l - 1].update(_served_rows(
-                g, state, plan, l - 1, np.array(fresh, dtype=np.intp)))
-        todo += [(l - 1, v, vl) for v, vl in reversed(below)]
-
+    reach(depth, batch.tolist())
+    del reach  # it refers to itself: free the field now, not at a gc pass
     ones = np.array(ones, dtype=np.intp)
     order, at, a, p, cdf = sampling.layer_probs(g, state, plan, 1, ones)
     k = sampling.draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])

@@ -19,13 +19,14 @@ weights never blow up.  The field holds every (layer, node) the batch can
 visit, and the weights are those a forward over the whole graph would give at
 the refresh.  The uniform strategy needs no weights.
 
-``layer_probs`` normalizes the weights of many (layer, node) rows at once,
-one block per degree, and lays them end to end; ``draw_rows`` draws from
-each row for its own uniforms by an inverse-CDF lookup: the same draws as
-``Generator.choice`` with replacement, so a sampled batch can draw a whole
-layer in a few array operations and still use the generator's stream
-exactly as one ``choice`` call per (layer, node) would.  ``draw`` is the
-one-row form, and ``plan_probs`` one row, kept until the next refresh.
+A sampled batch draws in two forms, both with the draws of
+``Generator.choice`` with replacement and the generator stream of one
+``choice`` call per (layer, node).  Above layer 1, each visit takes its row
+from ``plan_probs`` (normalized on first use and kept until the next
+refresh) and draws from it by ``draw``, an inverse-CDF lookup.  Layer 1, the
+most numerous, draws after the walk as one block: ``layer_probs`` normalizes
+all its rows at once, one block per degree, laid end to end, and
+``draw_rows`` draws from each row for its own uniforms by the same lookup.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class SamplePlan:
             raise ValueError("sample_size must be >= 1")
         if self.refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class SamplerState:
@@ -167,7 +170,7 @@ def layer_probs(g, state, plan, l, nodes):
     deg = deg[order]
     ptr = np.zeros(len(deg) + 1, dtype=np.intp)
     deg.cumsum(out=ptr[1:])
-    arcs = (g.arc_ptr[nodes[order]] - ptr[:-1]).repeat(deg) + np.arange(ptr[-1])
+    arcs = g.arcs_into(nodes[order])[0]
     uniform = (plan.strategy == "uniform" or state is None
                or state.weights is None)
     if uniform:

@@ -67,6 +67,8 @@ class TrainRun:
             raise ValueError("patience must be >= 1")
         if self.snr is not None and not self.snr > 0:
             raise ValueError("snr must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if isinstance(self.plan, dict):
             self.plan = sampling.SamplePlan(**self.plan)
 

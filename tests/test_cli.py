@@ -112,6 +112,14 @@ class TestUsageErrors:
          "--links", "l.tsv"),
         ("sample-variance", "--n", "9", "--out", "v.csv"),
         ("snr-sweep", "--n", "0", "--out", "s.csv"),
+        ("synth", "--kind", "random", "--seed", "-1", "--nodes", "n.tsv",
+         "--links", "l.tsv"),
+        ("kernel", "--gram", "2", "--seed", "-1"),
+        ("check-theorem1", "--seed", "-1"),
+        ("figure3-check", "--seed", "-1"),
+        ("sample-variance", "--seed", "-1", "--out", "v.csv"),
+        ("snr-sweep", "--seed", "-1", "--out", "s.csv"),
+        ("train", "--config", "c.json", "--seed", "-1", "--out", "run"),
     ])
     def test_count_flag_below_minimum(self, argv, tmp_path, monkeypatch,
                                       capsys):
@@ -306,6 +314,8 @@ class TestDataErrors:
         ({"arch": "wl", "wl_depth": 0}, "wl_depth must be >= 1"),
         ({"arch": "wl", "wl_depth": -1}, "wl_depth must be >= 1"),
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"plan": {"strategy": "minvar", "seed": -2}}, "seed must be >= 0"),
     ])
     def test_bad_config(self, synth_files, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"

@@ -313,7 +313,7 @@ def oracle_batches(g, batch):
 
 
 @pytest.mark.parametrize("arch", L.ARCHITECTURES)
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_sampled_field_matches_per_visit_oracle(arch, depth):
     """Nodes, arc ids, destinations, coefficients and the generator state
     after every batch equal the per-visit oracle's, for every strategy,

@@ -33,6 +33,29 @@ def rows_of(nodes, served):
                [p[a:b] for a, b in zip(ptr, ptr[1:])])
 
 
+def record_served(monkeypatch, seen):
+    """Call seen(state, l, u, row) for each distribution a sampled field
+    draws from: each ``plan_probs`` result (the walk above layer 1) and each
+    row of a ``layer_probs`` result (layer 1).  Returns the unwrapped
+    ``plan_probs``."""
+    layer_probs, plan_probs = S.layer_probs, S.plan_probs
+
+    def rows(g, state, plan, l, nodes):
+        out = layer_probs(g, state, plan, l, nodes)
+        for u, row in rows_of(nodes, out):
+            seen(state, l, u, row)
+        return out
+
+    def row(g, stack, state, plan, l, u):
+        out = plan_probs(g, stack, state, plan, l, u)
+        seen(state, l, u, out)
+        return out
+
+    monkeypatch.setattr(S, "layer_probs", rows)
+    monkeypatch.setattr(S, "plan_probs", row)
+    return plan_probs
+
+
 def stack_and_ctx(seed=0, n=40):
     g, split = G.synth_graph("interaction", n, seed=seed)
     stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=4, depth=1,
@@ -437,15 +460,9 @@ class TestRefresh:
         time.  With interval 3 an Adam step separates the batches, so a node
         first visited after it must still be weighed under the parameters of
         the refresh."""
-        served = []
-        layer_probs = S.layer_probs
-
-        def recorded(g, state, plan, l, nodes):
-            out = layer_probs(g, state, plan, l, nodes)
-            served.extend((l, u, row) for u, row in rows_of(nodes, out))
-            return out
-
-        monkeypatch.setattr(S, "layer_probs", recorded)
+        served, layers_served = [], set()
+        plan_probs = record_served(
+            monkeypatch, lambda state, l, u, row: served.append((l, u, row)))
         g, split = G.synth_graph("interaction", 40, seed=7)
         run = T.TrainRun(arch=arch, hidden=4, depth=depth, lr=0.05, seed=7)
         model = T.build_model(g, run)
@@ -466,26 +483,24 @@ class TestRefresh:
             opt.step()
             assert served
             for l, u, p in served:
-                expected = S.plan_probs(g, model.stack, eager, plan, l, u)
+                layers_served.add(l)
+                expected = plan_probs(g, model.stack, eager, plan, l, u)
                 np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0,
                                            err_msg=str((l, u)))
+        assert layers_served == set(range(1, depth + 1))
 
     @pytest.mark.parametrize("strategy", ["gate", "minvar"])
     def test_sampled_batches_never_fall_back(self, strategy, monkeypatch):
         served = {}
-        layer_probs = S.layer_probs
 
-        def recorded(g, state, plan, l, nodes):
-            """Whether each row served is its node's normalized refresh
+        def recorded(state, l, u, row):
+            """Whether the row served is its node's normalized refresh
             weights, not a uniform fallback."""
-            out = layer_probs(g, state, plan, l, nodes)
-            for u, row in rows_of(nodes, out):
-                w = state.weights[l][g.arc_ptr[u]:g.arc_ptr[u + 1]]
-                served.setdefault((l, u), []).append(
-                    np.array_equal(row, w / w.sum()))
-            return out
+            w = state.weights[l][g.arc_ptr[u]:g.arc_ptr[u + 1]]
+            served.setdefault((l, u), []).append(
+                np.array_equal(row, w / w.sum()))
 
-        monkeypatch.setattr(S, "layer_probs", recorded)
+        record_served(monkeypatch, recorded)
         g, split = G.synth_graph("interaction", 80, seed=9)
         plan = S.SamplePlan(strategy=strategy, sample_size=3,
                             refresh_interval=3)
@@ -493,6 +508,7 @@ class TestRefresh:
                          max_epochs=1, patience=1, seed=0, plan=plan)
         T.train(g, split, run)
         assert all(all(hits) for hits in served.values())
+        assert {l for l, _ in served} == {1, 2}
         assert {u for l, u in served if l == 1} - set(split.train)
 
     def test_sampled_training_weighs_only_batch_fields(self, monkeypatch):
@@ -507,15 +523,11 @@ class TestRefresh:
 
         monkeypatch.setattr(S, "layers", types.SimpleNamespace(
             **{**vars(L), "full_forward": counted}))
-        layer_probs = S.layer_probs
+        def recorded(state, l, u, row):
+            lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+            served.append((l, np.isfinite(state.weights[l][lo:hi]).all()))
 
-        def recorded(g, state, plan, l, nodes):
-            for u in np.asarray(nodes).tolist():
-                lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
-                served.append(np.isfinite(state.weights[l][lo:hi]).all())
-            return layer_probs(g, state, plan, l, nodes)
-
-        monkeypatch.setattr(S, "layer_probs", recorded)
+        record_served(monkeypatch, recorded)
         g, split = G.synth_graph("interaction", 80, seed=9)
         plan = S.SamplePlan(strategy="minvar", sample_size=3,
                             refresh_interval=3)
@@ -523,7 +535,8 @@ class TestRefresh:
                          max_epochs=2, patience=2, seed=0, plan=plan)
         T.train(g, split, run)
         assert calls == []
-        assert served and all(served)
+        assert {l for l, _ in served} == {1, 2}
+        assert all(finite for _, finite in served)
 
     def test_uniform_refresh_runs_no_forward(self, monkeypatch):
         calls = []
