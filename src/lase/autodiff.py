@@ -26,10 +26,8 @@ class Tensor2:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
         if arr.ndim != 2:
-            raise ValueError("Tensor2 data must be at most 2-D")
+            raise ValueError("Tensor2 data must be 1-D or 2-D")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
@@ -91,8 +89,6 @@ class Tape:
             if g is None:
                 continue
             for t, gt in zip(inputs, vjp(g)):
-                if gt is None:
-                    continue
                 if t.requires_grad:  # a leaf: no op reads its gradient
                     t.grad += gt
                     continue
@@ -198,17 +194,6 @@ def concat(parts):
     out = np.concatenate([p.data for p in parts], axis=0)
     cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
     return _make(out, "concat", tuple(parts), lambda g: tuple(np.split(g, cuts)))
-
-
-def inner(a, b):
-    if a.shape != b.shape or a.shape[1] != 1:
-        raise ValueError("inner expects equal-shape column vectors")
-
-    def vjp(g):
-        return g[0, 0] * b.data, g[0, 0] * a.data
-
-    val = float(np.sum(a.data * b.data))
-    return _make(np.array([[val]]), "inner", (a, b), vjp)
 
 
 def sigmoid(a):

@@ -333,7 +333,7 @@ def _cmd_sample_variance(args):
                            ("min_var", "minvar")):
         plan, state = sampling.SamplePlan(strategy), sampling.SamplerState()
         sampling.refresh(state, g, stack, plan)
-        order, ptr, _, p, _ = sampling.layer_probs(g, state, plan, 1, chosen)
+        order, ptr, _, p, _ = sampling.layer_probs(g, state, 1, chosen)
         dists[name] = dict(zip(chosen[order], np.split(p, ptr[1:-1])))
     lines = ["strategy,neighborhood_id,analytic_var,empirical_var"]
     for u in chosen:

@@ -10,10 +10,10 @@ terms.
 ``sage``    h0(u) = f(u);  h_l(u) = act(W1 h_{l-1}(u) o W2 sum_v gate * h_{l-1}(v) (*) U fe)
 ``concat``  h_l(u) = act(W1 sum_v h_{l-1}(v) + W2 sum_v fe)   (ablation baseline)
 
-The ``rw`` recurrence chains the hidden state through the neighbor (the only
-form whose node-sum reproduces the random-walk kernel in kernel mode, see
-kernels.check_theorem1); ``strict_paper_rw`` flips it to the variant keeping
-the central hidden state inside the sum with W applied to the neighbor.
+The paper's literal ``rw`` form keeps the central hidden state inside the
+sum; the chained form above is implemented because it is the one whose
+node-sum reproduces the random-walk kernel in kernel mode (Theorem 1, see
+kernels.check_theorem1).
 
 Kernel mode replaces every gate by a constant decay and removes activations,
 turning the rw stack into an exact walk-sum evaluator.
@@ -22,6 +22,7 @@ turning the rw stack into an exact walk-sum evaluator.
 from __future__ import annotations
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,24 +37,12 @@ def _glorot(rng, rows, cols):
     return ad.Tensor2(rng.uniform(-a, a, size=(rows, cols)), requires_grad=True)
 
 
-class LayerParams:
-    """Weight bag for one convolution layer."""
-
-    def __init__(self, **tensors):
-        self._names = tuple(tensors)
-        for name, t in tensors.items():
-            setattr(self, name, t)
-
-    def items(self):
-        return [(name, getattr(self, name)) for name in self._names]
-
-
 class LayerStack:
     """Parameters plus wiring for one architecture at a fixed depth."""
 
     def __init__(self, arch, d_node, d_link, hidden=64, depth=2,
                  combine="concat", amplifier_sigmoid=False, kernel_mode=False,
-                 constant_decay=0.5, wl_depth=2, strict_paper_rw=False, seed=0):
+                 constant_decay=0.5, wl_depth=2, seed=0):
         if arch not in ARCHITECTURES:
             raise ValueError("unknown architecture %r" % (arch,))
         if combine not in COMBINE_OPS:
@@ -76,7 +65,6 @@ class LayerStack:
         self.kernel_mode = kernel_mode
         self.constant_decay = constant_decay
         self.wl_depth = wl_depth
-        self.strict_paper_rw = strict_paper_rw
 
         rng = np.random.default_rng(seed)
         self.dims = self._layer_dims()
@@ -104,16 +92,16 @@ class LayerStack:
         d_in = self.dims[l - 1] if l > 0 else None
         if self.arch in ("rw", "wl"):
             if l == 0:
-                return LayerParams(W=_glorot(rng, self.hidden, self.d_node))
-            return LayerParams(
+                return SimpleNamespace(W=_glorot(rng, self.hidden, self.d_node))
+            return SimpleNamespace(
                 W=_glorot(rng, self.hidden, self.d_node),
                 U=_glorot(rng, self.hidden, self.d_link),
                 V=_glorot(rng, 1, 2 * d_in + self.d_link),
                 b=ad.Tensor2(np.zeros((1, 1)), requires_grad=True))
         if self.arch == "sage":
             if l == 0:
-                return LayerParams()
-            return LayerParams(
+                return SimpleNamespace()
+            return SimpleNamespace(
                 W1=_glorot(rng, self.hidden, d_in),
                 W2=_glorot(rng, self.hidden, d_in),
                 U=_glorot(rng, d_in, self.d_link),
@@ -121,8 +109,8 @@ class LayerStack:
                 b=ad.Tensor2(np.zeros((1, 1)), requires_grad=True))
         # concat
         if l == 0:
-            return LayerParams()
-        return LayerParams(W1=_glorot(rng, self.hidden, d_in),
+            return SimpleNamespace()
+        return SimpleNamespace(W1=_glorot(rng, self.hidden, d_in),
                            W2=_glorot(rng, self.hidden, self.d_link))
 
     @property
@@ -135,8 +123,8 @@ class LayerStack:
         out = copy.copy(self)
         out.P1, out.P2, out.Q = (t if t is None else ad.Tensor2(t.data.copy())
                                  for t in (self.P1, self.P2, self.Q))
-        out.layers = [LayerParams(**{name: ad.Tensor2(t.data.copy())
-                                     for name, t in p.items()})
+        out.layers = [SimpleNamespace(**{name: ad.Tensor2(t.data.copy())
+                                         for name, t in vars(p).items()})
                       for p in self.layers]
         return out
 
@@ -146,7 +134,7 @@ class LayerStack:
             if t is not None:
                 out.append((name, t))
         for l, p in enumerate(self.layers):
-            for name, t in p.items():
+            for name, t in vars(p).items():
                 out.append(("layer%d.%s" % (l, name), t))
         return out
 
@@ -217,11 +205,13 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     their uniforms as one block, and all layer-1 draws run after the walk as
     one ``sampling.layer_probs`` and ``sampling.draw_rows`` lookup: the same
     nodes, arcs, coefficients and generator state as one ``draw`` per
-    visit.  Layer 0 draws nothing.  After a ValueError the generator's state
-    is unspecified.
+    visit.  Layer 0 draws nothing.  A call before any ``sampling.refresh``
+    is a ValueError; after one, the generator's state is unspecified.
     """
     from . import sampling
 
+    if getattr(state, "weights", None) is None:
+        raise ValueError("a sampled forward needs a sampling.refresh first")
     s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
     own = stack.arch != "concat"
     batch = np.array(batch, dtype=np.intp)
@@ -260,7 +250,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     reach(depth, batch.tolist())
     del reach  # it refers to itself: free the field now, not at a gc pass
     ones = np.array(ones, dtype=np.intp)
-    order, at, a, p, cdf = sampling.layer_probs(g, state, plan, 1, ones)
+    order, at, a, p, cdf = sampling.layer_probs(g, state, 1, ones)
     k = sampling.draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])
     rows = [None, (ones[order], a[k], 1.0 / (s * p[k]))]
     rows += [(np.array(nodes_l, dtype=np.intp),
@@ -327,10 +317,6 @@ def _layer(g, stack, l, nodes, arcs, h, r):
     lam = gate(ad.gather(h, own[dst]), hv, fe, p, stack)
     if stack.arch == "sage":
         core = amplifier(hv, fe, p, stack)
-    elif stack.strict_paper_rw:
-        w = ad.matvec(p.W, _cols(g.node_features, nodes[l - 1]))
-        core = ad.hadamard(amplifier(ad.gather(h, own[dst]), fe, p, stack),
-                           ad.gather(w, src))
     else:
         x = (_cols(g.node_features, nodes[l]) if stack.arch == "rw"
              else ad.gather(r, np.searchsorted(nodes[0], nodes[l])))
@@ -379,7 +365,8 @@ def forward(g, stack, batch, plan=None, state=None, rng=None):
     ``plan=None`` (or strategy "full") means full neighborhoods.  With a
     sampling plan, each layer's neighbor sum is replaced by the
     importance-sampled estimator (1/s) sum_j gate * term / p_j, drawn with
-    ``rng``; probabilities are constants of the draw and take no gradient.
+    ``rng`` from the rows ``sampling.refresh`` wrote into ``state``;
+    probabilities are constants of the draw and take no gradient.
     """
     if plan is not None and plan.strategy != "full":
         nodes, arcs = _sampled_field(g, stack, batch, plan, state, rng)

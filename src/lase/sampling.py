@@ -6,7 +6,7 @@ expectation under any categorical distribution p over N(u) of
 lambda * g / p, so drawing s neighbors with replacement gives an unbiased
 estimator for the three strategies:
 
-  uniform  p = 1/deg
+  uniform  p = 1/deg   (unit weights)
   gate     p proportional to lambda
   min_var  p proportional to lambda * ||g||   (single-draw variance optimum)
 
@@ -17,7 +17,9 @@ copy, over the batch's full receptive field and writes the weight (lambda, or
 lambda * ||g||) of each of its arcs still NaN, floored at EPS so importance
 weights never blow up.  The field holds every (layer, node) the batch can
 visit, and the weights are those a forward over the whole graph would give at
-the refresh.  The uniform strategy needs no weights.
+the refresh.  Under the uniform strategy every arc weighs 1, written once.
+Rows come only from a refresh's weights: a sampled forward before any
+refresh is a ValueError.
 
 A sampled batch draws in two forms, both with the draws of
 ``Generator.choice`` with replacement and the generator stream of one
@@ -148,7 +150,7 @@ def estimator_variance(lam, gmat, p):
     return float(np.sum(second - mean ** 2))
 
 
-def layer_probs(g, state, plan, l, nodes):
+def layer_probs(g, state, l, nodes):
     """The distributions the sampled forward draws from for the (layer l,
     node) rows ``nodes``, each of degree at least 1, laid end to end, so the
     arrays hold the nodes' degrees summed.
@@ -158,8 +160,8 @@ def layer_probs(g, state, plan, l, nodes):
     ptr[i]:ptr[i + 1] of three flat arrays: arcs, the ids of the arcs into
     its node in arc order; p, their probabilities; cdf, p's cumulative sums
     over their last, as ``rng.choice`` forms them.  A row's probabilities
-    are ``plan_probs``': its arc weights from the last refresh, normalized,
-    or uniform.  The rows of one degree are normalized and summed as one
+    are ``plan_probs``': its node's arc weights from the last refresh,
+    normalized.  The rows of one degree are normalized and summed as one
     C-contiguous block, whose row sums and cumulative sums equal each row's
     own ``w.sum()`` and ``cumsum()`` bit for bit.  A negative or NaN
     probability (a node no refresh weighed) is a ValueError, as in ``draw``.
@@ -171,22 +173,15 @@ def layer_probs(g, state, plan, l, nodes):
     ptr = np.zeros(len(deg) + 1, dtype=np.intp)
     deg.cumsum(out=ptr[1:])
     arcs = g.arcs_into(nodes[order])[0]
-    uniform = (plan.strategy == "uniform" or state is None
-               or state.weights is None)
-    if uniform:
-        p = (1.0 / deg).repeat(deg)
-    else:
-        w, p = state.weights[l][arcs], np.empty(len(arcs))
-    cdf = np.empty(len(arcs))
+    w = state.weights[l][arcs]
+    p, cdf = np.empty(len(arcs)), np.empty(len(arcs))
     first = np.ones(len(deg), dtype=bool)  # the first row of each degree
     first[1:] = deg[1:] != deg[:-1]
     starts, ends, sizes = np.flatnonzero(first).tolist(), ptr.tolist(), deg.tolist()
     for a, b in zip(starts, starts[1:] + [len(deg)]):
         d, lo, hi = sizes[a], ends[a], ends[b]
-        P = p[lo:hi].reshape(-1, d)
-        if not uniform:
-            W = w[lo:hi].reshape(-1, d)
-            np.divide(W, W.sum(axis=1, keepdims=True), out=P)
+        W, P = w[lo:hi].reshape(-1, d), p[lo:hi].reshape(-1, d)
+        np.divide(W, W.sum(axis=1, keepdims=True), out=P)
         P.cumsum(axis=1, out=cdf[lo:hi].reshape(-1, d))
     cdf /= cdf[ptr[1:] - 1].repeat(deg)
     if p.size and not p.min() >= 0:
@@ -195,19 +190,13 @@ def layer_probs(g, state, plan, l, nodes):
 
 
 def plan_probs(g, stack, state, plan, l, u):
-    """Distribution the sampled forward draws from for (layer l, node u).
-
-    The arc weights over N(u) that ``refresh`` computed under the last
-    refresh's parameters, normalized on first use and kept until the next
-    refresh; uniform under the uniform strategy and before the first refresh.
-    """
-    lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
-    if (plan.strategy == "uniform" or state is None or state.weights is None
-            or lo == hi):
-        return probs_uniform(int(hi - lo))
+    """Distribution the sampled forward draws from for (layer l, node u),
+    which has at least one neighbor: the arc weights over N(u) that the last
+    ``refresh`` wrote, normalized on first use and kept until the next
+    refresh."""
     p = state.probs.get((l, u))
     if p is None:
-        w = state.weights[l][lo:hi]
+        w = state.weights[l][g.arc_ptr[u]:g.arc_ptr[u + 1]]
         p = state.probs[(l, u)] = w / w.sum()
     return p
 
@@ -216,13 +205,15 @@ def refresh(state, g, stack, plan, batch=None):
     """Advance the refresh clock by one batch, starting a refresh if the
     interval elapsed, then weigh the arcs that ``batch`` can reach.
 
-    Call it once before each batch.  Returns True when a refresh started.  A
-    refresh freezes a copy of the stack's parameters and resets every weight
-    to NaN.  Each call then runs one forward, under that copy, over the full
-    receptive field of the batch (``None``: of every node), and writes the
-    weights of the field's arcs still NaN.  The field contains every (layer,
-    node) a sampled batch can visit.  Under the uniform strategy no weights
-    are needed and no forward runs.
+    Call it once before each batch: the rows a sampled forward draws from
+    come only from it.  Returns True when a refresh started.  A refresh
+    freezes a copy of the stack's parameters and resets every weight to NaN.
+    Each call then runs one forward, under that copy, over the full receptive
+    field of the batch (``None``: of every node), and writes the weights of
+    the field's arcs still NaN.  The field contains every (layer, node) a
+    sampled batch can visit.  Under the uniform strategy every arc weighs 1:
+    those weights take no parameters and no forward, so the first refresh
+    writes them and later ones keep them.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
@@ -232,6 +223,8 @@ def refresh(state, g, stack, plan, batch=None):
             state.params = stack.frozen()
             state.weights = [None] + [np.full(len(g.arc_src), np.nan)
                                       for _ in range(stack.depth)]
+        elif state.weights is None:
+            state.weights = [None] + [np.ones(len(g.arc_src))] * stack.depth
         non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
         state.refresh_work += stack.depth * non_isolated
         state.batches_since_refresh = 0

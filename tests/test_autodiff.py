@@ -5,7 +5,7 @@ import pytest
 
 from lase import autodiff as ad
 
-from util import finite_diff_worst
+from util import dot, finite_diff_worst
 
 
 def t(data, grad=False):
@@ -44,13 +44,6 @@ class TestForward:
     def test_concat_empty(self):
         with pytest.raises(ValueError):
             ad.concat([])
-
-    def test_inner_orthogonal(self):
-        assert ad.inner(t([1, 0]), t([0, 1])).item() == 0.0
-
-    def test_inner_norm(self):
-        x = t([3, 4])
-        assert ad.inner(x, x).item() == 25.0
 
     def test_sigmoid_zero(self):
         assert ad.sigmoid(t([0.0])).item() == 0.5
@@ -108,21 +101,21 @@ class TestBackward:
         w = t([1.0, 2.0], grad=True)
         x = np.array([5.0, -3.0])
         with ad.Tape() as tape:
-            loss = ad.inner(w, t(x))
+            loss = dot(w, t(x))
             tape.backward(loss)
         assert np.array_equal(w.grad[:, 0], x)
 
     def test_half_norm_gradient(self):
         w = t([3.0, -4.0], grad=True)
         with ad.Tape() as tape:
-            loss = ad.scale(ad.inner(w, w), 0.5)
+            loss = ad.scale(dot(w, w), 0.5)
             tape.backward(loss)
         assert np.allclose(w.grad, w.data)
 
     def test_matvec_zero_weight_gradient(self):
         x = t([1.0, 2.0], grad=True)
         with ad.Tape() as tape:
-            loss = ad.inner(ad.matvec(t(np.zeros((2, 2))), x), t([1.0, 1.0]))
+            loss = dot(ad.matvec(t(np.zeros((2, 2))), x), t([1.0, 1.0]))
             tape.backward(loss)
         assert np.array_equal(x.grad, np.zeros((2, 1)))
 
@@ -130,7 +123,7 @@ class TestBackward:
         w = t([1.0, 1.0], grad=True)
         x = np.array([2.0, 3.0])
         with ad.Tape() as tape:
-            loss = ad.add(ad.inner(w, t(x)), ad.inner(w, t(x)))
+            loss = ad.add(dot(w, t(x)), dot(w, t(x)))
             tape.backward(loss)
         assert np.array_equal(w.grad[:, 0], 2 * x)
 
@@ -143,7 +136,7 @@ class TestBackward:
     def test_consumed_tape_rejected(self):
         w = t([1.0], grad=True)
         with ad.Tape() as tape:
-            loss = ad.inner(w, w)
+            loss = dot(w, w)
             tape.backward(loss)
             with pytest.raises(ad.TapeError):
                 tape.backward(loss)
@@ -162,7 +155,7 @@ class TestBackward:
                             ad.relu(ad.matvec(u, ad.Tensor2(x))))
             logits = ad.add(h, b)
             ce = ad.softmax_cross_entropy(logits, label)
-            return ad.add(ce, ad.scale(ad.inner(ad.concat([h, b]),
+            return ad.add(ce, ad.scale(dot(ad.concat([h, b]),
                                                 ad.concat([h, b])), 0.1))
 
         worst = finite_diff_worst([("w", w), ("u", u), ("b", b)], loss_fn)

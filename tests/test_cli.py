@@ -161,6 +161,31 @@ class TestDataErrors:
         code = run_cli("kernel", "--nodes", str(bad), "--links", str(links))
         assert code == cli.EXIT_DATA
 
+    def test_kernel_decay_outside_unit_interval(self, synth_files, tmp_path,
+                                                capsys):
+        out = tmp_path / "kernel.json"
+        code = run_cli("kernel", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"], "--decay", "1.5",
+                       "--out", str(out))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "decay must lie in (0, 1)" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_exit_code(self, synth_files, tmp_path, capsys):
+        """A step size that overflows the forward ends in exit 3, naming the
+        op, and leaves no output file."""
+        code = run_cli("train", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--config", write_config(tmp_path, lr=1e300),
+                       "--out", str(tmp_path / "run"))
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite value produced by " in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("run*"))
+
     def test_truncated_checkpoint(self, synth_files, tmp_path):
         cfg = write_config(tmp_path)
         g = G.load_graph(synth_files["nodes"], synth_files["links"],
@@ -316,6 +341,17 @@ class TestDataErrors:
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"plan": {"strategy": "minvar", "seed": -2}}, "seed must be >= 0"),
+        ({"arch": "gcn"}, "unknown architecture 'gcn'"),
+        ({"combine": "max"}, "unknown combine op 'max'"),
+        ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"patience": 0}, "patience must be >= 1"),
+        ({"snr": 0}, "snr must be positive"),
+        ({"plan": {"strategy": "topk"}}, "unknown sampling strategy 'topk'"),
+        ({"plan": {"strategy": "minvar", "sample_size": 0}},
+         "sample_size must be >= 1"),
+        ({"plan": {"strategy": "minvar", "refresh_interval": 0}},
+         "refresh_interval must be >= 1"),
     ])
     def test_bad_config(self, synth_files, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
@@ -326,7 +362,7 @@ class TestDataErrors:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-        assert not (tmp_path / "run.metrics.csv").exists()
+        assert not list(tmp_path.glob("run*"))
 
     @pytest.mark.parametrize("manifest, message", [
         ([1], "manifest: expected a JSON object"),
@@ -416,6 +452,24 @@ class TestTrainEval:
                        "--checkpoint", prefix, "--split", synth_files["split"])
         assert code == cli.EXIT_USAGE
         assert "--config" in capsys.readouterr().err
+
+    def test_sgd_train_byte_identical_reruns(self, synth_files, tmp_path,
+                                             monkeypatch):
+        steps = []
+        step = T.Sgd.step
+        monkeypatch.setattr(T.Sgd, "step",
+                            lambda self: steps.append(1) or step(self))
+        cfg = write_config(tmp_path, optimizer="sgd", lr=0.05)
+        for out in ("a", "b"):
+            assert run_cli("train", "--nodes", synth_files["nodes"],
+                           "--links", synth_files["links"],
+                           "--manifest", synth_files["manifest"],
+                           "--split", synth_files["split"],
+                           "--config", cfg, "--out", str(tmp_path / out)) == 0
+        assert steps
+        for suffix in (".metrics.csv", ".ckpt.bin", ".summary.json"):
+            assert ((tmp_path / ("a" + suffix)).read_bytes()
+                    == (tmp_path / ("b" + suffix)).read_bytes()), suffix
 
     def test_train_byte_identical_reruns(self, synth_files, tmp_path):
         cfg = write_config(tmp_path)
@@ -540,6 +594,16 @@ class TestChecks:
                  "gate": S.probs_from_gates(lam),
                  "min_var": S.probs_minvar_weights(lam, gmat)}[name]
             assert analytic == repr(S.estimator_variance(lam, gmat, p))
+
+    def test_snr_sweep_synthesized_default_run(self, tmp_path):
+        """Without --config or graph flags the sweep trains a default
+        ``TrainRun`` on a synthesized graph."""
+        out = tmp_path / "snr.csv"
+        assert run_cli("snr-sweep", "--n", "30", "--snr", "inf,1",
+                       "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "snr,test_f1"
+        assert [line.split(",")[0] for line in lines[1:]] == ["inf", "1.0"]
 
     def test_snr_sweep_csv(self, synth_files, tmp_path):
         out = tmp_path / "snr.csv"

@@ -70,6 +70,10 @@ class TestLoad:
         ("1\tx\t2.0", "0\t1\t1.0", "node line 2: bad label 'x'"),
         ("one\t0\t2.0", "0\t1\t1.0", "node line 2: bad id 'one'"),
         ("1\t0\t2.0", "0\t1.5\t1.0", "link line 1: bad endpoint '1.5'"),
+        ("1\t0", "0\t1\t1.0", "node line 2: expected 3 tab-separated fields"),
+        ("2\t0\t2.0", "0\t1\t1.0", "node line 2: ids must be dense and in order"),
+        ("1\t0\t2.0", "0\t1", "link line 1: expected 3 tab-separated fields"),
+        ("1\t0\t2.0,x", "0\t1\t1.0", "node line 2: bad feature list"),
     ])
     def test_bad_integer_field_names_its_line(self, tmp_path, node_line,
                                               link_line, message):

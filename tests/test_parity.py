@@ -59,7 +59,6 @@ STACKS = {
     "sage-hadamard": dict(arch="sage", combine="hadamard"),
     "sage-amp-sigmoid": dict(arch="sage", amplifier_sigmoid=True),
     "rw-amp-sigmoid": dict(arch="rw", amplifier_sigmoid=True),
-    "rw-strict": dict(arch="rw", strict_paper_rw=True),
     "rw-kernel": dict(arch="rw", kernel_mode=True, constant_decay=0.4),
 }
 

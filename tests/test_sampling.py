@@ -40,8 +40,8 @@ def record_served(monkeypatch, seen):
     ``plan_probs``."""
     layer_probs, plan_probs = S.layer_probs, S.plan_probs
 
-    def rows(g, state, plan, l, nodes):
-        out = layer_probs(g, state, plan, l, nodes)
+    def rows(g, state, l, nodes):
+        out = layer_probs(g, state, l, nodes)
         for u, row in rows_of(nodes, out):
             seen(state, l, u, row)
         return out
@@ -173,7 +173,7 @@ class TestDraw:
         state = S.SamplerState()
         S.refresh(state, g, stack, plan)
         nodes = np.array([5, 0, 7, 5, 3])
-        order, ptr, arcs, p, cdf = S.layer_probs(g, state, plan, 1, nodes)
+        order, ptr, arcs, p, cdf = S.layer_probs(g, state, 1, nodes)
         assert order.tolist() == [0, 2, 3, 4, 1]  # the hub, node 0, last
         assert np.array_equal(np.diff(ptr), [3, 3, 3, 3, 50])
         assert len(arcs) == len(p) == len(cdf) == ptr[-1]
@@ -304,7 +304,9 @@ class TestEstimator:
         rng = np.random.default_rng(0)
         for s in (1, 3, 10):
             plan = S.SamplePlan(strategy="uniform", sample_size=s)
-            est = L.forward(g, stack, [0, 3], plan, S.SamplerState(), rng)
+            state = S.SamplerState()
+            S.refresh(state, g, stack, plan)
+            est = L.forward(g, stack, [0, 3], plan, state, rng)
             assert np.allclose(est.data, full, rtol=0, atol=1e-12)
 
     def test_zero_summands_give_zero(self):
@@ -313,7 +315,9 @@ class TestEstimator:
         for p in stack.layers[1:]:
             p.U.data[...] = 0.0
         plan = S.SamplePlan(strategy="uniform", sample_size=5)
-        est = L.forward(g, stack, list(range(8)), plan, S.SamplerState(),
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan)
+        est = L.forward(g, stack, list(range(8)), plan, state,
                         np.random.default_rng(1))
         assert np.array_equal(est.data, np.zeros((3, 8)))
 
@@ -558,9 +562,32 @@ class TestRefresh:
         covered = sum(1 for u in range(g.n_nodes) if g.degree(u))
         assert hist.refresh_work == refreshes * 2 * covered
 
-    def test_plan_probs_fallback_uniform(self):
+    @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
+    def test_sampled_forward_before_refresh_is_an_error(self, strategy):
+        """Rows come only from a refresh: without one, or without a state,
+        a sampled forward draws nothing and raises."""
         g, _, stack, _ = stack_and_ctx(seed=5)
-        plan = S.SamplePlan(strategy="minvar", sample_size=2)
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
         u = next(u for u in range(g.n_nodes) if g.degree(u))
-        p = S.plan_probs(g, stack, S.SamplerState(), plan, 1, u)
-        assert np.allclose(p, np.full(g.degree(u), 1 / g.degree(u)))
+        for state in (S.SamplerState(), None):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="refresh first"):
+                L.forward(g, stack, [u], plan, state, rng)
+            assert rng.random() == np.random.default_rng(0).random()
+
+    def test_uniform_weights_are_written_once(self):
+        """Under the uniform strategy every arc weighs 1, written by the
+        first refresh and kept by later ones; each row is 1/deg exactly."""
+        g, _, stack, _ = stack_and_ctx(seed=5)
+        plan = S.SamplePlan(strategy="uniform", sample_size=2)
+        state = S.SamplerState()
+        S.refresh(state, g, stack, plan)
+        weights = state.weights
+        assert S.refresh(state, g, stack, plan)
+        assert state.weights is weights
+        for l in range(1, stack.depth + 1):
+            assert np.array_equal(weights[l], np.ones(len(g.arc_src)))
+        for u in range(g.n_nodes):
+            if g.degree(u):
+                assert np.array_equal(S.plan_probs(g, stack, state, plan, 1, u),
+                                      S.probs_uniform(g.degree(u)))

@@ -17,6 +17,12 @@ def random_digraph(rng, max_nodes=8, **kw):
                            undirected=False)
 
 
+def dot(a, b):
+    """The inner product of two equal-shape columns as a (1, 1) tensor: their
+    ``hadamard`` product summed by a ``matvec`` with a row of ones."""
+    return ad.matvec(ad.Tensor2(np.ones((1, a.shape[0]))), ad.hadamard(a, b))
+
+
 def finite_diff_worst(params, loss_fn, h=1e-6):
     """Max relative error between backward and central-difference gradients.
 
