@@ -5,7 +5,9 @@ single vector is an (n, 1) column.  Ops executed inside a ``Tape`` context
 record their backward rules; outside any tape they run forward-only, which
 doubles as the fast no-grad path.  Broadcasting happens only where an op says
 so (``scale`` by a scalar or a row of per-column factors, ``add_bias`` of a
-column); any other shape disagreement raises.
+column); any other shape disagreement raises.  Column scatters (``segment_sum``
+and the gradient of ``gather``) are one ``np.bincount`` each, whose sums are
+bit for bit those of ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -166,22 +168,29 @@ def scale(a, s):
     return _make(a.data * s.data, "scale", (a, s), vjp)
 
 
+def _scatter_cols(x, idx, n):
+    """(rows, n) zeros with column j of x added into column idx[j].
+
+    One ``np.bincount`` over the flat row-major positions ``row * n + idx``:
+    bincount adds its weights in input order, so every sum is bit for bit
+    the one ``np.add.at`` gives.  ``idx`` must lie in [0, n).
+    """
+    rows = x.shape[0]
+    flat = np.arange(rows)[:, None] * n + np.asarray(idx, dtype=np.intp)
+    return np.bincount(flat.ravel(), weights=x.ravel(),
+                       minlength=rows * n).reshape(rows, n)
+
+
 def gather(a, idx):
     """Columns a[:, idx]; an index may repeat."""
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, (slice(None), idx), g)
-        return (out,)
-
-    return _make(a.data[:, idx], "gather", (a,), vjp)
+    return _make(a.data[:, idx], "gather", (a,),
+                 lambda g: (_scatter_cols(g, idx, a.shape[1]),))
 
 
 def segment_sum(a, idx, n):
     """(rows, n) sums: column j of a is added into column idx[j], in order."""
-    out = np.zeros((a.shape[0], n))
-    np.add.at(out, (slice(None), idx), a.data)
-    return _make(out, "segment_sum", (a,), lambda g: (g[:, idx],))
+    return _make(_scatter_cols(a.data, idx, n), "segment_sum", (a,),
+                 lambda g: (g[:, idx],))
 
 
 def concat(parts):

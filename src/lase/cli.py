@@ -194,7 +194,9 @@ def _cmd_train(args):
         split = graphmod.load_split(args.split, g.n_nodes)
     else:
         split = graphmod.make_split(g, seed=run.seed)
-    model, hist = training.train(g, split, run)
+    # the ops' own finiteness checks report an overflow, as a typed error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        model, hist = training.train(g, split, run)
     model.save(args.out + ".ckpt", meta={"run": run.to_dict()})
     atomic_write(args.out + ".metrics.csv", training.metrics_csv(hist))
     _write_json(args.out + ".summary.json", {
@@ -363,7 +365,8 @@ def _cmd_snr_sweep(args):
     else:
         run = training.TrainRun(arch="sage", hidden=16, depth=1, lr=1e-2,
                                 max_epochs=25, patience=25, seed=args.seed)
-    rows = training.snr_sweep(g, split, run, args.snr)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = training.snr_sweep(g, split, run, args.snr)
     lines = ["snr,test_f1"]
     for snr, f1 in rows:
         lines.append("%s,%s" % (repr(float(snr)), repr(float(f1))))

@@ -181,6 +181,17 @@ def _cols(mat, ids):
     return ad.Tensor2(mat[ids].T)
 
 
+def _positions(g, nodes):
+    """Position map of a node list without repeats: ``pos[nodes[i]] == i``.
+
+    Only the entries of ``nodes`` are written, so read it only at members:
+    for a sorted list that is the index a binary search would find.
+    """
+    pos = np.empty(g.n_nodes, dtype=np.intp)
+    pos[nodes] = np.arange(len(nodes))
+    return pos
+
+
 def _full_field(g, top, depth):
     """Node lists and arcs of full neighborhoods below the ``top`` nodes."""
     nodes, arcs = [None] * (depth + 1), [None] * (depth + 1)
@@ -269,8 +280,7 @@ def _sampled_field(g, stack, batch, plan, state, rng):
         # a column with neighbors takes its node's drawn row; others none
         cols = np.flatnonzero(ptr[nodes[l] + 1] > ptr[nodes[l]])
         rnodes, ids, coefs = rows[l]
-        order = np.argsort(rnodes)
-        r = order[np.searchsorted(rnodes[order], nodes[l][cols])]
+        r = _positions(g, rnodes)[nodes[l][cols]]
         arcs.append((ids[r].ravel(), np.repeat(cols, s),
                      coefs[r].reshape(1, -1)))
     return nodes, arcs
@@ -281,25 +291,26 @@ def _relabel(g, stack, nodes, arcs):
     r = _cols(g.node_features, nodes[0])
     for d in range(1, len(nodes)):
         ids, dst, _ = arcs[d]
+        pos = _positions(g, nodes[d - 1])
         msg = ad.sigmoid(ad.matvec(stack.Q, r))
-        nsum = ad.segment_sum(
-            ad.gather(msg, np.searchsorted(nodes[d - 1], g.arc_src[ids])),
-            dst, len(nodes[d]))
-        own = ad.gather(r, np.searchsorted(nodes[d - 1], nodes[d]))
+        nsum = ad.segment_sum(ad.gather(msg, pos[g.arc_src[ids]]), dst,
+                              len(nodes[d]))
+        own = ad.gather(r, pos[nodes[d]])
         r = ad.sigmoid(ad.add(ad.matvec(stack.P1, own), ad.matvec(stack.P2, nsum)))
     return r
 
 
-def _layer(g, stack, l, nodes, arcs, h, r):
+def _layer(g, stack, l, nodes, pos, arcs, h, r):
     """Layer l over its field: (hidden, per-arc gates, per-arc summands).
 
-    Gates and summands are the lambda and g(v|u) of sampling's estimator;
-    a constant gate (kernel mode, and 1 for concat) is a float.
+    ``pos[k]`` is the position map of nodes[k] (``_positions``).  Gates and
+    summands are the lambda and g(v|u) of sampling's estimator; a constant
+    gate (kernel mode, and 1 for concat) is a float.
     """
     p = stack.layers[l]
     ids, dst, coef = arcs
     m = len(nodes[l])
-    src = np.searchsorted(nodes[l - 1], g.arc_src[ids])
+    src = pos[l - 1][g.arc_src[ids]]
     fe = _cols(g.link_features, g.arc_link[ids])
     hv = ad.gather(h, src)
 
@@ -313,13 +324,13 @@ def _layer(g, stack, l, nodes, arcs, h, r):
 
     # Off the tape each per-arc tensor is freed once used, so a full forward
     # holds at most three at a time (gathered neighbors, amplifier, summand).
-    own = np.searchsorted(nodes[l - 1], nodes[l])
+    own = pos[l - 1][nodes[l]]
     lam = gate(ad.gather(h, own[dst]), hv, fe, p, stack)
     if stack.arch == "sage":
         core = amplifier(hv, fe, p, stack)
     else:
         x = (_cols(g.node_features, nodes[l]) if stack.arch == "rw"
-             else ad.gather(r, np.searchsorted(nodes[0], nodes[l])))
+             else ad.gather(r, pos[0][nodes[l]]))
         core = ad.hadamard(amplifier(hv, fe, p, stack),
                            ad.gather(ad.matvec(p.W, x), dst))
     del hv
@@ -354,8 +365,9 @@ def _run(g, stack, nodes, arcs):
     else:
         h = _cols(g.node_features, nodes[0])
     out = [(h, None, None)]
+    pos = [_positions(g, nodes[l]) for l in range(stack.depth)]
     for l in range(1, stack.depth + 1):
-        out.append(_layer(g, stack, l, nodes, arcs[l], out[-1][0], r))
+        out.append(_layer(g, stack, l, nodes, pos, arcs[l], out[-1][0], r))
     return out
 
 

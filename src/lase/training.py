@@ -1,4 +1,8 @@
-"""Mini-batch training, micro-F1 evaluation and the validation experiments."""
+"""Mini-batch training, micro-F1 evaluation and the validation experiments.
+
+A ``Model`` keeps every parameter and gradient in one flat arena, so the
+optimizers update all parameters with one elementwise formula per step.
+"""
 
 from __future__ import annotations
 
@@ -108,7 +112,13 @@ class MetricHistory:
 
 
 class Model:
-    """A layer stack plus a one-layer softmax classifier head."""
+    """A layer stack plus a one-layer softmax classifier head.
+
+    Every parameter's ``data`` and ``grad`` are views of two flat arrays,
+    ``self.data`` and ``self.grad`` (the arena), laid out in ``parameters()``
+    order, so an optimizer step and ``zero_grad`` are one array op each.
+    Code that changes a parameter writes into its arrays in place.
+    """
 
     def __init__(self, stack, n_labels, seed=0):
         rng = np.random.default_rng(seed)
@@ -118,13 +128,21 @@ class Model:
         self.C = ad.Tensor2(rng.uniform(-a, a, (n_labels, stack.out_dim)),
                             requires_grad=True)
         self.c = ad.Tensor2(np.zeros((n_labels, 1)), requires_grad=True)
+        params = [t for _, t in self.parameters()]
+        self.data = np.concatenate([t.data.ravel() for t in params])
+        self.grad = np.zeros_like(self.data)
+        ofs = 0
+        for t in params:
+            end = ofs + t.data.size
+            t.data = self.data[ofs:end].reshape(t.shape)
+            t.grad = self.grad[ofs:end].reshape(t.shape)
+            ofs = end
 
     def parameters(self):
         return self.stack.parameters() + [("clf.C", self.C), ("clf.c", self.c)]
 
     def zero_grad(self):
-        for _, t in self.parameters():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
     def predict(self, g, nodes):
         """Predicted labels of ``nodes``, in their order: the forward over
@@ -210,46 +228,47 @@ def evaluate(g, model, nodes, name="evaluated"):
 # Optimizers
 # ---------------------------------------------------------------------------
 
+# Each step is one elementwise update of the model's whole arena: every
+# element gets the same operations in the same order as a per-tensor update.
+
 class Sgd:
-    def __init__(self, params, lr, weight_decay=0.0):
-        self.params = params
+    def __init__(self, model, lr, weight_decay=0.0):
+        self.data, self.grad = model.data, model.grad
         self.lr = lr
         self.weight_decay = weight_decay
 
     def step(self):
-        for _, t in self.params:
-            g = t.grad + self.weight_decay * t.data
-            t.data -= self.lr * g
+        g = self.grad + self.weight_decay * self.data
+        self.data -= self.lr * g
 
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
-        self.params = params
+        self.data, self.grad = model.data, model.grad
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params}
-        self.v = {name: np.zeros_like(t.data) for name, t in params}
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, t in self.params:
-            g = t.grad + self.weight_decay * t.data
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
-            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = self.grad + self.weight_decay * self.data
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        mhat = self.m / (1 - b1 ** self.t)
+        vhat = self.v / (1 - b2 ** self.t)
+        self.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def make_optimizer(run, params):
+def make_optimizer(run, model):
     if run.optimizer == "sgd":
-        return Sgd(params, run.lr, run.weight_decay)
+        return Sgd(model, run.lr, run.weight_decay)
     if run.optimizer == "adam":
-        return Adam(params, run.lr, run.beta1, run.beta2,
+        return Adam(model, run.lr, run.beta1, run.beta2,
                     weight_decay=run.weight_decay)
     raise ValueError("unknown optimizer %r" % (run.optimizer,))
 
@@ -280,8 +299,7 @@ def train(g, split, run):
     if run.snr is not None:
         g = contaminate_links(g, run.snr, seed=run.seed)
     model = build_model(g, run)
-    params = model.parameters()
-    opt = make_optimizer(run, params)
+    opt = make_optimizer(run, model)
     shuffle_rng = np.random.default_rng((run.seed, 101))
     sample_rng = np.random.default_rng((run.seed, run.plan.seed, 202))
 

@@ -25,9 +25,13 @@ lacks, computed by the current code; delete an entry to recompute it.
 The hop recursion's bincount segment sums are also checked bit for bit
 against an ``np.add.at`` oracle (``_propagate_add_at``, the segment sum the
 recursion used before): ``kernels._walk_matrix`` and ``kernels.count_walks``
-must equal the recursion built on it exactly.  Likewise
-``layers._sampled_field`` must equal, bit for bit and in the generator state
-it leaves, the per-visit walk it replaced (``_sampled_field_per_visit``).
+must equal the recursion built on it exactly.  So must ``autodiff``'s column
+scatters, ``segment_sum`` and ``gather``'s gradient, against the ``np.add.at``
+scatter they used before (``_scatter_add_at``), and the parameter arena's
+Adam and SGD steps against the per-tensor updates they replaced
+(``_AdamPerTensor``, ``_SgdPerTensor``).  Likewise ``layers._sampled_field``
+must equal, bit for bit and in the generator state it leaves, the per-visit
+walk it replaced (``_sampled_field_per_visit``).
 """
 
 import json
@@ -220,6 +224,140 @@ def test_hop_recursion_against_a_linkless_graph():
             new = K._walk_matrix(a, b, hops, 0.5)
             assert np.array_equal(new, _walk_matrix_add_at(a, b, hops, 0.5))
             assert hops == 0 or not new.any()
+
+
+def _scatter_add_at(x, idx, n):
+    """(rows, n) zeros with column j of x added into column idx[j] by
+    ``np.add.at``: the scatter ``segment_sum`` and ``gather``'s gradient
+    used before their bincount."""
+    out = np.zeros((x.shape[0], n))
+    np.add.at(out, (slice(None), idx), x)
+    return out
+
+
+def _gather_vjp(a, idx, g):
+    """``gather``'s gradient of ``a`` at the output gradient ``g``, as the
+    tape records it."""
+    with ad.Tape() as tape:
+        ad.gather(ad.Tensor2(a, requires_grad=True), idx)
+    (_, _, vjp), = tape._nodes
+    (out,) = vjp(g)
+    return out
+
+
+def _scatter_cases():
+    """(id, x, idx, n) inputs of the scatters."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, 40)) * 10.0 ** rng.integers(-8, 9, size=(5, 40))
+    idx = rng.integers(0, 7, size=40)
+    empty = np.zeros(0, dtype=np.intp)
+    strided = rng.normal(size=(10, 80))[::2, ::2]
+    assert not strided.flags.c_contiguous
+    return [("repeated-unsorted", x, idx, 7),
+            ("sorted-descending", x, np.sort(idx)[::-1], 9),
+            ("empty-index", x[:, :0], empty, 4),
+            ("one-row", x[:1], idx, 7),
+            ("one-row-no-columns", x[:1, :0], empty, 0),
+            ("strided", strided, idx, 7),
+            ("fortran-order-list-index", np.asfortranarray(x), idx.tolist(),
+             8)]
+
+
+def _dot_all(t):
+    """The sum of every entry of ``t`` as a (1, 1) tensor, by ``matvec``s
+    with rows of ones (each product by 1.0 is exact)."""
+    rows = ad.matvec(ad.Tensor2(np.ones((1, t.shape[0]))), t)
+    return ad.matvec(rows, ad.Tensor2(np.ones((t.shape[1], 1))))
+
+
+@pytest.mark.parametrize("x, idx, n", [c[1:] for c in _scatter_cases()],
+                         ids=[c[0] for c in _scatter_cases()])
+def test_scatters_match_add_at_oracle(x, idx, n):
+    want = _scatter_add_at(x, idx, n)
+    got = ad.segment_sum(ad.Tensor2(x), idx, n).data
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    got = _gather_vjp(np.zeros((x.shape[0], n)), idx, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_gather_gradient_through_the_tape_matches_add_at_oracle():
+    rng = np.random.default_rng(12)
+    a = ad.Tensor2(rng.normal(size=(3, 6)), requires_grad=True)
+    idx = np.array([5, 0, 5, 2, 5, 0, 1])
+    w = rng.normal(size=(3, idx.size)) * 1e6
+    with ad.Tape() as tape:
+        loss = _dot_all(ad.hadamard(ad.gather(a, idx), ad.Tensor2(w)))
+        tape.backward(loss)
+    assert np.array_equal(a.grad, _scatter_add_at(w, idx, 6))
+
+
+class _SgdPerTensor:
+    """The per-tensor SGD update the arena step replaced."""
+
+    def __init__(self, params, lr, weight_decay=0.0):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+
+    def step(self):
+        for _, t in self.params:
+            g = t.grad + self.weight_decay * t.data
+            t.data -= self.lr * g
+
+
+class _AdamPerTensor:
+    """The per-tensor Adam update the arena step replaced."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=0.0):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in params}
+        self.v = {name: np.zeros_like(t.data) for name, t in params}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, t in self.params:
+            g = t.grad + self.weight_decay * t.data
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / (1 - b1 ** self.t)
+            vhat = self.v[name] / (1 - b2 ** self.t)
+            t.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arch", ["wl", "sage"])
+def test_arena_step_matches_per_tensor_oracle(optimizer, arch):
+    """25 steps of the arena's Adam and SGD, with weight decay and the
+    gradients of real batches, equal the per-tensor updates bit for bit."""
+    g, split = G.synth_graph("interaction", 40, seed=3)
+    run = T.TrainRun(arch=arch, hidden=4, depth=2, optimizer=optimizer,
+                     lr=0.05, weight_decay=0.01, seed=5)
+    model = T.build_model(g, run)
+    opt = T.make_optimizer(run, model)
+    copies = [(name, ad.Tensor2(t.data.copy(), requires_grad=True))
+              for name, t in model.parameters()]
+    oracle = (_AdamPerTensor(copies, run.lr, run.beta1, run.beta2,
+                             weight_decay=run.weight_decay)
+              if optimizer == "adam" else
+              _SgdPerTensor(copies, run.lr, run.weight_decay))
+    for step in range(25):
+        batch = split.train[(4 * step) % 24:(4 * step) % 24 + 4]
+        with ad.Tape() as tape:
+            loss = T.batch_loss(g, model, batch)
+            model.zero_grad()
+            tape.backward(loss)
+        for (_, t), (_, c) in zip(model.parameters(), copies):
+            c.grad[...] = t.grad
+        opt.step()
+        oracle.step()
+        for (name, t), (_, c) in zip(model.parameters(), copies):
+            assert np.array_equal(t.data, c.data), (step, name)
 
 
 def compute_kernels():

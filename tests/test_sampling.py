@@ -470,7 +470,7 @@ class TestRefresh:
         g, split = G.synth_graph("interaction", 40, seed=7)
         run = T.TrainRun(arch=arch, hidden=4, depth=depth, lr=0.05, seed=7)
         model = T.build_model(g, run)
-        opt = T.make_optimizer(run, model.parameters())
+        opt = T.make_optimizer(run, model)
         plan = S.SamplePlan(strategy=strategy, sample_size=2,
                             refresh_interval=interval)
         batched, eager = S.SamplerState(), S.SamplerState()

@@ -1,6 +1,7 @@
 """Training loop, metrics, contamination and the experiment drivers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestTrain:
             model.zero_grad()
             tape.backward(loss)
         before = loss.item()
-        T.Sgd(model.parameters(), 1e-4).step()
+        T.Sgd(model, 1e-4).step()
         after = T.batch_loss(g, model, batch).item()
         assert after < before
 
@@ -120,6 +121,52 @@ class TestTrain:
         meta = model2.load(prefix)
         assert meta["seed"] == run.seed
         assert model2.predict(g, split.test) == model.predict(g, split.test)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("arch", ["rw", "wl", "sage", "concat"])
+    def test_parameters_live_in_the_arena(self, arch, optimizer, tmp_path):
+        """After ``build_model``, ``load`` and ``restore`` every parameter's
+        data and gradient are views of the arena, so a step moves the values
+        loaded; a ``frozen()`` copy taken before the step keeps its values."""
+        g, split = G.synth_graph("interaction", 40, seed=7)
+        run = quick_run(arch=arch, depth=2, optimizer=optimizer)
+        trained, _ = T.train(g, split, replace(run, max_epochs=1))
+        prefix = str(tmp_path / "model")
+        trained.save(prefix)
+        model = T.build_model(g, run)
+
+        def in_arena():
+            params = model.parameters()
+            assert sum(t.data.size for _, t in params) == model.data.size
+            for name, t in params:
+                assert np.shares_memory(t.data, model.data), name
+                assert np.shares_memory(t.grad, model.grad), name
+
+        in_arena()
+        snap = model.snapshot()
+        model.load(prefix)
+        in_arena()
+        for (_, a), (_, b) in zip(model.snapshot(), trained.snapshot()):
+            assert np.array_equal(a, b)
+        loaded = model.snapshot()
+        frozen = model.stack.frozen()
+        before = [t.data.copy() for _, t in frozen.parameters()]
+        opt = T.make_optimizer(run, model)
+        with ad.Tape() as tape:
+            loss = T.batch_loss(g, model, split.train[:8])
+            model.zero_grad()
+            tape.backward(loss)
+        assert model.grad.any()
+        opt.step()
+        moved = [not np.array_equal(a, t.data)
+                 for (_, a), (_, t) in zip(loaded, model.parameters())]
+        assert any(moved)
+        for b, (_, t) in zip(before, frozen.parameters()):
+            assert np.array_equal(b, t.data)
+        model.restore(snap)
+        in_arena()
+        for (_, a), (_, b) in zip(model.snapshot(), snap):
+            assert np.array_equal(a, b)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         g, _ = G.synth_graph("interaction", 40, seed=7)
