@@ -1,18 +1,25 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 Everything is a 2-D array with one column per item (a node or an arc); a
-single vector is an (n, 1) column.  Ops executed inside a ``Tape`` context
-record their backward rules; outside any tape they run forward-only, which
-doubles as the fast no-grad path.  Broadcasting happens only where an op says
-so (``scale`` by a scalar or a row of per-column factors, ``add_bias`` of a
-column); any other shape disagreement raises.  Column scatters (``segment_sum``
-and the gradient of ``gather``) are one ``np.bincount`` each, whose sums are
-bit for bit those of ``np.add.at``.
+single vector is an (n, 1) column.  A tensor is *tracked* when it is a
+``requires_grad`` leaf, or the output of an op run inside a ``Tape`` with at
+least one tracked input.  The tape records only ops whose output is tracked,
+that is ops downstream of a parameter, and each backward rule computes
+gradients only for its tracked inputs (``None`` for the rest): an op on
+constants alone, such as a gather of node features, costs its forward and
+nothing more.  Outside any tape nothing is tracked or recorded, which is the
+fast no-grad path.  ``affine`` is the one linear op (``matvec`` is its
+one-block case).  Broadcasting happens only where an op says so (``scale`` by
+a scalar or a row of per-column factors, ``affine``'s bias column); any other
+shape disagreement raises.  Column scatters (``segment_sum`` and the gradient
+of ``gather``) are one ``np.bincount`` each, whose sums are bit for bit those
+of ``np.add.at``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from .fileio import atomic_write
 class Tensor2:
     """A rows x cols float64 value, optionally a gradient-carrying leaf."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "tracked")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -31,7 +38,7 @@ class Tensor2:
         if arr.ndim != 2:
             raise ValueError("Tensor2 data must be 1-D or 2-D")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = self.tracked = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
 
     @property
@@ -42,10 +49,6 @@ class Tensor2:
         if self.data.size != 1:
             raise ValueError("item() requires a scalar tensor")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return "Tensor2(%r, requires_grad=%r)" % (self.data, self.requires_grad)
@@ -59,7 +62,8 @@ _ACTIVE = []
 
 
 class Tape:
-    """Execution-ordered record of ops; backward replays it in reverse."""
+    """Execution-ordered record of the ops on tracked tensors; backward
+    replays it in reverse."""
 
     def __init__(self):
         self._nodes = []
@@ -91,6 +95,8 @@ class Tape:
             if g is None:
                 continue
             for t, gt in zip(inputs, vjp(g)):
+                if gt is None:  # an untracked input
+                    continue
                 if t.requires_grad:  # a leaf: no op reads its gradient
                     t.grad += gt
                     continue
@@ -107,41 +113,64 @@ def _finite(arr, op):
     return arr
 
 
-def _make(data, op, inputs=None, vjp=None):
+def _make(data, op, inputs, vjp):
+    """The output tensor of an op; tracked, and recorded on the active tape,
+    when the op runs on a tape and any input is tracked."""
     out = Tensor2(_finite(data, op))
-    if _ACTIVE and vjp is not None:
+    if _ACTIVE and any(t.tracked for t in inputs):
+        out.tracked = True
         _ACTIVE[-1].record(out, inputs, vjp)
     return out
 
 
+def affine(w, xs, b=None):
+    """Y = sum_i W[:, block_i] X_i (+ b): W's columns split into consecutive
+    blocks, one per X_i, applied in order; then the column b (rows, 1), if
+    given, added to every column.  The stacked input is never built."""
+    (m, n), (rows, cols) = w.data.shape, xs[0].data.shape
+    blocks = [w.data]  # one block is W itself: a product with a view costs more
+    if len(xs) > 1:
+        blocks, rows = [], 0
+        for x in xs:
+            blocks.append(w.data[:, rows:rows + x.data.shape[0]])
+            rows += x.data.shape[0]
+    if rows != n or len(xs) > 1 and {x.data.shape[1] for x in xs} != {cols}:
+        raise ValueError("affine shape mismatch: %s vs %s"
+                         % (w.shape, [x.shape for x in xs]))
+    if b is not None and b.data.shape != (m, 1):
+        raise ValueError("affine bias shape mismatch: %s vs %s"
+                         % (w.shape, b.shape))
+    y = None
+    for wx, x in zip(blocks, xs):
+        y = wx @ x.data if y is None else y + wx @ x.data
+    if b is not None:
+        y = y + b.data
+
+    def vjp(g):
+        gw = None
+        if w.tracked:
+            gw = [g @ x.data.T for x in xs]
+            gw = gw[0] if len(gw) == 1 else np.concatenate(gw, axis=1)
+        out = [gw] + [wx.T @ g if x.tracked else None
+                      for wx, x in zip(blocks, xs)]
+        if b is not None:
+            out.append(np.sum(g, axis=1, keepdims=True) if b.tracked else None)
+        return out
+
+    return _make(y, "affine", (w, *xs) if b is None else (w, *xs, b), vjp)
+
+
 def matvec(w, x):
     """Y = W X with W (m, n) and X (n, k): W applied to every column of X."""
-    m, n = w.shape
-    if x.shape[0] != n:
-        raise ValueError("matvec shape mismatch: %s vs %s" % (w.shape, x.shape))
-    y = w.data @ x.data
-
-    def vjp(g):
-        return g @ x.data.T, w.data.T @ g
-
-    return _make(y, "matvec", (w, x), vjp)
-
-
-def add_bias(a, b):
-    """a + b with the column b (rows, 1) added to every column of a."""
-    if b.shape != (a.shape[0], 1):
-        raise ValueError("add_bias shape mismatch: %s vs %s" % (a.shape, b.shape))
-
-    def vjp(g):
-        return g, np.sum(g, axis=1, keepdims=True)
-
-    return _make(a.data + b.data, "add_bias", (a, b), vjp)
+    return affine(w, (x,))
 
 
 def add(a, b):
     if a.shape != b.shape:
         raise ValueError("add shape mismatch: %s vs %s" % (a.shape, b.shape))
-    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    return _make(a.data + b.data, "add", (a, b),
+                 lambda g: (g if a.tracked else None,
+                            g if b.tracked else None))
 
 
 def hadamard(a, b):
@@ -149,7 +178,8 @@ def hadamard(a, b):
         raise ValueError("hadamard shape mismatch: %s vs %s" % (a.shape, b.shape))
 
     def vjp(g):
-        return g * b.data, g * a.data
+        return (g * b.data if a.tracked else None,
+                g * a.data if b.tracked else None)
 
     return _make(a.data * b.data, "hadamard", (a, b), vjp)
 
@@ -163,7 +193,9 @@ def scale(a, s):
         raise ValueError("scale factor must be a (1, %d) row" % a.shape[1])
 
     def vjp(g):
-        return g * s.data, np.sum(g * a.data, axis=0, keepdims=True)
+        return (g * s.data if a.tracked else None,
+                np.sum(g * a.data, axis=0, keepdims=True) if s.tracked
+                else None)
 
     return _make(a.data * s.data, "scale", (a, s), vjp)
 
@@ -195,14 +227,19 @@ def segment_sum(a, idx, n):
 
 def concat(parts):
     """Vertically stack tensors with equal column counts."""
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ValueError("concat of an empty list")
     if len({p.shape[1] for p in parts}) != 1:
         raise ValueError("concat expects equal column counts")
     out = np.concatenate([p.data for p in parts], axis=0)
-    cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
-    return _make(out, "concat", tuple(parts), lambda g: tuple(np.split(g, cuts)))
+    cuts = list(accumulate((p.shape[0] for p in parts), initial=0))
+
+    def vjp(g):
+        return [g[lo:hi] if p.tracked else None
+                for p, lo, hi in zip(parts, cuts, cuts[1:])]
+
+    return _make(out, "concat", parts, vjp)
 
 
 def sigmoid(a):

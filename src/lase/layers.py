@@ -146,26 +146,21 @@ class LayerStack:
 # plus, per layer l >= 1, the arcs feeding its nodes: graph arc ids, the
 # position of each arc's destination in layer l's node list, and a row of
 # sampling coefficients (None under full neighborhoods).  Every tensor has one
-# column per node or per arc.  Under a Tape the ops record their gradients
-# (training); without one they run forward-only (evaluation, refresh and the
-# Theorem-1 check).
+# column per node or per arc.  Under a Tape the ops downstream of a parameter
+# record their gradients (training); without one they run forward-only
+# (evaluation, refresh and the Theorem-1 check).
 # ---------------------------------------------------------------------------
 
 def gate(h_u, h_v, fe, p, stack):
     """Neighbor gates sigmoid(V [h_u; fe; h_v] + b), one per column; a plain
     constant in kernel mode.
 
-    V is applied block by block, so the stacked input is never built: that
-    would be the largest per-arc tensor of a layer.
+    ``affine`` applies V block by block, so the stacked input is never built:
+    that would be the largest per-arc tensor of a layer.
     """
     if stack.kernel_mode:
         return stack.constant_decay
-    z, ofs = None, 0
-    for x in (h_u, fe, h_v):
-        zx = ad.matvec(ad.gather(p.V, np.arange(ofs, ofs + x.shape[0])), x)
-        z = zx if z is None else ad.add(z, zx)
-        ofs += x.shape[0]
-    return ad.sigmoid(ad.add_bias(z, p.b))
+    return ad.sigmoid(ad.affine(p.V, (h_u, fe, h_v), p.b))
 
 
 def amplifier(h_v, fe, p, stack):

@@ -280,7 +280,7 @@ def make_optimizer(run, model):
 def batch_loss(g, model, batch, plan=None, state=None, rng=None):
     """Mean cross-entropy over a batch (taped)."""
     h = layers.forward(g, model.stack, batch, plan=plan, state=state, rng=rng)
-    logits = ad.add_bias(ad.matvec(model.C, h), model.c)
+    logits = ad.affine(model.C, (h,), model.c)
     total = ad.softmax_cross_entropy(logits, [g.labels[u] for u in batch])
     return ad.scale(total, 1.0 / len(batch))
 

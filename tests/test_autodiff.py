@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from lase import autodiff as ad
+from lase import graph as G
+from lase import layers as L
+from lase import sampling as S
+from lase import training as T
 
 from util import dot, finite_diff_worst
 
@@ -24,6 +28,16 @@ class TestForward:
     def test_matvec_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.matvec(t(np.eye(2)), t([1, 2, 3]))
+
+    @pytest.mark.parametrize("w, xs, b", [
+        ((1, 4), [(2, 3), (2, 2)], None),  # block columns disagree
+        ((1, 4), [(2, 3), (1, 3)], None),  # blocks cover 3 of 4 columns
+        ((1, 4), [(4, 3)], (2, 1)),  # bias rows disagree
+    ])
+    def test_affine_shape_mismatch(self, w, xs, b):
+        with pytest.raises(ValueError):
+            ad.affine(t(np.ones(w)), [t(np.ones(x)) for x in xs],
+                      None if b is None else t(np.ones(b)))
 
     def test_hadamard(self):
         c = ad.hadamard(t([1, 2]), t([3, 4]))
@@ -160,6 +174,97 @@ class TestBackward:
 
         worst = finite_diff_worst([("w", w), ("u", u), ("b", b)], loss_fn)
         assert worst < 1e-4
+
+
+def _model_batch(arch, depth, strategy):
+    """A model, a batch and the arguments of a sampled ``batch_loss`` (after
+    a refresh) on a small interaction graph."""
+    g, split = G.synth_graph("interaction", 40, seed=3)
+    model = T.build_model(g, T.TrainRun(arch=arch, hidden=4, depth=depth,
+                                        seed=2))
+    batch = split.train[:6]
+    plan = S.SamplePlan(strategy=strategy, sample_size=2)
+    state = S.SamplerState()
+    if strategy != "full":
+        S.refresh(state, g, model.stack, plan, batch)
+    return g, model, batch, (plan, state, np.random.default_rng(1))
+
+
+class TestPruning:
+    """The tape records only ops downstream of a tracked tensor, and no
+    backward rule computes an untracked input's gradient."""
+
+    def test_ops_on_untracked_inputs_record_nothing(self):
+        w, x = t(np.eye(2)), t([3.0, 4.0])
+        with ad.Tape() as tape:
+            y = ad.concat([ad.sigmoid(ad.matvec(w, x)), ad.gather(x, [0])])
+            z = ad.affine(w, (ad.hadamard(x, x),), t([[1.0], [2.0]]))
+        assert tape._nodes == [] and not y.tracked and not z.tracked
+
+    def test_ops_off_the_tape_are_untracked(self):
+        w = t(np.eye(2), grad=True)
+        assert w.tracked and not ad.matvec(w, t([3.0, 4.0])).tracked
+
+    def test_only_ops_downstream_of_a_leaf_are_recorded(self):
+        w, x = t([[1.0, 2.0]], grad=True), t([3.0, 4.0])
+        with ad.Tape() as tape:
+            c = ad.relu(x)
+            y = ad.add(ad.matvec(w, c), ad.matvec(t([[1.0, 1.0]]), c))
+        assert len(tape._nodes) == 2 and tape._nodes[-1][0] is y
+        assert y.tracked and not c.tracked
+
+    @pytest.mark.parametrize("arch", L.ARCHITECTURES)
+    @pytest.mark.parametrize("strategy", ["full", "minvar"])
+    def test_no_gradient_is_computed_for_an_untracked_input(
+            self, arch, strategy, monkeypatch):
+        """A spy on every recorded backward rule: the gradient of each
+        untracked input is None, that of each tracked input an array."""
+        g, model, batch, sampled = _model_batch(arch, 2, strategy)
+        seen = {"untracked": 0, "tracked": 0}
+        record = ad.Tape.record
+
+        def spy(tape, out, inputs, vjp):
+            def checked(grad):
+                grads = list(vjp(grad))
+                assert len(grads) == len(inputs)
+                for x, gx in zip(inputs, grads):
+                    assert (gx is None) != x.tracked
+                    seen["tracked" if x.tracked else "untracked"] += 1
+                return grads
+            record(tape, out, inputs, checked)
+
+        monkeypatch.setattr(ad.Tape, "record", spy)
+        with ad.Tape() as tape:
+            loss = T.batch_loss(g, model, batch, *sampled)
+            model.zero_grad()
+            tape.backward(loss)
+        assert seen["tracked"] and seen["untracked"]
+
+    @pytest.mark.parametrize("arch", L.ARCHITECTURES)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["full", "minvar"])
+    def test_every_leaf_gets_the_unpruned_gradient(self, arch, depth,
+                                                   strategy, monkeypatch):
+        """Every parameter's gradient is bit for bit the one of a tape on
+        which the node and link features are tracked leaves too, so that
+        every op of the forward is recorded and differentiated."""
+        def grads():
+            g, model, batch, sampled = _model_batch(arch, depth, strategy)
+            with ad.Tape() as tape:
+                loss = T.batch_loss(g, model, batch, *sampled)
+                model.zero_grad()
+                tape.backward(loss)
+            assert all(t.grad.any() for _, t in model.parameters())
+            return loss.item(), model.grad.copy(), len(tape._nodes)
+
+        pruned = grads()
+        monkeypatch.setattr(L, "_cols", lambda mat, ids: ad.Tensor2(
+            mat[ids].T, requires_grad=True))
+        whole = grads()
+        assert pruned[0] == whole[0]
+        assert np.array_equal(pruned[1], whole[1])
+        # rw's layer 0 is a product with W0, so nothing of it is constant
+        assert pruned[2] < whole[2] or arch == "rw"
 
 
 class TestCheckpoint:

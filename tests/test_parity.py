@@ -29,13 +29,16 @@ must equal the recursion built on it exactly.  So must ``autodiff``'s column
 scatters, ``segment_sum`` and ``gather``'s gradient, against the ``np.add.at``
 scatter they used before (``_scatter_add_at``), and the parameter arena's
 Adam and SGD steps against the per-tensor updates they replaced
-(``_AdamPerTensor``, ``_SgdPerTensor``).  Likewise ``layers._sampled_field``
+(``_AdamPerTensor``, ``_SgdPerTensor``), and the gate and classifier head,
+one ``autodiff.affine`` each, against the op compositions they replaced
+(``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.  Likewise ``layers._sampled_field``
 must equal, bit for bit and in the generator state it leaves, the per-visit
 walk it replaced (``_sampled_field_per_visit``).
 """
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,6 +361,102 @@ def test_arena_step_matches_per_tensor_oracle(optimizer, arch):
         oracle.step()
         for (name, t), (_, c) in zip(model.parameters(), copies):
             assert np.array_equal(t.data, c.data), (step, name)
+
+
+def _matvec_op(w, x):
+    """W X as its own op, with the gradients g X^T and W^T g: the matrix
+    product before ``affine``."""
+    return ad._make(w.data @ x.data, "matvec", (w, x),
+                    lambda g: (g @ x.data.T, w.data.T @ g))
+
+
+def _add_bias_op(a, b):
+    """a plus the column b added to every column, as its own op."""
+    return ad._make(a.data + b.data, "add_bias", (a, b),
+                    lambda g: (g, np.sum(g, axis=1, keepdims=True)))
+
+
+def _gate_ops(h_u, h_v, fe, p, stack):
+    """``layers.gate`` as 10 ops: three ``gather``s of V's column blocks,
+    three products, two ``add``s, the bias and the sigmoid."""
+    if stack.kernel_mode:
+        return stack.constant_decay
+    z, ofs = None, 0
+    for x in (h_u, fe, h_v):
+        zx = _matvec_op(ad.gather(p.V, np.arange(ofs, ofs + x.shape[0])), x)
+        z = zx if z is None else ad.add(z, zx)
+        ofs += x.shape[0]
+    return ad.sigmoid(_add_bias_op(z, p.b))
+
+
+def _head_ops(model, h):
+    """The classifier logits as a product and a bias op."""
+    return _add_bias_op(_matvec_op(model.C, h), model.c)
+
+
+def _leaf(rng, *shape):
+    return ad.Tensor2(rng.normal(size=shape), requires_grad=True)
+
+
+def _backward(loss_of, leaves):
+    """(output values, each leaf's gradient) of ``_dot_all`` of the output
+    weighted by a fixed random matrix."""
+    for t in leaves:
+        t.grad[...] = 0.0
+    with ad.Tape() as tape:
+        out = loss_of()
+        w = np.random.default_rng(0).normal(size=out.shape)
+        tape.backward(_dot_all(ad.hadamard(out, ad.Tensor2(w))))
+    return out.data, [t.grad.copy() for t in leaves]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_affine_gate_and_head_match_op_compositions(seed):
+    rng = np.random.default_rng(seed)
+    d, dl, k = 5, 3, 17
+    p = SimpleNamespace(V=_leaf(rng, 1, 2 * d + dl), b=_leaf(rng, 1, 1))
+    h_u, h_v = _leaf(rng, d, k), _leaf(rng, d, k)
+    fe = ad.Tensor2(rng.normal(size=(dl, k)))
+    stack = SimpleNamespace(kernel_mode=False)
+    leaves = [p.V, p.b, h_u, h_v]
+    new = _backward(lambda: L.gate(h_u, h_v, fe, p, stack), leaves)
+    old = _backward(lambda: _gate_ops(h_u, h_v, fe, p, stack), leaves)
+    for a, b in zip([new[0]] + new[1], [old[0]] + old[1]):
+        assert np.array_equal(a, b)
+
+    model = SimpleNamespace(C=_leaf(rng, 3, d), c=_leaf(rng, 3, 1))
+    leaves = [model.C, model.c, h_u]
+    new = _backward(lambda: ad.affine(model.C, (h_u,), model.c), leaves)
+    old = _backward(lambda: _head_ops(model, h_u), leaves)
+    for a, b in zip([new[0]] + new[1], [old[0]] + old[1]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("arch", ["rw", "wl", "sage"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_batch_loss_matches_op_compositions(gname, arch, depth, monkeypatch):
+    """A batch's loss and every parameter gradient are bit for bit those
+    of the gate and head built from single ops."""
+    g, batch = graphs()[gname]
+    model = T.build_model(g, T.TrainRun(arch=arch, hidden=4, depth=depth,
+                                        seed=6))
+
+    def run(loss_of):
+        with ad.Tape() as tape:
+            loss = loss_of()
+            model.zero_grad()
+            tape.backward(loss)
+        return loss.item(), model.grad.copy()
+
+    new = run(lambda: T.batch_loss(g, model, list(batch)))
+    monkeypatch.setattr(L, "gate", _gate_ops)
+    labels = [g.labels[u] for u in batch]
+    old = run(lambda: ad.scale(ad.softmax_cross_entropy(
+        _head_ops(model, L.forward(g, model.stack, list(batch))), labels),
+        1.0 / len(batch)))
+    assert new[0] == old[0]
+    assert np.array_equal(new[1], old[1])
 
 
 def compute_kernels():

@@ -90,6 +90,26 @@ class TestTrain:
         _, h2 = T.train(g, split, run)
         assert h1.train_loss == h2.train_loss
 
+    @pytest.mark.parametrize("depth, strategy, ops", [
+        (1, "full", 13),  # the train-full benchmark configuration
+        (2, "minvar", 28),  # the train-minvar benchmark configuration
+    ])
+    def test_tape_ops_per_batch(self, depth, strategy, ops):
+        """The tape size of one sage batch is pinned: one op per
+        layer-level tensor downstream of a parameter."""
+        g, split = G.synth_graph("interaction", 60, seed=3)
+        plan = S.SamplePlan(strategy=strategy, sample_size=3)
+        run = quick_run(hidden=16, depth=depth, plan=plan)
+        model = T.build_model(g, run)
+        state = S.SamplerState()
+        batch = list(split.train)[:16]
+        if strategy != "full":
+            S.refresh(state, g, model.stack, plan, batch)
+        with ad.Tape() as tape:
+            T.batch_loss(g, model, batch, plan, state,
+                         np.random.default_rng(0))
+        assert len(tape._nodes) == ops
+
     def test_single_sgd_step_decreases_loss(self):
         g, split = G.synth_graph("interaction", 40, seed=5)
         run = quick_run(optimizer="sgd", lr=1e-4)

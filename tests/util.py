@@ -35,7 +35,7 @@ def finite_diff_worst(params, loss_fn, h=1e-6):
     with ad.Tape() as tape:
         loss = loss_fn()
         for _, t in params:
-            t.zero_grad()
+            t.grad[...] = 0.0
         tape.backward(loss)
     worst = 0.0
     for _, t in params:
