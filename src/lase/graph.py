@@ -339,11 +339,6 @@ def _pairing_rule(g):
     return np.bincount(g.arc_dst, weights=terms, minlength=g.n_nodes)
 
 
-def interaction_label(g, u):
-    """Replay the interaction generator's labelling rule for node u."""
-    return int(_pairing_rule(g)[u] > 0.0)
-
-
 def synth_graph(kind, n, seed=0):
     """Generate a labelled synthetic graph and a split.
 

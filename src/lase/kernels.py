@@ -124,7 +124,12 @@ def _walk_matrix(g1, g2, hops, decay):
 
 
 def neighborhood_kernel(g1, g2, u, u2, cfg):
-    """l-hop neighborhood kernel between node u of g1 and u2 of g2."""
+    """l-hop neighborhood kernel between node u of g1 and u2 of g2; a node
+    id outside its graph is a ValueError."""
+    for name, v, g in (("u", u, g1), ("u2", u2, g2)):
+        if not 0 <= v < g.n_nodes:
+            raise ValueError("%s=%d is not a node id in [0, %d)"
+                             % (name, v, g.n_nodes))
     return float(_walk_matrix(g1, g2, cfg.hops, cfg.decay)[u, u2])
 
 

@@ -16,7 +16,8 @@ node-sum reproduces the random-walk kernel in kernel mode (Theorem 1, see
 kernels.check_theorem1).
 
 Kernel mode replaces every gate by a constant decay and removes activations,
-turning the rw stack into an exact walk-sum evaluator.
+turning the rw stack into an exact walk-sum evaluator; its layers gather no
+gate inputs, since the constant reads none.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ class LayerStack:
 # ---------------------------------------------------------------------------
 
 def gate(h_u, h_v, fe, p, stack):
-    """Neighbor gates sigmoid(V [h_u; fe; h_v] + b), one per column; a plain
-    constant in kernel mode.
+    """Neighbor gates sigmoid(V [h_u; fe; h_v] + b), one per column; in
+    kernel mode the plain constant decay, which reads no input (``_layer``
+    passes h_u=None there).
 
     ``affine`` applies V block by block, so the stacked input is never built:
     that would be the largest per-arc tensor of a layer.
@@ -185,6 +187,14 @@ def _positions(g, nodes):
     pos = np.empty(g.n_nodes, dtype=np.intp)
     pos[nodes] = np.arange(len(nodes))
     return pos
+
+
+def _whole_field(g, depth):
+    """``_full_field`` below every node, known without a search: each layer
+    holds every node, and each layer's arcs are every arc, with its
+    destination's id as its position."""
+    arcs = (np.arange(len(g.arc_src)), g.arc_dst, None)
+    return [np.arange(g.n_nodes)] * (depth + 1), [None] + [arcs] * depth
 
 
 def _full_field(g, top, depth):
@@ -319,8 +329,10 @@ def _layer(g, stack, l, nodes, pos, arcs, h, r):
 
     # Off the tape each per-arc tensor is freed once used, so a full forward
     # holds at most three at a time (gathered neighbors, amplifier, summand).
+    # The kernel-mode gate is a constant and reads no h_u: gather none.
     own = pos[l - 1][nodes[l]]
-    lam = gate(ad.gather(h, own[dst]), hv, fe, p, stack)
+    lam = gate(None if stack.kernel_mode else ad.gather(h, own[dst]),
+               hv, fe, p, stack)
     if stack.arch == "sage":
         core = amplifier(hv, fe, p, stack)
     else:
@@ -384,7 +396,8 @@ def forward(g, stack, batch, plan=None, state=None, rng=None):
 
 
 def field_forward(g, stack, nodes, arcs):
-    """Untaped forward over a full-neighborhood field of ``_full_field``.
+    """Untaped forward over a full-neighborhood field: ``_full_field``'s, or
+    ``_whole_field``'s for every node, which builds no receptive field.
 
     Returns {"H": [array (len(nodes[l]), dim_l) per layer], "gates": [None,
     array (A_l,) per layer], "terms": [None, array (dim, A_l) per layer]}:
@@ -400,11 +413,6 @@ def field_forward(g, stack, nodes, arcs):
 
 def full_forward(g, stack):
     """``field_forward`` over every node: rows of H are nodes, and gates and
-    terms are per arc, in the graph's arc order."""
-    return field_forward(g, stack, *_full_field(g, np.arange(g.n_nodes),
-                                                stack.depth))
-
-
-def wl_relabel(g, stack, d):
-    """Relabeling rounds r(0)=f(u) .. r(d) as an array; rows are nodes."""
-    return _relabel(g, stack, *_full_field(g, np.arange(g.n_nodes), d)).data.T
+    terms are per arc, in the graph's arc order.  The field is
+    ``_whole_field``: no receptive field is searched for."""
+    return field_forward(g, stack, *_whole_field(g, stack.depth))

@@ -238,9 +238,11 @@ def refresh(state, g, stack, plan, batch=None):
 def _weigh(state, g, plan, batch):
     """Weigh the batch field's arcs still NaN; no forward runs if none are."""
     depth = state.params.depth
-    top = (np.arange(g.n_nodes) if batch is None
-           else np.unique(np.asarray(batch, dtype=np.intp)))
-    nodes, arcs = layers._full_field(g, top, depth)
+    if batch is None:
+        nodes, arcs = layers._whole_field(g, depth)
+    else:
+        nodes, arcs = layers._full_field(
+            g, np.unique(np.asarray(batch, dtype=np.intp)), depth)
     fresh = [None] + [np.isnan(state.weights[l][arcs[l][0]])
                       for l in range(1, depth + 1)]
     if not any(m.any() for m in fresh[1:]):

@@ -207,7 +207,12 @@ def micro_f1(y_true, y_pred, n_labels):
 
 
 def _require_labels(g, nodes, name):
-    """Raise a ValueError naming the first node of ``nodes`` with no label."""
+    """Raise a ValueError naming the first id of ``nodes`` outside [0, n),
+    else the first node with no label."""
+    u = next((u for u in nodes if not 0 <= u < g.n_nodes), None)
+    if u is not None:
+        raise ValueError("%s node id %d is not in [0, %d)"
+                         % (name, u, g.n_nodes))
     u = next((u for u in nodes if g.labels[u] is None), None)
     if u is not None:
         raise ValueError("%s node %d has no label" % (name, u))

@@ -5,6 +5,8 @@ import pytest
 
 from lase import graph as G
 
+from util import interaction_label
+
 
 def write_graph(tmp_path, node_lines, link_lines):
     np_, lp = tmp_path / "nodes.tsv", tmp_path / "links.tsv"
@@ -208,7 +210,7 @@ class TestSynth:
 
     def test_interaction_rule_replay(self):
         g, _ = G.synth_graph("interaction", 200, seed=4)
-        agree = sum(G.interaction_label(g, u) == g.labels[u]
+        agree = sum(interaction_label(g, u) == g.labels[u]
                     for u in range(g.n_nodes))
         # Only exact ties get a random label.
         assert agree >= 0.95 * g.n_nodes

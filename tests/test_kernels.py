@@ -55,6 +55,15 @@ class TestNeighborhoodKernel:
         cfg = K.KernelConfig(0.5, 0)
         assert K.neighborhood_kernel(g1, g2, 0, 0, cfg) == 11.0
 
+    @pytest.mark.parametrize("u, u2, bad", [(-1, 0, "u=-1"), (2, 0, "u=2"),
+                                            (0, -1, "u2=-1"), (0, 3, "u2=3")])
+    def test_node_id_outside_graph(self, u, u2, bad):
+        """An id outside its graph is named, not wrapped or left to numpy."""
+        g1 = tiny_graph([[1.0], [2.0]], [(0, 1)], [[1.0]])
+        g2 = tiny_graph([[1.0], [1.0], [3.0]], [(1, 2)], [[2.0]])
+        with pytest.raises(ValueError, match=r"^%s is not a node id" % bad):
+            K.neighborhood_kernel(g1, g2, u, u2, K.KernelConfig(0.5, 1))
+
     def test_isolated_node_zero(self):
         g1 = tiny_graph([[1.0], [2.0]], [(0, 1)], [[1.0]])
         g2 = tiny_graph([[1.0], [1.0]], [], np.zeros((0, 1)))

@@ -10,7 +10,7 @@ from lase import layers as L
 from lase import sampling as S
 from lase import training as T
 
-from util import dot, finite_diff_worst
+from util import dot, finite_diff_worst, wl_relabel
 
 
 def small_graph(seed=7, n=20):
@@ -34,6 +34,27 @@ class TestGate:
         h = ad.Tensor2(np.full((4, 1), 9.0))
         fe = ad.Tensor2(np.ones(g.d_link))
         assert L.gate(h, h, fe, stack.layers[1], stack) == 0.3
+
+    @pytest.mark.parametrize("kernel_mode, per_layer", [(True, 2), (False, 3)])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_gathers_per_rw_layer(self, kernel_mode, per_layer, depth,
+                                  monkeypatch):
+        """An rw layer gathers its neighbors' columns, the W f(u) column of
+        each arc's destination and, unless the gate is kernel mode's
+        constant, the destination's own column h_u."""
+        g, _ = small_graph()
+        stack = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=depth,
+                             kernel_mode=kernel_mode, seed=0)
+        calls = []
+        gather = ad.gather
+
+        def counted(a, idx):
+            calls.append(len(idx))
+            return gather(a, idx)
+
+        monkeypatch.setattr(ad, "gather", counted)
+        L.full_forward(g, stack)
+        assert calls == [len(g.arc_src)] * (per_layer * depth)
 
     def test_gate_range(self):
         rng = np.random.default_rng(0)
@@ -141,7 +162,7 @@ class TestWlRelabel:
         stack = L.LayerStack("wl", g.d_node, g.d_link, hidden=4, depth=1,
                              wl_depth=3, seed=8)
         stack.P2.data[...] = 0.0
-        r = L.wl_relabel(g, stack, 2)
+        r = wl_relabel(g, stack, 2)
         expected = g.node_features.copy()
         for _ in range(2):
             expected = 1 / (1 + np.exp(-(expected @ stack.P1.data.T)))
@@ -151,7 +172,7 @@ class TestWlRelabel:
         nf = np.array([[0.5, 0.5], [1.0, 1.0], [2.0, 0.0]])
         g = G.AttributedGraph(nf, [None] * 3, [(0, 1)], np.ones((1, 1)), 1)
         stack = L.LayerStack("wl", 2, 1, hidden=3, depth=1, wl_depth=2, seed=9)
-        r = L.wl_relabel(g, stack, 1)
+        r = wl_relabel(g, stack, 1)
         expected = 1 / (1 + np.exp(-(stack.P1.data @ nf[2])))
         assert np.allclose(r[2], expected, atol=1e-12)
 
@@ -164,8 +185,8 @@ class TestWlRelabel:
                                links, g.link_features, g.n_labels)
         stack = L.LayerStack("wl", g.d_node, g.d_link, hidden=3, depth=1,
                              wl_depth=2, seed=10)
-        r1 = L.wl_relabel(g, stack, 1)
-        r2 = L.wl_relabel(g2, stack, 1)
+        r1 = wl_relabel(g, stack, 1)
+        r2 = wl_relabel(g2, stack, 1)
         s1 = sorted(tuple(row) for row in np.round(r1, 9))
         s2 = sorted(tuple(row) for row in np.round(r2, 9))
         assert s1 == s2

@@ -33,7 +33,9 @@ Adam and SGD steps against the per-tensor updates they replaced
 one ``autodiff.affine`` each, against the op compositions they replaced
 (``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.  Likewise ``layers._sampled_field``
 must equal, bit for bit and in the generator state it leaves, the per-visit
-walk it replaced (``_sampled_field_per_visit``).
+walk it replaced (``_sampled_field_per_visit``), and ``layers._whole_field``
+the field ``_full_field`` searches for below every node, with the
+``full_forward`` and eager-refresh weights over each equal bit for bit.
 """
 
 import json
@@ -610,6 +612,53 @@ def test_sampled_batch_of_isolated_nodes(arch, depth):
                for ids, dst, coef in arcs[1:])
     sampled = L.forward(g, stack, batch, plan, state, rng).data
     assert np.array_equal(sampled, L.forward(g, stack, batch).data)
+
+
+@pytest.mark.parametrize("gname", ["interaction", "directed",
+                                   "random+isolated", "no-links"])
+@pytest.mark.parametrize("sname", ["rw", "wl", "sage", "concat", "rw-kernel"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_whole_field_matches_searched_field(gname, sname, depth):
+    """``_whole_field`` is the field ``_full_field`` finds below every node,
+    and ``full_forward`` and the eager refresh give over it, bit for bit,
+    what they give over the searched field."""
+    g = graphs()[gname if gname == "random+isolated" else "interaction"][0]
+    if gname == "directed":
+        g = directed(g)
+    elif gname == "no-links":
+        g = G.AttributedGraph(g.node_features, g.labels, [],
+                              np.zeros((0, g.d_link)), g.n_labels)
+    nodes, arcs = L._whole_field(g, depth)
+    want_nodes, want_arcs = L._full_field(g, np.arange(g.n_nodes), depth)
+    assert len(nodes) == len(want_nodes) == depth + 1
+    for a, b in zip(nodes, want_nodes):
+        assert np.array_equal(a, b)
+    assert arcs[0] is want_arcs[0] is None
+    for (ids, dst, coef), (want_ids, want_dst, want_coef) in zip(
+            arcs[1:], want_arcs[1:]):
+        assert np.array_equal(ids, want_ids) and np.array_equal(dst, want_dst)
+        assert coef is want_coef is None
+
+    stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                         depth=depth, seed=5, **STACKS[sname])
+    new = L.full_forward(g, stack)
+    old = L.field_forward(g, stack, want_nodes, want_arcs)
+    for key in ("H", "gates", "terms"):
+        assert len(new[key]) == len(old[key]) == depth + 1
+        for l, (a, b) in enumerate(zip(new[key], old[key])):
+            assert (a is b is None if key != "H" and l == 0
+                    else np.array_equal(a, b)), (key, l)
+
+    # A refresh for the batch of every node weighs over the searched field.
+    for strategy in ("gate", "minvar"):
+        plan, eager, searched = (S.SamplePlan(strategy), S.SamplerState(),
+                                 S.SamplerState())
+        S.refresh(eager, g, stack, plan)
+        S.refresh(searched, g, stack, plan, np.arange(g.n_nodes))
+        for l in range(1, depth + 1):
+            assert not np.isnan(eager.weights[l]).any(), (strategy, l)
+            assert np.array_equal(eager.weights[l], searched.weights[l]), (
+                strategy, l)
 
 
 def compute_sampled():

@@ -67,6 +67,21 @@ class TestTrain:
         for (_, a), (_, b) in zip(before, model.snapshot()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [-20, -1, 20])
+    @pytest.mark.parametrize("where", ["train", "val", "test"])
+    def test_node_id_outside_graph(self, where, bad):
+        """An id outside [0, n) is named before any batch runs, not wrapped
+        to another node (-20 is node 0 of this 20-node graph)."""
+        g, split = G.synth_graph("interaction", 20, seed=1)
+        ids = {k: list(getattr(split, k)) for k in ("train", "val", "test")}
+        ids[where].insert(1, bad)
+        msg = r"^%s node id %d is not in \[0, 20\)$" % (where, bad)
+        with pytest.raises(ValueError, match=msg):
+            T.train(g, G.Split(**ids), quick_run(max_epochs=1))
+        model = T.build_model(g, quick_run())
+        with pytest.raises(ValueError, match=r"^val node id %d " % bad):
+            T.evaluate(g, model, ids[where], name="val")
+
     def test_random_labels_near_chance(self):
         g, split = G.synth_graph("random", 600, seed=2)
         run = quick_run(max_epochs=3, patience=3)

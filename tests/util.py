@@ -1,8 +1,11 @@
-"""Shared test helpers: random small graphs and finite-difference checking."""
+"""Shared test helpers: random small graphs, finite-difference checking,
+and the interaction labelling rule and WL relabeling as arrays."""
 
 import numpy as np
 
 from lase import autodiff as ad
+from lase import graph as G
+from lase import layers as L
 from lase.graph import AttributedGraph, random_graph
 
 
@@ -15,6 +18,16 @@ def random_digraph(rng, max_nodes=8, **kw):
     lf = np.vstack([g.link_features, rng.normal(size=(len(back), g.d_link))])
     return AttributedGraph(g.node_features, g.labels, links + back, lf, 1,
                            undirected=False)
+
+
+def interaction_label(g, u):
+    """Replay the interaction generator's labelling rule for node u."""
+    return int(G._pairing_rule(g)[u] > 0.0)
+
+
+def wl_relabel(g, stack, d):
+    """Relabeling rounds r(0)=f(u) .. r(d) as an array; rows are nodes."""
+    return L._relabel(g, stack, *L._whole_field(g, d)).data.T
 
 
 def dot(a, b):
