@@ -403,7 +403,7 @@ def main(argv=None):
     except (graphmod.GraphError, ValueError, json.JSONDecodeError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    except (training.TrainingDiverged, FloatingPointError) as exc:
+    except FloatingPointError as exc:  # TrainingDiverged included
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -121,19 +121,12 @@ class AttributedGraph:
     def d_link(self):
         return self.link_features.shape[1]
 
-    def neighbors(self, u):
-        """Sorted (neighbor id, link id) pairs of node u."""
-        lo, hi = self.arc_ptr[u], self.arc_ptr[u + 1]
-        return tuple(zip(self.arc_src[lo:hi].tolist(),
-                         self.arc_link[lo:hi].tolist()))
-
-    def degree(self, u):
-        return int(self.arc_ptr[u + 1] - self.arc_ptr[u])
-
     @property
     def adjacency(self):
-        """``neighbors(u)`` of every node, built on each access."""
-        return tuple(self.neighbors(u) for u in range(self.n_nodes))
+        """Each node's (neighbor id, link id) pairs, sorted by neighbor id."""
+        pairs = tuple(zip(self.arc_src.tolist(), self.arc_link.tolist()))
+        ptr = self.arc_ptr.tolist()
+        return tuple(pairs[lo:hi] for lo, hi in zip(ptr, ptr[1:]))
 
     def arcs_into(self, nodes):
         """Every arc into ``nodes`` (an integer array), grouped by node in list

@@ -64,7 +64,8 @@ class SamplePlan:
 class SamplerState:
     """The parameters frozen at the last refresh, the per-arc proposal
     weights computed under them so far (NaN: not yet), the per-(layer, node)
-    distributions normalized from those, and the clock ``refresh`` keeps."""
+    distributions normalized from those, and the clock ``refresh`` keeps.
+    It keeps no work counter: ``train`` derives one from ``refresh_count``."""
 
     def __init__(self):
         self.params = None  # frozen LayerStack of the last refresh
@@ -72,7 +73,6 @@ class SamplerState:
         self.probs = {}
         self.batches_since_refresh = None  # None: never refreshed
         self.refresh_count = 0
-        self.refresh_work = 0  # distributions made available, total
 
 
 def _floor(w):
@@ -225,8 +225,6 @@ def refresh(state, g, stack, plan, batch=None):
                                       for _ in range(stack.depth)]
         elif state.weights is None:
             state.weights = [None] + [np.ones(len(g.arc_src))] * stack.depth
-        non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
-        state.refresh_work += stack.depth * non_isolated
         state.batches_since_refresh = 0
         state.refresh_count += 1
     state.batches_since_refresh += 1

@@ -17,8 +17,8 @@ from . import autodiff as ad
 from . import layers, sampling
 
 
-class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during optimization."""
+class TrainingDiverged(FloatingPointError):
+    """A non-finite value arose during optimization."""
 
 
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
@@ -98,6 +98,10 @@ class TrainRun:
 
 @dataclass
 class MetricHistory:
+    """Per-epoch records and run totals.  ``refresh_work``, the (layer, node)
+    distributions the refreshes made available, is derived once by ``train``:
+    refreshes x depth x non-isolated nodes (0 when unsampled)."""
+
     train_loss: list = field(default_factory=list)
     val_f1: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
@@ -117,7 +121,8 @@ class Model:
     Every parameter's ``data`` and ``grad`` are views of two flat arrays,
     ``self.data`` and ``self.grad`` (the arena), laid out in ``parameters()``
     order, so an optimizer step and ``zero_grad`` are one array op each.
-    Code that changes a parameter writes into its arrays in place.
+    Code that changes a parameter writes into its arrays in place.  A
+    snapshot is a copy of the arena, and ``restore`` writes one back.
     """
 
     def __init__(self, stack, n_labels, seed=0):
@@ -147,16 +152,15 @@ class Model:
     def predict(self, g, nodes):
         """Predicted labels of ``nodes``, in their order: the forward over
         their full-neighborhood receptive field, run without a tape."""
-        h = layers.forward(g, self.stack, nodes).data
-        logits = self.C.data @ h + self.c.data
+        h = layers.forward(g, self.stack, nodes)
+        logits = ad.affine(self.C, (h,), self.c).data
         return np.argmax(logits, axis=0).tolist()
 
     def snapshot(self):
-        return [(name, t.data.copy()) for name, t in self.parameters()]
+        return self.data.copy()
 
     def restore(self, snap):
-        for (name, arr), (_, t) in zip(snap, self.parameters()):
-            t.data[...] = arr
+        self.data[...] = snap
 
     def save(self, path_prefix, meta=None):
         ad.save_checkpoint(path_prefix, self.parameters(), meta)
@@ -188,22 +192,15 @@ def build_model(g, run):
 # Metrics
 # ---------------------------------------------------------------------------
 
-def micro_f1(y_true, y_pred, n_labels):
-    """Micro-averaged F1 from globally pooled TP / FP / FN counts."""
+def micro_f1(y_true, y_pred):
+    """Micro-averaged F1 of single-label predictions.  Each miss is a false
+    positive and a false negative, so precision and recall both equal the hit
+    rate a.  F1 = 2a*a / (a + a) is kept over a, as it rounds the way the
+    pooled counts did: 1 hit in 5 gives 0.20000000000000004."""
     if len(y_true) == 0:
         raise ValueError("micro_f1 of an empty set")
-    tp = fp = fn = 0
-    for t, p in zip(y_true, y_pred):
-        if t == p:
-            tp += 1
-        else:
-            fp += 1
-            fn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    a = sum(t == p for t, p in zip(y_true, y_pred)) / len(y_true)
+    return 2 * a * a / (a + a) if a else 0.0
 
 
 def _require_labels(g, nodes, name):
@@ -224,9 +221,7 @@ def evaluate(g, model, nodes, name="evaluated"):
     if not nodes:
         raise ValueError("evaluate on an empty node set")
     _require_labels(g, nodes, name)
-    y_true = [g.labels[u] for u in nodes]
-    y_pred = model.predict(g, nodes)
-    return micro_f1(y_true, y_pred, g.n_labels)
+    return micro_f1([g.labels[u] for u in nodes], model.predict(g, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -311,40 +306,41 @@ def train(g, split, run):
     sampled = run.plan.strategy != "full"
     state = sampling.SamplerState() if sampled else None
     history = MetricHistory()
-    best = (-1.0, -1, None)
+    best = (-1.0, -1, None)  # epoch 0 always beats val F1 -1
 
     train_ids = list(split.train)
-    for epoch in range(run.max_epochs):
-        t0 = time.perf_counter()
-        order = shuffle_rng.permutation(len(train_ids))
-        losses = []
-        for ofs in range(0, len(train_ids), run.batch_size):
-            batch = [train_ids[i] for i in order[ofs:ofs + run.batch_size]]
-            if sampled:
-                sampling.refresh(state, g, model.stack, run.plan, batch)
-            with ad.Tape() as tape:
-                loss = batch_loss(g, model, batch, plan=run.plan,
-                                  state=state, rng=sample_rng)
-                if not math.isfinite(loss.item()):
-                    raise TrainingDiverged("non-finite loss at epoch %d" % epoch)
-                model.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            losses.append(loss.item())
-            history.n_batches += 1
-        val = evaluate(g, model, split.val) if split.val else 0.0
-        history.train_loss.append(float(np.mean(losses)))
-        history.val_f1.append(val)
-        history.epoch_seconds.append(time.perf_counter() - t0)
-        if val > best[0]:
-            best = (val, epoch, model.snapshot())
-        elif epoch - best[1] >= run.patience:
-            break
-    if best[2] is not None:
-        model.restore(best[2])
-        history.best_epoch = best[1]
-    if state is not None:
-        history.refresh_work = state.refresh_work
+    try:
+        for epoch in range(run.max_epochs):
+            t0 = time.perf_counter()
+            order = shuffle_rng.permutation(len(train_ids))
+            losses = []
+            for ofs in range(0, len(train_ids), run.batch_size):
+                batch = [train_ids[i] for i in order[ofs:ofs + run.batch_size]]
+                if sampled:
+                    sampling.refresh(state, g, model.stack, run.plan, batch)
+                with ad.Tape() as tape:
+                    loss = batch_loss(g, model, batch, plan=run.plan,
+                                      state=state, rng=sample_rng)
+                    model.zero_grad()
+                    tape.backward(loss)
+                opt.step()
+                losses.append(loss.item())
+                history.n_batches += 1
+            val = evaluate(g, model, split.val) if split.val else 0.0
+            history.train_loss.append(float(np.mean(losses)))
+            history.val_f1.append(val)
+            history.epoch_seconds.append(time.perf_counter() - t0)
+            if val > best[0]:
+                best = (val, epoch, model.snapshot())
+            elif epoch - best[1] >= run.patience:
+                break
+    except FloatingPointError as exc:  # every op checks its own output
+        raise TrainingDiverged(str(exc)) from exc
+    model.restore(best[2])
+    history.best_epoch = best[1]
+    if sampled:  # each refresh serves every non-isolated node at each layer
+        history.refresh_work = (state.refresh_count * model.stack.depth
+                                * int(np.count_nonzero(np.diff(g.arc_ptr))))
     if split.test:
         history.test_f1 = evaluate(g, model, split.test)
     return model, history
@@ -379,16 +375,6 @@ def snr_sweep(g, split, run, snr_values):
     return rows
 
 
-def strategy_comparison(g, split, run, strategies):
-    """Per-epoch validation curves for each sampling strategy (shared seed)."""
-    curves = {}
-    for strat in strategies:
-        plan = replace(run.plan, strategy=strat)
-        _, hist = train(g, split, replace(run, plan=plan))
-        curves[strat] = list(hist.val_f1)
-    return curves
-
-
 def refresh_sweep(g, split, run, intervals):
     """Final val accuracy and per-batch refresh work for each interval k."""
     rows = []
@@ -397,8 +383,8 @@ def refresh_sweep(g, split, run, intervals):
         if plan.strategy == "full":
             plan = replace(plan, strategy="minvar")
         _, hist = train(g, split, replace(run, plan=plan))
-        final_val = hist.val_f1[hist.best_epoch if hist.best_epoch >= 0 else -1]
-        rows.append((k, final_val, hist.refresh_work / max(hist.n_batches, 1)))
+        rows.append((k, hist.val_f1[hist.best_epoch],
+                     hist.refresh_work / hist.n_batches))
     return rows
 
 

@@ -39,6 +39,24 @@ class TestForward:
             ad.affine(t(np.ones(w)), [t(np.ones(x)) for x in xs],
                       None if b is None else t(np.ones(b)))
 
+    @pytest.mark.parametrize("op, args, match", [
+        (ad.add, ((2, 1), (3, 1)), "add shape"),
+        (ad.hadamard, ((2, 2), (2, 1)), "hadamard shape"),
+        (lambda a, b: ad.concat([a, b]), ((2, 1), (2, 2)), "equal column"),
+        (ad.scale, ((2, 3), (1, 2)), r"\(1, 3\) row"),
+    ])
+    def test_shape_mismatch(self, op, args, match):
+        with pytest.raises(ValueError, match=match):
+            op(*(t(np.ones(shape)) for shape in args))
+
+    def test_tensor_of_3d_data(self):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            ad.Tensor2(np.zeros((2, 2, 2)))
+
+    def test_item_of_non_scalar(self):
+        with pytest.raises(ValueError, match="scalar"):
+            t([1.0, 2.0]).item()
+
     def test_hadamard(self):
         c = ad.hadamard(t([1, 2]), t([3, 4]))
         assert np.array_equal(c.data[:, 0], [3, 8])

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, idempotent outputs."""
 
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +46,7 @@ def write_config(tmp_path, **kw):
 
 def unlabel(synth_files, tmp_path, u):
     """A copy of the synth node file whose node u has no label."""
-    lines = open(synth_files["nodes"]).read().splitlines(True)
+    lines = Path(synth_files["nodes"]).read_text().splitlines(True)
     fields = lines[u].split("\t")
     lines[u] = "\t".join([fields[0], "-"] + fields[2:])
     nodes = tmp_path / "unlabelled.tsv"
@@ -266,7 +268,7 @@ class TestDataErrors:
         if command == "eval":
             assert run_cli("train", *graph, "--split", synth_files["split"],
                            "--config", cfg, "--out", out) == 0
-        split = json.loads(open(synth_files["split"]).read())
+        split = json.loads(Path(synth_files["split"]).read_text())
         if "overlap" in fault:
             split["val"].append(split["train"][0])
         else:
@@ -288,7 +290,7 @@ class TestDataErrors:
         """Without --split the unlabelled nodes are left out of every set;
         a given split that holds one is a data error naming it, raised
         before any training."""
-        u = json.loads(open(synth_files["split"]).read())[where][0]
+        u = json.loads(Path(synth_files["split"]).read_text())[where][0]
         nodes = unlabel(synth_files, tmp_path, u)
         out = tmp_path / "run"
         code = run_cli("train", "--nodes", str(nodes),
@@ -318,7 +320,7 @@ class TestDataErrors:
         assert run_cli("train", "--nodes", synth_files["nodes"], *graph,
                        "--config", write_config(tmp_path, max_epochs=1),
                        "--out", out) == 0
-        u = json.loads(open(synth_files["split"]).read())[subset][0]
+        u = json.loads(Path(synth_files["split"]).read_text())[subset][0]
         nodes = unlabel(synth_files, tmp_path, u)
         capsys.readouterr()
         code = run_cli("eval", "--nodes", str(nodes), *graph,
@@ -618,3 +620,16 @@ class TestChecks:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "snr,test_f1"
         assert len(lines) == 3
+
+    def test_snr_sweep_without_split_makes_one(self, synth_files, tmp_path):
+        """Graph flags without --split train on ``make_split`` of --seed."""
+        out = tmp_path / "snr.csv"
+        cfg = write_config(tmp_path, max_epochs=2, patience=2)
+        code = run_cli("snr-sweep", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"], "--config", cfg,
+                       "--seed", "2", "--snr", "inf", "--out", str(out))
+        assert code == 0
+        g = G.load_graph(synth_files["nodes"], synth_files["links"])
+        [(_, f1)] = T.snr_sweep(g, G.make_split(g, seed=2),
+                                T.TrainRun.from_json(cfg), [math.inf])
+        assert out.read_text() == "snr,test_f1\ninf,%r\n" % f1

@@ -5,7 +5,7 @@ import pytest
 
 from lase import graph as G
 
-from util import interaction_label
+from util import degree, interaction_label, neighbors
 
 
 def write_graph(tmp_path, node_lines, link_lines):
@@ -39,13 +39,13 @@ class TestLoad:
             ["0\t1\t0.5,0.5", "1\t2\t0.25,0.75"])
         g = G.load_graph(nodes, links)
         assert g.d_link == 2
-        assert len(g.neighbors(1)) == 2
-        assert [v for v, _ in g.neighbors(1)] == [0, 2]
+        assert len(neighbors(g, 1)) == 2
+        assert [v for v, _ in neighbors(g, 1)] == [0, 2]
 
     def test_single_node_no_links(self, tmp_path):
         nodes, links = write_graph(tmp_path, ["0\t0\t1.0"], [])
         g = G.load_graph(nodes, links)
-        assert g.n_nodes == 1 and g.neighbors(0) == ()
+        assert g.n_nodes == 1 and neighbors(g, 0) == ()
 
     def test_dangling_endpoint(self, tmp_path):
         nodes, links = write_graph(
@@ -112,6 +112,17 @@ class TestLoad:
             G.AttributedGraph(np.ones((2, 1)), [None] * 2, links,
                               np.ones((1, 1)), 1)
 
+    @pytest.mark.parametrize("nf, lf, labels, message", [
+        (np.ones(2), np.ones((1, 1)), [None] * 2, "node features must be"),
+        ([[1.0], [np.nan]], np.ones((1, 1)), [None] * 2, "non-finite node"),
+        (np.ones((2, 1)), [[np.inf]], [None] * 2, "non-finite link"),
+        (np.ones((2, 1)), np.ones((2, 1)), [None] * 2, "link count"),
+        (np.ones((2, 1)), np.ones((1, 1)), [0, 1], "label 1 out of range"),
+    ])
+    def test_constructor_rejects(self, nf, lf, labels, message):
+        with pytest.raises(G.GraphError, match=message):
+            G.AttributedGraph(nf, labels, [(0, 1)], lf, 1)
+
     def test_non_finite_value(self, tmp_path):
         nodes, links = write_graph(tmp_path, ["0\t0\tnan"], [])
         with pytest.raises(G.GraphError, match="non-finite"):
@@ -129,8 +140,8 @@ class TestLoad:
     def test_adjacency_symmetry(self):
         g, _ = G.synth_graph("interaction", 80, seed=0)
         for u in range(g.n_nodes):
-            for v, eid in g.neighbors(u):
-                assert (u, eid) in g.neighbors(v)
+            for v, eid in neighbors(g, u):
+                assert (u, eid) in neighbors(g, v)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         g, _ = G.synth_graph("random", 40, seed=1)
@@ -177,7 +188,7 @@ class TestSplit:
         g = G.AttributedGraph(nf, [0] * 20, links, lf, 1)
         s = G.make_split(g, seed=3)
         assert len(s.train) <= 13
-        assert all(g.degree(u) > 0 for u in s.train)
+        assert all(degree(g, u) > 0 for u in s.train)
 
     def test_unlabelled_nodes_in_no_set(self):
         g, _ = G.synth_graph("random", 100, seed=2)
@@ -218,17 +229,17 @@ class TestSynth:
     def test_concat_blind_equal_sums_different_pairings(self):
         g, _ = G.synth_graph("concat-blind", 60, seed=5)
         for u, u2 in G.concat_blind_duos(g):
-            fsum = sum(g.node_features[v] for v, _ in g.neighbors(u))
-            fsum2 = sum(g.node_features[v] for v, _ in g.neighbors(u2))
-            esum = sum(g.link_features[e] for _, e in g.neighbors(u))
-            esum2 = sum(g.link_features[e] for _, e in g.neighbors(u2))
+            fsum = sum(g.node_features[v] for v, _ in neighbors(g, u))
+            fsum2 = sum(g.node_features[v] for v, _ in neighbors(g, u2))
+            esum = sum(g.link_features[e] for _, e in neighbors(g, u))
+            esum2 = sum(g.link_features[e] for _, e in neighbors(g, u2))
             assert np.allclose(fsum, fsum2) and np.allclose(esum, esum2)
             tensors = sorted(
                 tuple(np.outer(g.node_features[v], g.link_features[e]).ravel())
-                for v, e in g.neighbors(u))
+                for v, e in neighbors(g, u))
             tensors2 = sorted(
                 tuple(np.outer(g.node_features[v], g.link_features[e]).ravel())
-                for v, e in g.neighbors(u2))
+                for v, e in neighbors(g, u2))
             assert tensors != tensors2
 
     def test_random_labels_have_full_range(self):

@@ -7,7 +7,7 @@ from lase import graph as G
 from lase import kernels as K
 from lase import layers as L
 
-from util import random_digraph, random_graph
+from util import neighbors, random_digraph, random_graph
 
 
 def tiny_graph(nf, links, lf):
@@ -79,8 +79,8 @@ class TestNeighborhoodKernel:
             if level == 0:
                 return s
             acc = 0.0
-            for v, ea in g1.neighbors(a):
-                for v2, eb in g2.neighbors(b):
+            for v, ea in neighbors(g1, a):
+                for v2, eb in neighbors(g2, b):
                     acc += naive(g1, g2, v, v2, level - 1) * float(
                         g1.link_features[ea] @ g2.link_features[eb])
             return s * cfg.decay * acc
@@ -169,6 +169,13 @@ class TestRandomWalkKernel:
             K.enumerate_walks(g, 4, budget=int(walks) - 1)
         assert K.rw_kernel_enumerate(g, g, cfg) == pytest.approx(
             K.rw_kernel_dp(g, g, cfg), rel=1e-9)
+
+    def test_negative_hops_and_empty_walks_are_errors(self):
+        with pytest.raises(ValueError, match="hops must be"):
+            K.KernelConfig(0.5, -1)
+        g = random_graph(np.random.default_rng(11))
+        with pytest.raises(ValueError, match="at least one node"):
+            K.enumerate_walks(g, 0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -295,6 +302,13 @@ class TestTheorem1:
         assert stack.hidden == 4
         with pytest.raises(ValueError, match="outside 0..3"):
             K.check_theorem1(g, stack, None, k)
+
+    @pytest.mark.parametrize("decay, hops", [(0.5, 1), (0.25, 2)])
+    def test_config_must_match_stack(self, decay, hops):
+        g = random_graph(np.random.default_rng(9))
+        stack = self.make_stack(g, 2, seed=0)
+        with pytest.raises(ValueError, match="disagrees with the layer stack"):
+            K.check_theorem1(g, stack, K.KernelConfig(decay, hops), 0)
 
     def test_requires_kernel_mode(self):
         rng = np.random.default_rng(9)

@@ -148,6 +148,14 @@ class TestForwardShapes:
             expected = np.maximum(stack.layers[1].W1.data @ g.node_features[u], 0)
             assert np.allclose(h[u], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("arch, kw, match", [
+        ("rw", {"depth": 0}, "depth must be"),
+        ("sage", {"kernel_mode": True}, "rw architecture"),
+    ])
+    def test_bad_stack_is_an_error(self, arch, kw, match):
+        with pytest.raises(ValueError, match=match):
+            L.LayerStack(arch, 2, 1, hidden=3, **kw)
+
     def test_concat_empty_neighborhood(self):
         nf = np.ones((3, 2))
         g = G.AttributedGraph(nf, [None] * 3, [(0, 1)], np.ones((1, 1)), 1)

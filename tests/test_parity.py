@@ -31,7 +31,11 @@ scatter they used before (``_scatter_add_at``), and the parameter arena's
 Adam and SGD steps against the per-tensor updates they replaced
 (``_AdamPerTensor``, ``_SgdPerTensor``), and the gate and classifier head,
 one ``autodiff.affine`` each, against the op compositions they replaced
-(``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.  Likewise ``layers._sampled_field``
+(``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.
+``training.micro_f1``'s one hit count must equal the pooled TP / FP / FN
+counts it replaced (``_micro_f1_pooled``) exactly, and the refresh work
+``train`` derives from its refresh count the per-refresh sum the sampler
+kept before (``test_refresh_work_matches_per_refresh_sum``).  Likewise ``layers._sampled_field``
 must equal, bit for bit and in the generator state it leaves, the per-visit
 walk it replaced (``_sampled_field_per_visit``), and ``layers._whole_field``
 the field ``_full_field`` searches for below every node, with the
@@ -40,6 +44,7 @@ the field ``_full_field`` searches for below every node, with the
 
 import json
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +57,7 @@ from lase import layers as L
 from lase import sampling as S
 from lase import training as T
 
-from util import random_digraph, random_graph
+from util import degree, random_digraph, random_graph
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "parity.json")
@@ -365,6 +370,68 @@ def test_arena_step_matches_per_tensor_oracle(optimizer, arch):
             assert np.array_equal(t.data, c.data), (step, name)
 
 
+def _micro_f1_pooled(y_true, y_pred):
+    """The micro-F1 ``training.micro_f1`` computed before: F1 of precision
+    and recall from pooled TP / FP / FN counts."""
+    tp = fp = fn = 0
+    for t, p in zip(y_true, y_pred):
+        if t == p:
+            tp += 1
+        else:
+            fp += 1
+            fn += 1
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def test_micro_f1_matches_pooled_counts():
+    """Every hit count of every set size up to 200, compared by repr."""
+    for n in range(1, 201):
+        for hits in range(n + 1):
+            y_true, y_pred = [0] * n, [0] * hits + [1] * (n - hits)
+            assert (repr(T.micro_f1(y_true, y_pred))
+                    == repr(_micro_f1_pooled(y_true, y_pred))), (hits, n)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("strategy", ["uniform", "gate", "minvar"])
+def test_refresh_work_matches_per_refresh_sum(strategy, depth, monkeypatch):
+    """For k in {1, 3, 8}: ``history.refresh_work`` equals depth x the
+    non-isolated nodes summed over the ``sampling.refresh`` calls that
+    started a refresh, and each ``refresh_sweep`` row equals the row the
+    sweep built from that sum: (k, val F1 at the best epoch, work per
+    batch)."""
+    g, _ = G.synth_graph("interaction", 60, seed=14)
+    g = G.AttributedGraph(  # plus 5 labelled isolated nodes
+        np.vstack([g.node_features, np.ones((5, g.d_node))]),
+        g.labels + [0] * 5, g.links, g.link_features, g.n_labels)
+    split = G.make_split(g, seed=15)
+    non_isolated = int(np.count_nonzero(np.diff(g.arc_ptr)))
+    assert non_isolated == g.n_nodes - 5
+    refresh, work = S.refresh, []
+
+    def summed(state, g, stack, plan, batch=None):
+        due = refresh(state, g, stack, plan, batch)
+        work.append(stack.depth * non_isolated if due else 0)
+        return due
+
+    monkeypatch.setattr(S, "refresh", summed)
+    plan = S.SamplePlan(strategy=strategy, sample_size=2)
+    run = T.TrainRun(hidden=4, depth=depth, lr=1e-2, batch_size=8,
+                     max_epochs=3, patience=3, plan=plan)
+    rows = T.refresh_sweep(g, split, run, [1, 3, 8])
+    for k, row in zip([1, 3, 8], rows):
+        work.clear()
+        k_run = replace(run, plan=replace(plan, refresh_interval=k))
+        _, hist = T.train(g, split, k_run)
+        assert hist.refresh_work == sum(work) > 0
+        assert row == (k, hist.val_f1[hist.best_epoch],
+                       sum(work) / hist.n_batches)
+
+
 def _matvec_op(w, x):
     """W X as its own op, with the gradients g X^T and W^T g: the matrix
     product before ``affine``."""
@@ -599,7 +666,7 @@ def test_sampled_batch_of_isolated_nodes(arch, depth):
     was, and its sampled forward equals its full-neighborhood forward."""
     g, _ = graphs()["random+isolated"]
     batch = [12, 12]
-    assert g.degree(12) == 0
+    assert degree(g, 12) == 0
     stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=depth,
                          seed=5)
     plan = S.SamplePlan(strategy="minvar", sample_size=3)

@@ -13,6 +13,8 @@ from lase import layers as L
 from lase import sampling as S
 from lase import training as T
 
+from util import degree
+
 
 def hub_graph(leaves, seed=0):
     """A ring of ``leaves`` nodes, 1 to ``leaves``, each also linked to node
@@ -68,8 +70,12 @@ class TestDistributions:
         assert np.array_equal(S.probs_uniform(4), np.full(4, 0.25))
 
     def test_empty_neighborhood_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty neighborhood"):
             S.probs_uniform(0)
+        with pytest.raises(ValueError, match="empty neighborhood"):
+            S.probs_from_gates([])
+        with pytest.raises(ValueError, match="empty neighborhood"):
+            S.probs_minvar_weights([], np.zeros((0, 2)))
 
     def test_equal_norms_gate_equals_minvar(self):
         lam = np.array([0.2, 0.5, 0.3])
@@ -134,7 +140,7 @@ class TestDraw:
         g, _, stack, _ = stack_and_ctx(seed=5)
         plan = S.SamplePlan(strategy="minvar", sample_size=2)
         state = S.SamplerState()
-        u, v = [u for u in range(g.n_nodes) if g.degree(u)][:2]
+        u, v = [u for u in range(g.n_nodes) if degree(g, u)][:2]
         S.refresh(state, g, stack, plan, [u])
         assert np.isfinite(S.plan_probs(g, stack, state, plan, 1, u)).all()
         p = S.plan_probs(g, stack, state, plan, 1, v)
@@ -157,7 +163,7 @@ class TestDraw:
         S.refresh(state, g, stack, plan, [u])
         nodes, _ = L._sampled_field(g, stack, [u], plan, state,
                                     np.random.default_rng(0))
-        v = next(v for v in nodes[1].tolist() if g.degree(v))
+        v = next(v for v in nodes[1].tolist() if degree(g, v))
         state.weights[1][g.arc_ptr[v]:g.arc_ptr[v + 1]] = np.nan
         with pytest.raises(ValueError, match="negative or NaN"):
             L.forward(g, stack, [u], plan, state, np.random.default_rng(0))
@@ -181,7 +187,7 @@ class TestDraw:
                                     ptr, ptr[1:]):
             assert np.array_equal(arcs[lo:hi], np.arange(g.arc_ptr[u],
                                                          g.arc_ptr[u + 1]))
-            want = (S.probs_uniform(g.degree(u)) if strategy == "uniform"
+            want = (S.probs_uniform(degree(g, u)) if strategy == "uniform"
                     else S.plan_probs(g, stack, state, plan, 1, u))
             assert np.array_equal(row, want)
             assert np.array_equal(cdf[lo:hi], want.cumsum() / want.cumsum()[-1])
@@ -266,7 +272,7 @@ class TestSummand:
         ctx = L.full_forward(g, stack2)
         h = ctx["H"]
         for u in range(6):
-            if not g.degree(u):
+            if not degree(g, u):
                 continue
             lam, gmat = S.neighborhood_terms(g, ctx, 1, u)
             nbsum = np.zeros(gmat.shape[1])
@@ -329,7 +335,7 @@ class TestEstimator:
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         state = S.SamplerState()
         S.refresh(state, g, stack, plan)
-        batch = [u for u in range(g.n_nodes) if g.degree(u)][:6]
+        batch = [u for u in range(g.n_nodes) if degree(g, u)][:6]
         full = L.forward(g, stack, batch).data
         rng = np.random.default_rng(21)
         n = 1500
@@ -428,7 +434,7 @@ class TestRefresh:
         for l in range(1, stack.depth + 1):
             assert np.array_equal(s1.weights[l], s2.weights[l])
             for u in range(g.n_nodes):
-                if g.degree(u):
+                if degree(g, u):
                     assert np.array_equal(
                         S.plan_probs(g, stack, s1, plan, l, u),
                         S.plan_probs(g, stack, s2, plan, l, u))
@@ -445,7 +451,7 @@ class TestRefresh:
         ctx = L.full_forward(g, stack)
         for l in (1, 2):
             for u in range(g.n_nodes):
-                if not g.degree(u):
+                if not degree(g, u):
                     continue
                 lam, gmat = S.neighborhood_terms(g, ctx, l, u)
                 expected = (S.probs_from_gates(lam) if strategy == "gate"
@@ -559,7 +565,7 @@ class TestRefresh:
         _, hist = T.train(g, split, run)
         assert calls == []
         refreshes = -(-hist.n_batches // 2)
-        covered = sum(1 for u in range(g.n_nodes) if g.degree(u))
+        covered = sum(1 for u in range(g.n_nodes) if degree(g, u))
         assert hist.refresh_work == refreshes * 2 * covered
 
     @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
@@ -568,7 +574,7 @@ class TestRefresh:
         a sampled forward draws nothing and raises."""
         g, _, stack, _ = stack_and_ctx(seed=5)
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
-        u = next(u for u in range(g.n_nodes) if g.degree(u))
+        u = next(u for u in range(g.n_nodes) if degree(g, u))
         for state in (S.SamplerState(), None):
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="refresh first"):
@@ -588,6 +594,6 @@ class TestRefresh:
         for l in range(1, stack.depth + 1):
             assert np.array_equal(weights[l], np.ones(len(g.arc_src)))
         for u in range(g.n_nodes):
-            if g.degree(u):
+            if degree(g, u):
                 assert np.array_equal(S.plan_probs(g, stack, state, plan, 1, u),
-                                      S.probs_uniform(g.degree(u)))
+                                      S.probs_uniform(degree(g, u)))

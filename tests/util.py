@@ -1,5 +1,6 @@
-"""Shared test helpers: random small graphs, finite-difference checking,
-and the interaction labelling rule and WL relabeling as arrays."""
+"""Shared test helpers: random small graphs, per-node neighbor lookups,
+finite-difference checking, and the interaction labelling rule and WL
+relabeling as arrays."""
 
 import numpy as np
 
@@ -18,6 +19,17 @@ def random_digraph(rng, max_nodes=8, **kw):
     lf = np.vstack([g.link_features, rng.normal(size=(len(back), g.d_link))])
     return AttributedGraph(g.node_features, g.labels, links + back, lf, 1,
                            undirected=False)
+
+
+def neighbors(g, u):
+    """Node u's (neighbor id, link id) pairs, sorted: its arcs in order."""
+    lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
+    return tuple(zip(g.arc_src[lo:hi].tolist(), g.arc_link[lo:hi].tolist()))
+
+
+def degree(g, u):
+    """The number of arcs into node u."""
+    return int(g.arc_ptr[u + 1] - g.arc_ptr[u])
 
 
 def interaction_label(g, u):
