@@ -9,7 +9,14 @@ gradients only for its tracked inputs (``None`` for the rest): an op on
 constants alone, such as a gather of node features, costs its forward and
 nothing more.  Outside any tape nothing is tracked or recorded, which is the
 fast no-grad path.  ``affine`` is the one linear op (``matvec`` is its
-one-block case).  Broadcasting happens only where an op says so (``scale`` by
+one-block case).  Per-op overhead outweighs the arithmetic at these sizes, so
+a layer's compositions are single ops: ``sigmoid_affine`` (the gate),
+``amplify`` (a column scaled by a linear map, optionally squashed),
+``combine`` (relu of two linear maps summed, multiplied or stacked),
+``scale`` by a row and a constant row, and the mean
+``softmax_cross_entropy``.  Each runs the numpy expressions of the ops it
+replaced in the same order, forward and backward, so every value is bit for
+bit theirs.  Broadcasting happens only where an op says so (``scale`` by
 a scalar or a row of per-column factors, ``affine``'s bias column); any other
 shape disagreement raises.  Column scatters (``segment_sum`` and the gradient
 of ``gather``) are one ``np.bincount`` each, whose sums are bit for bit those
@@ -123,10 +130,9 @@ def _make(data, op, inputs, vjp):
     return out
 
 
-def affine(w, xs, b=None):
-    """Y = sum_i W[:, block_i] X_i (+ b): W's columns split into consecutive
-    blocks, one per X_i, applied in order; then the column b (rows, 1), if
-    given, added to every column.  The stacked input is never built."""
+def _affine(w, xs, b):
+    """(Y, inputs, backward rule) of ``affine``: the rule maps Y's gradient
+    to the gradients of its inputs, for the fused ops to share."""
     (m, n), (rows, cols) = w.data.shape, xs[0].data.shape
     blocks = [w.data]  # one block is W itself: a product with a view costs more
     if len(xs) > 1:
@@ -157,7 +163,79 @@ def affine(w, xs, b=None):
             out.append(np.sum(g, axis=1, keepdims=True) if b.tracked else None)
         return out
 
-    return _make(y, "affine", (w, *xs) if b is None else (w, *xs, b), vjp)
+    return y, (w, *xs) if b is None else (w, *xs, b), vjp
+
+
+def affine(w, xs, b=None):
+    """Y = sum_i W[:, block_i] X_i (+ b): W's columns split into consecutive
+    blocks, one per X_i, applied in order; then the column b (rows, 1), if
+    given, added to every column.  The stacked input is never built."""
+    y, inputs, vjp = _affine(w, xs, b)
+    return _make(y, "affine", inputs, vjp)
+
+
+def sigmoid_affine(w, xs, b=None):
+    """sigmoid(affine(w, xs, b)) as one op.  The pre-activation is checked
+    for finiteness as ``affine``'s output, since the sigmoid would hide an
+    overflow."""
+    z, inputs, vjp = _affine(w, xs, b)
+    y = 1.0 / (1.0 + np.exp(-_finite(z, "affine")))
+    return _make(y, "sigmoid", inputs, lambda g: vjp(g * y * (1.0 - y)))
+
+
+def amplify(h, w, x, squash=False):
+    """H (*) (W X), or H (*) sigmoid(W X) with ``squash``, as one op: each
+    column of h scaled elementwise by a linear map of x's column."""
+    a, inputs, vjp = _affine(w, (x,), None)
+    _finite(a, "affine")
+    if squash:
+        a = 1.0 / (1.0 + np.exp(-a))
+    if h.shape != a.shape:
+        raise ValueError("hadamard shape mismatch: %s vs %s" % (h.shape, a.shape))
+
+    def rule(g):
+        ga = g * h.data
+        if squash:
+            ga = ga * a * (1.0 - a)
+        return [g * a if h.tracked else None] + vjp(ga)
+
+    return _make(h.data * a, "hadamard", (h, *inputs), rule)
+
+
+_COMBINED = {"sum": "add", "hadamard": "hadamard", "concat": "concat"}
+
+
+def combine(w1, x1, w2, x2, how):
+    """relu(W1 X1 o W2 X2) as one op, where o is ``how``: "sum",
+    "hadamard" or "concat" (W2 X2's rows below W1 X1's)."""
+    if how not in _COMBINED:
+        raise ValueError("unknown combine op %r" % (how,))
+    z1, in1, vjp1 = _affine(w1, (x1,), None)
+    z2, in2, vjp2 = _affine(w2, (x2,), None)
+    if how == "concat":
+        if z1.shape[1] != z2.shape[1]:
+            raise ValueError("concat expects equal column counts")
+        z = np.concatenate([z1, z2], axis=0)
+    elif z1.shape != z2.shape:
+        raise ValueError("%s shape mismatch: %s vs %s"
+                         % (_COMBINED[how], z1.shape, z2.shape))
+    else:
+        z = z1 + z2 if how == "sum" else z1 * z2
+    if not np.isfinite(z).all():  # name the first step that overflowed
+        for part, op in ((z1, "affine"), (z2, "affine"), (z, _COMBINED[how])):
+            _finite(part, op)
+
+    def vjp(g):
+        g = g * (z > 0.0)
+        if how == "sum":
+            g1 = g2 = g
+        elif how == "hadamard":
+            g1, g2 = g * z2, g * z1
+        else:
+            g1, g2 = g[:len(z1)], g[len(z1):]
+        return vjp1(g1) + vjp2(g2)
+
+    return _make(np.maximum(z, 0.0), "relu", in1 + in2, vjp)
 
 
 def matvec(w, x):
@@ -184,20 +262,29 @@ def hadamard(a, b):
     return _make(a.data * b.data, "hadamard", (a, b), vjp)
 
 
-def scale(a, s):
-    """s * a, column by column: ``s`` is a (1, cols) row of per-column
-    factors, a Tensor2 or a constant (a float or a numpy row)."""
-    if not isinstance(s, Tensor2):
-        return _make(a.data * s, "scale", (a,), lambda g: (g * s,))
-    if s.shape != (1, a.shape[1]):
+def scale(a, s, c=None):
+    """s * a, column by column, then times ``c`` if given.  ``s`` is a
+    (1, cols) row of per-column factors, a Tensor2 or a constant (a float or
+    a numpy row); ``c`` is a constant row.  The backward rule forms g * c
+    first, as a second ``scale`` by c would."""
+    tensor = isinstance(s, Tensor2)
+    if tensor and s.shape != (1, a.shape[1]):
         raise ValueError("scale factor must be a (1, %d) row" % a.shape[1])
+    sd = s.data if tensor else s
+    y = a.data * sd
+    if c is not None:
+        y = y * c
 
     def vjp(g):
-        return (g * s.data if a.tracked else None,
-                np.sum(g * a.data, axis=0, keepdims=True) if s.tracked
+        if c is not None:
+            g = g * c
+        ga = g * sd if a.tracked else None
+        if not tensor:
+            return (ga,)
+        return (ga, np.sum(g * a.data, axis=0, keepdims=True) if s.tracked
                 else None)
 
-    return _make(a.data * s.data, "scale", (a, s), vjp)
+    return _make(y, "scale", (a, s) if tensor else (a,), vjp)
 
 
 def _scatter_cols(x, idx, n):
@@ -261,7 +348,8 @@ def relu(a):
 
 
 def softmax_cross_entropy(logits, label):
-    """Summed cross-entropy of per-column labels against column logits.
+    """Mean cross-entropy of per-column labels against column logits: the
+    sum over columns times 1 / cols.
 
     ``label`` is one label per column of ``logits`` (an int for one column).
     """
@@ -277,13 +365,15 @@ def softmax_cross_entropy(logits, label):
     total = np.sum(ez, axis=0)
     probs = ez / total
     loss = np.sum(-(z[label, cols_idx] - m - np.log(total)))
+    inv = 1.0 / cols
 
     def vjp(g):
         d = probs.copy()
         d[label, cols_idx] -= 1.0
-        return (g[0, 0] * d,)
+        return ((g * inv)[0, 0] * d,)
 
-    return _make(np.array([[loss]]), "softmax_cross_entropy", (logits,), vjp)
+    return _make(np.array([[loss]]) * inv, "softmax_cross_entropy",
+                 (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

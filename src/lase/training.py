@@ -197,8 +197,10 @@ def micro_f1(y_true, y_pred):
     positive and a false negative, so precision and recall both equal the hit
     rate a.  F1 = 2a*a / (a + a) is kept over a, as it rounds the way the
     pooled counts did: 1 hit in 5 gives 0.20000000000000004."""
-    if len(y_true) == 0:
-        raise ValueError("micro_f1 of an empty set")
+    if len(y_true) == 0 or len(y_true) != len(y_pred):
+        raise ValueError("micro_f1 of an empty set or of unequal lengths "
+                         "(%d labels, %d predictions)"
+                         % (len(y_true), len(y_pred)))
     a = sum(t == p for t, p in zip(y_true, y_pred)) / len(y_true)
     return 2 * a * a / (a + a) if a else 0.0
 
@@ -281,8 +283,7 @@ def batch_loss(g, model, batch, plan=None, state=None, rng=None):
     """Mean cross-entropy over a batch (taped)."""
     h = layers.forward(g, model.stack, batch, plan=plan, state=state, rng=rng)
     logits = ad.affine(model.C, (h,), model.c)
-    total = ad.softmax_cross_entropy(logits, [g.labels[u] for u in batch])
-    return ad.scale(total, 1.0 / len(batch))
+    return ad.softmax_cross_entropy(logits, [g.labels[u] for u in batch])
 
 
 def train(g, split, run):

@@ -1,5 +1,7 @@
 """Tensor ops, backward rules and the checkpoint format."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,20 @@ class TestForward:
         big = t([800.0])
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             ad.hadamard(ad.matvec(t([[1e308]]), big), ad.matvec(t([[1e308]]), big))
+
+    def test_fused_ops_name_the_step_that_overflowed(self):
+        """An activation that would hide an overflow (sigmoid(-inf) = 0,
+        relu(-inf) = 0) does not: the fused op names the step that
+        overflowed, as the separate ops did."""
+        x, one = t([[10.0], [10.0]]), t([[1.0]])
+        low, high = t([[-1e308, -1e308]]), t([[1e200]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match="by affine$"):
+                ad.sigmoid_affine(low, (x,))
+            with pytest.raises(FloatingPointError, match="by affine$"):
+                ad.combine(one, one, low, x, "concat")
+            with pytest.raises(FloatingPointError, match="by hadamard$"):
+                ad.combine(high, one, high, one, "hadamard")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gather_and_segment_sum_are_errors(self, bad):
@@ -192,6 +208,76 @@ class TestBackward:
 
         worst = finite_diff_worst([("w", w), ("u", u), ("b", b)], loss_fn)
         assert worst < 1e-4
+
+
+def _weighted_total(out):
+    """Every entry of ``out`` times a fixed random weight, summed to (1, 1)."""
+    w = ad.Tensor2(np.random.default_rng(0).normal(size=out.shape))
+    rows = ad.matvec(ad.Tensor2(np.ones((1, out.shape[0]))), ad.hadamard(out, w))
+    return ad.matvec(rows, ad.Tensor2(np.ones((out.shape[1], 1))))
+
+
+def _fd_case(name, rng):
+    """(named leaves, the op applied to them) for finite differences."""
+    def leaf(*shape):
+        return t(rng.normal(size=shape), grad=True)
+
+    a, b, x, fe = leaf(3, 5), leaf(3, 5), leaf(2, 5), leaf(4, 5)
+    w, w2 = leaf(3, 2), leaf(3, 4)
+    idx = np.array([4, 0, 4, 2, 1, 4])
+    op = name.split("-")
+    if op[0] in ("affine", "sigmoid_affine"):
+        v, bias = leaf(3, 6), leaf(3, 1)
+        fn = getattr(ad, op[0])
+        return [v, x, fe, bias], lambda: fn(v, (x, fe), bias)
+    if op[0] == "scale":
+        s, c = leaf(1, 5), rng.uniform(0.5, 2.0, (1, 5))
+        if op[1] == "constant":
+            return [a], lambda: ad.scale(a, 0.7, c)
+        return [a, s], lambda: ad.scale(a, s, c)
+    if op[0] == "amplify":
+        return [a, w2, fe], lambda: ad.amplify(a, w2, fe, op[1] == "sigmoid")
+    if op[0] == "combine":
+        return [w, x, w2, fe], lambda: ad.combine(w, x, w2, fe, op[1])
+    if op[0] == "softmax_cross_entropy":
+        return [a], lambda: ad.softmax_cross_entropy(a, [0, 2, 1, 1, 0])
+    return [a, b, w, x], {
+        "matvec": lambda: ad.matvec(w, x),
+        "add": lambda: ad.add(a, b),
+        "hadamard": lambda: ad.hadamard(a, b),
+        "gather": lambda: ad.gather(a, idx),
+        "segment_sum": lambda: ad.segment_sum(b, idx[:5], 6),
+        "concat": lambda: ad.concat([a, x, b]),
+        "sigmoid": lambda: ad.sigmoid(a),
+        "relu": lambda: ad.relu(a),
+    }[op[0]]
+
+
+FD_CASES = ["affine", "matvec", "add", "hadamard", "scale-row",
+            "scale-constant", "gather", "segment_sum", "concat", "sigmoid",
+            "relu", "softmax_cross_entropy", "sigmoid_affine", "amplify-plain",
+            "amplify-sigmoid", "combine-sum", "combine-hadamard",
+            "combine-concat"]
+
+
+class TestOpGradients:
+    """A finite-difference check of every op, each of its modes apart."""
+
+    @pytest.mark.parametrize("name", FD_CASES)
+    def test_op_finite_difference(self, name):
+        leaves, op = _fd_case(name, np.random.default_rng(4))
+        params = [("leaf%d" % i, x) for i, x in enumerate(leaves)]
+        assert finite_diff_worst(params, lambda: _weighted_total(op())) < 1e-4
+
+    def test_every_recording_op_has_a_case(self):
+        """Every public function of ``autodiff`` whose source calls ``_make``
+        records an op, and so needs a case above."""
+        recording = {name for name, fn in inspect.getmembers(
+            ad, inspect.isfunction) if not name.startswith("_")
+            and fn.__module__ == ad.__name__
+            and "_make(" in inspect.getsource(fn)}
+        assert {"affine", "combine", "softmax_cross_entropy"} <= recording
+        assert recording <= {name.split("-")[0] for name in FD_CASES}
 
 
 def _model_batch(arch, depth, strategy):

@@ -256,11 +256,37 @@ class TestInvariance:
             assert np.array_equal(s1, s2)
 
 
+class TestUntapedOps:
+    @pytest.mark.parametrize("kw, depth, ops", [
+        (dict(arch="sage"), 2, 16),  # the train-minvar refresh's forward
+        (dict(arch="rw", kernel_mode=True), 3, 22),  # the Theorem-1 forward
+    ])
+    def test_ops_per_full_forward(self, kw, depth, ops, monkeypatch):
+        """The number of ops one untaped ``full_forward`` runs is pinned:
+        a sage layer runs 8 (two gathers for the gate, the gate, the
+        amplifier, the summand, the segment sum, the own-column gather and
+        the combine), a kernel-mode rw layer 7, and rw's layer 0 one."""
+        g, _ = small_graph()
+        stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                             depth=depth, seed=0, **kw)
+        made, make = [], ad._make
+
+        def counted(data, op, inputs, vjp):
+            made.append(op)
+            return make(data, op, inputs, vjp)
+
+        monkeypatch.setattr(ad, "_make", counted)
+        L.full_forward(g, stack)
+        assert len(made) == ops, made
+
+
 class TestTapedMatchesFull:
     @pytest.mark.parametrize("kw", [
         dict(arch="rw"), dict(arch="wl"), dict(arch="sage"),
         dict(arch="concat"), dict(arch="sage", combine="hadamard"),
-        dict(arch="rw", amplifier_sigmoid=True)])
+        dict(arch="rw", amplifier_sigmoid=True),
+        dict(arch="sage", combine="sum"),
+        dict(arch="sage", amplifier_sigmoid=True)])
     def test_batch_columns_equal_full_rows(self, kw):
         g, _ = small_graph(seed=18, n=20)
         stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
@@ -279,6 +305,23 @@ class TestGradients:
     def test_full_stack_finite_difference(self, arch):
         g, split = small_graph(seed=16, n=16)
         run = T.TrainRun(arch=arch, hidden=4, depth=2, seed=1, max_epochs=1)
+        model = T.build_model(g, run)
+        batch = list(split.train)[:4]
+
+        def loss_fn():
+            return T.batch_loss(g, model, batch)
+
+        assert finite_diff_worst(model.parameters(), loss_fn) < 1e-4
+
+    @pytest.mark.parametrize("kw", [
+        dict(arch="sage", combine="sum"), dict(arch="sage", combine="hadamard"),
+        dict(arch="sage", amplifier_sigmoid=True),
+        dict(arch="rw", amplifier_sigmoid=True)])
+    def test_combine_and_amplifier_finite_difference(self, kw):
+        """The sage combines and the squashed amplifier, each one op, on a
+        graph with Gaussian features, which keep the ReLUs off their kinks."""
+        g, split = G.synth_graph("random", 24, seed=3)
+        run = T.TrainRun(hidden=4, depth=2, seed=2, max_epochs=1, **kw)
         model = T.build_model(g, run)
         batch = list(split.train)[:4]
 

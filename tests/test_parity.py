@@ -32,6 +32,14 @@ Adam and SGD steps against the per-tensor updates they replaced
 (``_AdamPerTensor``, ``_SgdPerTensor``), and the gate and classifier head,
 one ``autodiff.affine`` each, against the op compositions they replaced
 (``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.
+The same holds for each fused op against the ops it replaced: the gate's
+``sigmoid_affine`` (``_sigmoid_affine_ops``), the amplifier's ``amplify``
+(``_amplify_ops``), the sampled summand's ``scale`` by the gates and the
+coefficients (``_scale_ops``), the sage and concat layers' ``combine``
+(``_combine_ops``) and the mean ``softmax_cross_entropy`` (``_mean_loss_ops``,
+over the summed op ``_cross_entropy_sum_op``); and for whole layers, as
+``_layer_ops`` builds them from those compositions, in every stack, depth
+1-3, full and sampled.
 ``training.micro_f1``'s one hit count must equal the pooled TP / FP / FN
 counts it replaced (``_micro_f1_pooled``) exactly, and the refresh work
 ``train`` derives from its refresh count the per-refresh sum the sampler
@@ -521,11 +529,186 @@ def test_batch_loss_matches_op_compositions(gname, arch, depth, monkeypatch):
     new = run(lambda: T.batch_loss(g, model, list(batch)))
     monkeypatch.setattr(L, "gate", _gate_ops)
     labels = [g.labels[u] for u in batch]
-    old = run(lambda: ad.scale(ad.softmax_cross_entropy(
-        _head_ops(model, L.forward(g, model.stack, list(batch))), labels),
-        1.0 / len(batch)))
+    old = run(lambda: _mean_loss_ops(
+        _head_ops(model, L.forward(g, model.stack, list(batch))), labels))
     assert new[0] == old[0]
     assert np.array_equal(new[1], old[1])
+
+
+def _sigmoid_affine_ops(w, xs, b):
+    """``autodiff.sigmoid_affine`` as an ``affine`` and a ``sigmoid``."""
+    return ad.sigmoid(ad.affine(w, xs, b))
+
+
+def _amplify_ops(h, w, x, squash):
+    """``autodiff.amplify`` as a ``matvec``, an optional ``sigmoid`` and a
+    ``hadamard``."""
+    a = ad.matvec(w, x)
+    return ad.hadamard(h, ad.sigmoid(a) if squash else a)
+
+
+def _scale_ops(a, s, c):
+    """``autodiff.scale`` with a coefficient row as two ``scale``s."""
+    a = ad.scale(a, s)
+    return a if c is None else ad.scale(a, c)
+
+
+def _combine_ops(w1, x1, w2, x2, how):
+    """``autodiff.combine`` as two ``matvec``s, an ``add``, ``hadamard`` or
+    ``concat``, and a ``relu``."""
+    z1, z2 = ad.matvec(w1, x1), ad.matvec(w2, x2)
+    if how == "sum":
+        return ad.relu(ad.add(z1, z2))
+    if how == "hadamard":
+        return ad.relu(ad.hadamard(z1, z2))
+    return ad.relu(ad.concat([z1, z2]))
+
+
+def _cross_entropy_sum_op(logits, label):
+    """The summed cross-entropy op ``softmax_cross_entropy`` was before it
+    took the mean."""
+    k, cols = logits.shape
+    label = np.array(label, dtype=np.intp).reshape(-1)
+    z = logits.data
+    cols_idx = np.arange(cols)
+    m = np.max(z, axis=0)
+    ez = np.exp(z - m)
+    total = np.sum(ez, axis=0)
+    probs = ez / total
+    loss = np.sum(-(z[label, cols_idx] - m - np.log(total)))
+
+    def vjp(g):
+        d = probs.copy()
+        d[label, cols_idx] -= 1.0
+        return (g[0, 0] * d,)
+
+    return ad._make(np.array([[loss]]), "softmax_cross_entropy", (logits,),
+                    vjp)
+
+
+def _mean_loss_ops(logits, labels):
+    """The batch loss as the summed cross-entropy and a ``scale``."""
+    return ad.scale(_cross_entropy_sum_op(logits, labels), 1.0 / len(labels))
+
+
+def _fused_case(name, rng, fe):
+    """(fused op, its op composition, leaves) on random inputs; ``fe`` is
+    the constant or tracked link-feature-like input."""
+    d, k = fe.shape[0] + 2, fe.shape[1]
+    w1, w2, h, x = (_leaf(rng, 4, d), _leaf(rng, 4, d), _leaf(rng, d, k),
+                    _leaf(rng, d, k))
+    if name == "sigmoid_affine":
+        v, b = _leaf(rng, 1, 2 * d + fe.shape[0]), _leaf(rng, 1, 1)
+        return (lambda: ad.sigmoid_affine(v, (h, fe, x), b),
+                lambda: _sigmoid_affine_ops(v, (h, fe, x), b), [v, b, h, x])
+    if name.startswith("amplify"):
+        u, squash = _leaf(rng, d, fe.shape[0]), name.endswith("sigmoid")
+        return (lambda: ad.amplify(h, u, fe, squash),
+                lambda: _amplify_ops(h, u, fe, squash), [h, u])
+    if name.startswith("scale"):
+        lam = _leaf(rng, 1, k) if name != "scale-constant" else 0.4
+        c = None if name == "scale-no-coefficients" else rng.uniform(1, 9, (1, k))
+        leaves = [h] if name == "scale-constant" else [h, lam]
+        return (lambda: ad.scale(h, lam, c), lambda: _scale_ops(h, lam, c),
+                leaves)
+    if name.startswith("combine"):
+        how = name.split("-")[1]
+        return (lambda: ad.combine(w1, h, w2, x, how),
+                lambda: _combine_ops(w1, h, w2, x, how), [w1, w2, h, x])
+    labels = rng.integers(0, d, size=k)
+    return (lambda: ad.softmax_cross_entropy(h, labels),
+            lambda: _mean_loss_ops(h, labels), [h])
+
+
+FUSED_CASES = ["sigmoid_affine", "amplify", "amplify-sigmoid", "scale",
+               "scale-constant", "scale-no-coefficients", "combine-sum",
+               "combine-hadamard", "combine-concat", "mean-loss"]
+
+
+@pytest.mark.parametrize("tracked_fe", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", FUSED_CASES)
+def test_fused_ops_match_op_compositions(name, seed, tracked_fe):
+    """Each fused op gives its output and every leaf's gradient bit for bit
+    as the ops it replaced, with the link-feature-like input constant or a
+    leaf too."""
+    rng = np.random.default_rng(seed)
+    fe = ad.Tensor2(rng.normal(size=(3, 17)), requires_grad=tracked_fe)
+    fused, ops, leaves = _fused_case(name, rng, fe)
+    leaves += [fe] if tracked_fe else []
+    new, old = _backward(fused, leaves), _backward(ops, leaves)
+    for a, b in zip([new[0]] + new[1], [old[0]] + old[1]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _layer_ops(g, stack, l, nodes, pos, arcs, h, r):
+    """``layers._layer`` built from the op compositions above, one op per
+    step as before the fused ops."""
+    p = stack.layers[l]
+    ids, dst, coef = arcs
+    m = len(nodes[l])
+    src = pos[l - 1][g.arc_src[ids]]
+    fe = L._cols(g.link_features, g.arc_link[ids])
+    hv = ad.gather(h, src)
+    if stack.arch == "concat":
+        core = ad.concat([hv, fe])
+        if coef is not None:
+            hv, fe = ad.scale(hv, coef), ad.scale(fe, coef)
+        z = ad.add(ad.matvec(p.W1, ad.segment_sum(hv, dst, m)),
+                   ad.matvec(p.W2, ad.segment_sum(fe, dst, m)))
+        return ad.relu(z), 1.0, core
+    own = pos[l - 1][nodes[l]]
+    lam = (stack.constant_decay if stack.kernel_mode else _sigmoid_affine_ops(
+        p.V, (ad.gather(h, own[dst]), fe, hv), p.b))
+    core = _amplify_ops(hv, p.U, fe, stack.amplifier_sigmoid)
+    if stack.arch != "sage":
+        x = (L._cols(g.node_features, nodes[l]) if stack.arch == "rw"
+             else ad.gather(r, pos[0][nodes[l]]))
+        core = ad.hadamard(core, ad.gather(ad.matvec(p.W, x), dst))
+    nbsum = ad.segment_sum(_scale_ops(core, lam, coef), dst, m)
+    if stack.arch == "sage":
+        return (_combine_ops(p.W1, ad.gather(h, own), p.W2, nbsum,
+                             stack.combine), lam, core)
+    return (nbsum if stack.kernel_mode else ad.relu(nbsum)), lam, core
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("sname", sorted(STACKS))
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ["full", "minvar"])
+def test_layers_match_op_compositions(gname, sname, depth, strategy,
+                                      monkeypatch):
+    """A batch's loss and every parameter gradient (full or sampled), and
+    ``full_forward``'s hidden arrays, gates and summands, are bit for bit
+    those of the layers and loss built from single ops."""
+    g, batch = graphs()[gname]
+    model = T.Model(L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
+                                 depth=depth, seed=6, **STACKS[sname]),
+                    g.n_labels, seed=7)
+    plan = S.SamplePlan(strategy=strategy, sample_size=2)
+    state = S.SamplerState()
+    if strategy != "full":
+        S.refresh(state, g, model.stack, plan, list(batch))
+
+    def run(loss_of):
+        with ad.Tape() as tape:
+            loss = loss_of()
+            model.zero_grad()
+            tape.backward(loss)
+        return loss.item(), model.grad.copy(), L.full_forward(g, model.stack)
+
+    new = run(lambda: T.batch_loss(g, model, list(batch), plan, state,
+                                   np.random.default_rng(1)))
+    monkeypatch.setattr(L, "_layer", _layer_ops)
+    labels = [g.labels[u] for u in batch]
+    old = run(lambda: _mean_loss_ops(ad.affine(model.C, (L.forward(
+        g, model.stack, list(batch), plan, state, np.random.default_rng(1)),),
+        model.c), labels))
+    assert new[0] == old[0]
+    assert np.array_equal(new[1], old[1])
+    for key in ("H", "gates", "terms"):
+        for a, b in zip(new[2][key], old[2][key]):
+            assert (a is b is None) or np.array_equal(a, b), key
 
 
 def compute_kernels():
