@@ -12,7 +12,8 @@ fast no-grad path.  ``affine`` is the one linear op (``matvec`` is its
 one-block case).  Per-op overhead outweighs the arithmetic at these sizes, so
 a layer's compositions are single ops: ``sigmoid_affine`` (the gate),
 ``amplify`` (a column scaled by a linear map, optionally squashed),
-``combine`` (relu of two linear maps summed, multiplied or stacked),
+``amplify_gather`` (``amplify`` times gathered columns of a second linear
+map), ``combine`` (relu of two linear maps summed, multiplied or stacked),
 ``scale`` by a row and a constant row, and the mean
 ``softmax_cross_entropy``.  Each runs the numpy expressions of the ops it
 replaced in the same order, forward and backward, so every value is bit for
@@ -200,6 +201,46 @@ def amplify(h, w, x, squash=False):
         return [g * a if h.tracked else None] + vjp(ga)
 
     return _make(h.data * a, "hadamard", (h, *inputs), rule)
+
+
+def amplify_gather(h, w1, x1, w2, x2, idx, squash=False):
+    """amplify(h, w1, x1, squash) (*) (W2 X2)[:, idx] as one op: each column
+    of h scaled by a linear map of x1's column and by the column idx[j] of
+    a linear map of x2, which may repeat or leave out columns."""
+    z, in1, vjp1 = _affine(w1, (x1,), None)
+    a = 1.0 / (1.0 + np.exp(-z)) if squash else z
+    if h.shape != a.shape:
+        raise ValueError("hadamard shape mismatch: %s vs %s" % (h.shape, a.shape))
+    ha = h.data * a
+    b, in2, vjp2 = _affine(w2, (x2,), None)
+    bg = b[:, idx]
+    if ha.shape != bg.shape:
+        raise ValueError("hadamard shape mismatch: %s vs %s"
+                         % (ha.shape, bg.shape))
+    y = ha * bg
+    # The product hides neither an overflow nor a NaN, except the squash's
+    # and those in columns of W2 X2 that idx leaves out.
+    if (not np.isfinite(y).all() or not np.isfinite(b).all()
+            or squash and not np.isfinite(z).all()):
+        for part, op in ((z, "affine"), (ha, "hadamard"), (b, "affine"),
+                         (bg, "gather"), (y, "hadamard")):
+            _finite(part, op)
+
+    def rule(g):
+        """The hadamard's rule, then the gather's, the product's and
+        amplify's, each only when a tracked input needs it."""
+        g1 = g * bg if h.tracked or any(t.tracked for t in in1) else None
+        g2 = g * ha if any(t.tracked for t in in2) else None
+        out = ([None] * 2 if g2 is None
+               else vjp2(_scatter_cols(g2, idx, b.shape[1])))
+        if g1 is None:
+            return [None] * 3 + out
+        ga = g1 * h.data
+        if squash:
+            ga = ga * a * (1.0 - a)
+        return [g1 * a if h.tracked else None] + vjp1(ga) + out
+
+    return _make(y, "hadamard", (h, *in1, *in2), rule)
 
 
 _COMBINED = {"sum": "add", "hadamard": "hadamard", "concat": "concat"}

@@ -20,10 +20,13 @@ turning the rw stack into an exact walk-sum evaluator; its layers gather no
 gate inputs, since the constant reads none.
 
 Each step of a layer is one autodiff op: the gate is ``sigmoid_affine``, the
-amplifier ``amplify``, the summand (term times gate, times the sampling
+amplifier ``amplify`` (for rw and wl, ``amplify_gather``, with the product by
+W f(u) or W r(u)), the summand (term times gate, times the sampling
 coefficients) one ``scale``, and the sage and concat outputs
 relu(W1 x1 o W2 x2) one ``combine``.  Untaped, a sage layer runs 8 ops and a
-kernel-mode rw layer 7.
+kernel-mode rw layer 4.  Inputs no parameter reaches (positions, link- and
+node-feature columns) are built once per forward over every node, whose
+layers share them, and once per layer over other fields.
 """
 
 from __future__ import annotations
@@ -308,41 +311,42 @@ def _relabel(g, stack, nodes, arcs):
     return r
 
 
-def _layer(g, stack, l, nodes, pos, arcs, h, r):
+def _layer(stack, l, m, arcs, consts, h, x):
     """Layer l over its field: (hidden, per-arc gates, per-arc summands).
 
-    ``pos[k]`` is the position map of nodes[k] (``_positions``).  Gates and
-    summands are the lambda and g(v|u) of sampling's estimator; a constant
-    gate (kernel mode, and 1 for concat) is a float.
+    ``m`` is the length of nodes[l], and ``consts`` the inputs no parameter
+    reaches (``_run``): per arc, its source's position in nodes[l - 1]; per
+    node of nodes[l], its position there; and per arc, its link features.
+    ``x`` is the per-node input of rw and wl (node features or relabels of
+    nodes[l]).  Gates and summands are the lambda and g(v|u) of sampling's
+    estimator; a constant gate (kernel mode, and 1 for concat) is a float.
     """
     p = stack.layers[l]
-    ids, dst, coef = arcs
-    m = len(nodes[l])
-    src = pos[l - 1][g.arc_src[ids]]
-    fe = _cols(g.link_features, g.arc_link[ids])
+    _, dst, coef = arcs
+    src, own, fe = consts
     hv = ad.gather(h, src)
 
     if stack.arch == "concat":
-        core = ad.concat([hv, fe])
+        # field_forward's terms, a constant: no gradient passes through them
+        core = ad.Tensor2(np.concatenate([hv.data, fe.data]))
         if coef is not None:
             hv, fe = ad.scale(hv, coef), ad.scale(fe, coef)
         return (ad.combine(p.W1, ad.segment_sum(hv, dst, m),
                            p.W2, ad.segment_sum(fe, dst, m), "sum"),
                 1.0, core)
 
-    # Off the tape each per-arc tensor is freed once used, so a full forward
-    # holds at most three at a time (gathered neighbors, amplifier, summand).
+    # Off the tape each per-arc array is freed once used, so a full forward
+    # holds at most five at a time: the gathered neighbors and, inside rw's
+    # and wl's summand op, U fe, its product with them, the gathered W x and
+    # the summand (six with the squash, which keeps U fe too).
     # The kernel-mode gate is a constant and reads no h_u: gather none.
-    own = pos[l - 1][nodes[l]]
     lam = gate(None if stack.kernel_mode else ad.gather(h, own[dst]),
                hv, fe, p, stack)
     if stack.arch == "sage":
         core = amplifier(hv, fe, p, stack)
     else:
-        x = (_cols(g.node_features, nodes[l]) if stack.arch == "rw"
-             else ad.gather(r, pos[0][nodes[l]]))
-        core = ad.hadamard(amplifier(hv, fe, p, stack),
-                           ad.gather(ad.matvec(p.W, x), dst))
+        core = ad.amplify_gather(hv, p.U, fe, p.W, x, dst,
+                                 stack.amplifier_sigmoid)
     del hv
     nbsum = ad.segment_sum(ad.scale(core, lam, coef), dst, m)
     if stack.arch == "sage":
@@ -353,20 +357,42 @@ def _layer(g, stack, l, nodes, pos, arcs, h, r):
 
 def _run(g, stack, nodes, arcs):
     """(hidden, gates, summands) per layer over a field; layer 0 has no
-    gates or summands."""
-    r = None
+    gates or summands.
+
+    A layer's inputs that no parameter reaches (positions, link-feature
+    columns and rw's node-feature columns) are built again only where its
+    node lists or arcs are not the objects the layer below used: once per
+    forward over ``_whole_field``, whose layers share them, and per layer
+    over the other fields.
+    """
+    r = x = None
     if stack.arch == "wl":
         r = _relabel(g, stack, *_full_field(g, nodes[0], stack.wl_depth - 1))
-    if stack.arch == "rw":
-        h = ad.matvec(stack.layers[0].W, _cols(g.node_features, nodes[0]))
-    elif stack.arch == "wl":
         h = ad.matvec(stack.layers[0].W, r)
+    elif stack.arch == "rw":
+        x = _cols(g.node_features, nodes[0])
+        h = ad.matvec(stack.layers[0].W, x)
     else:
         h = _cols(g.node_features, nodes[0])
     out = [(h, None, None)]
-    pos = [_positions(g, nodes[l]) for l in range(stack.depth)]
+    pos0 = _positions(g, nodes[0])
     for l in range(1, stack.depth + 1):
-        out.append(_layer(g, stack, l, nodes, pos, arcs[l], out[-1][0], r))
+        if l == 1 or not (nodes[l] is nodes[l - 1] is nodes[l - 2]
+                          and arcs[l] is arcs[l - 1]):
+            pos = (pos0 if nodes[l - 1] is nodes[0]
+                   else _positions(g, nodes[l - 1]))
+            ids = arcs[l][0]
+            consts = (pos[g.arc_src[ids]], pos[nodes[l]],
+                      _cols(g.link_features, g.arc_link[ids]))
+            if stack.arch == "rw" and nodes[l] is not nodes[l - 1]:
+                # x holds the columns of nodes[l - 1]
+                x = _cols(g.node_features, nodes[l])
+            elif stack.arch == "wl":
+                at = pos0[nodes[l]]  # the columns of r
+        if stack.arch == "wl":
+            x = ad.gather(r, at)
+        out.append(_layer(stack, l, len(nodes[l]), arcs[l], consts,
+                          out[-1][0], x))
     return out
 
 

@@ -109,6 +109,27 @@ class TestForward:
             with pytest.raises(FloatingPointError, match="by hadamard$"):
                 ad.combine(high, one, high, one, "hadamard")
 
+    @pytest.mark.parametrize("h, w1, w2, x2, squash, step", [
+        ([[1.0, 1.0]], 1e308, 1.0, [[1.0, 1.0, 1.0]], False, "affine"),
+        ([[1.0, 1.0]], -1e308, 1.0, [[1.0, 1.0, 1.0]], True, "affine"),
+        ([[1e200, 1e200]], 1e200, 1e200, [[1.0, 1.0, 1e200]], False,
+         "hadamard"),
+        ([[1.0, 1.0]], 1.0, 1e200, [[1.0, 1.0, 1e200]], False, "affine"),
+        ([[1e200, 1e200]], 1.0, 1e200, [[1.0, 1.0, 1.0]], True, "hadamard"),
+    ])
+    def test_amplify_gather_names_the_step_that_overflowed(
+            self, h, w1, w2, x2, squash, step):
+        """h (*) sigmoid?(w1 x1) (*) (w2 x2)[:, [0, 1]] names the first of
+        its steps that overflowed, in the order of the ops it replaced
+        (``amplify``'s product, its hadamard, the product of w2, the gather,
+        the hadamard): also when the squash hides the overflow, or when it
+        is in a column of w2 x2 that the gather leaves out."""
+        x1 = t([[10.0, 10.0]])
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match="by %s$" % step):
+            ad.amplify_gather(t(h), t([[w1]]), x1, t([[w2]]), t(x2), [0, 1],
+                              squash)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gather_and_segment_sum_are_errors(self, bad):
         a = t([[1.0, bad, 2.0]])
@@ -237,6 +258,12 @@ def _fd_case(name, rng):
         return [a, s], lambda: ad.scale(a, s, c)
     if op[0] == "amplify":
         return [a, w2, fe], lambda: ad.amplify(a, w2, fe, op[1] == "sigmoid")
+    if op[0] == "amplify_gather":
+        # columns 3, 5 and 6 of W x2 are left out, column 4 read twice
+        x2 = leaf(2, 7) if op[2] == "tracked" else t(rng.normal(size=(2, 7)))
+        leaves = [a, w2, fe, w] + ([x2] if op[2] == "tracked" else [])
+        return leaves, lambda: ad.amplify_gather(a, w2, fe, w, x2, idx[:5],
+                                                 op[1] == "sigmoid")
     if op[0] == "combine":
         return [w, x, w2, fe], lambda: ad.combine(w, x, w2, fe, op[1])
     if op[0] == "softmax_cross_entropy":
@@ -256,8 +283,10 @@ def _fd_case(name, rng):
 FD_CASES = ["affine", "matvec", "add", "hadamard", "scale-row",
             "scale-constant", "gather", "segment_sum", "concat", "sigmoid",
             "relu", "softmax_cross_entropy", "sigmoid_affine", "amplify-plain",
-            "amplify-sigmoid", "combine-sum", "combine-hadamard",
-            "combine-concat"]
+            "amplify-sigmoid", "amplify_gather-plain-tracked",
+            "amplify_gather-sigmoid-tracked", "amplify_gather-plain-constant",
+            "amplify_gather-sigmoid-constant", "combine-sum",
+            "combine-hadamard", "combine-concat"]
 
 
 class TestOpGradients:

@@ -35,13 +35,14 @@ class TestGate:
         fe = ad.Tensor2(np.ones(g.d_link))
         assert L.gate(h, h, fe, stack.layers[1], stack) == 0.3
 
-    @pytest.mark.parametrize("kernel_mode, per_layer", [(True, 2), (False, 3)])
+    @pytest.mark.parametrize("kernel_mode, per_layer", [(True, 1), (False, 2)])
     @pytest.mark.parametrize("depth", [1, 3])
     def test_gathers_per_rw_layer(self, kernel_mode, per_layer, depth,
                                   monkeypatch):
-        """An rw layer gathers its neighbors' columns, the W f(u) column of
-        each arc's destination and, unless the gate is kernel mode's
-        constant, the destination's own column h_u."""
+        """An rw layer gathers its neighbors' columns and, unless the gate
+        is kernel mode's constant, the destination's own column h_u; the W
+        f(u) column of each arc's destination is gathered inside the
+        summand's ``amplify_gather``, not by ``gather``."""
         g, _ = small_graph()
         stack = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=depth,
                              kernel_mode=kernel_mode, seed=0)
@@ -259,13 +260,17 @@ class TestInvariance:
 class TestUntapedOps:
     @pytest.mark.parametrize("kw, depth, ops", [
         (dict(arch="sage"), 2, 16),  # the train-minvar refresh's forward
-        (dict(arch="rw", kernel_mode=True), 3, 22),  # the Theorem-1 forward
+        (dict(arch="rw", kernel_mode=True), 3, 13),  # the Theorem-1 forward
+        (dict(arch="rw"), 2, 15),
     ])
     def test_ops_per_full_forward(self, kw, depth, ops, monkeypatch):
         """The number of ops one untaped ``full_forward`` runs is pinned:
         a sage layer runs 8 (two gathers for the gate, the gate, the
         amplifier, the summand, the segment sum, the own-column gather and
-        the combine), a kernel-mode rw layer 7, and rw's layer 0 one."""
+        the combine), a kernel-mode rw layer 4 (the neighbor gather,
+        ``amplify_gather``, the summand and the segment sum), an rw layer 7
+        (those, two gathers for the gate, the gate and the relu), and rw's
+        layer 0 one."""
         g, _ = small_graph()
         stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                              depth=depth, seed=0, **kw)
@@ -278,6 +283,58 @@ class TestUntapedOps:
         monkeypatch.setattr(ad, "_make", counted)
         L.full_forward(g, stack)
         assert len(made) == ops, made
+
+
+class TestConstantInputs:
+    """Positions and feature columns, which no parameter reaches, are built
+    once per forward over ``_whole_field``, whose layers share one node list
+    and one arcs tuple, and once per layer over any other field."""
+
+    @staticmethod
+    def count_cols(monkeypatch, g):
+        """The list of "node" and "link", one per ``_cols`` call on g's
+        node or link features, filled as the calls run."""
+        calls, cols = [], L._cols
+
+        def counted(mat, ids):
+            calls.append({id(g.node_features): "node",
+                          id(g.link_features): "link"}[id(mat)])
+            return cols(mat, ids)
+
+        monkeypatch.setattr(L, "_cols", counted)
+        return calls
+
+    @pytest.mark.parametrize("arch", L.ARCHITECTURES)
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_whole_graph_forward_builds_them_once(self, arch, depth,
+                                                  monkeypatch):
+        """Node features once (rw's layer 0 and its layers, or the first
+        relabeling round), link features once."""
+        g, _ = small_graph()
+        stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=depth,
+                             seed=0)
+        calls = self.count_cols(monkeypatch, g)
+        L.full_forward(g, stack)
+        assert calls == ["node", "link"]
+
+    @pytest.mark.parametrize("arch", L.ARCHITECTURES)
+    @pytest.mark.parametrize("strategy", ["full", "minvar"])
+    def test_other_fields_build_them_per_layer(self, arch, strategy,
+                                               monkeypatch):
+        """Node features for layer 0, then per layer the link features and,
+        for rw, the layer's node features."""
+        g, split = small_graph()
+        stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=0)
+        plan, state = S.SamplePlan(strategy=strategy, sample_size=2), None
+        if strategy != "full":
+            state = S.SamplerState()
+            S.refresh(state, g, stack, plan, split.train[:4])
+        calls = self.count_cols(monkeypatch, g)
+        L.forward(g, stack, split.train[:4], plan, state,
+                  np.random.default_rng(0))
+        per_layer = ["link", "node"] if arch == "rw" else ["link"]
+        assert calls == ["node"] + per_layer * 2
 
 
 class TestTapedMatchesFull:

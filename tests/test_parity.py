@@ -34,12 +34,13 @@ one ``autodiff.affine`` each, against the op compositions they replaced
 (``_gate_ops``, ``_head_ops``): outputs and every gradient bit for bit.
 The same holds for each fused op against the ops it replaced: the gate's
 ``sigmoid_affine`` (``_sigmoid_affine_ops``), the amplifier's ``amplify``
-(``_amplify_ops``), the sampled summand's ``scale`` by the gates and the
+(``_amplify_ops``), rw's and wl's summand ``amplify_gather``
+(``_amplify_gather_ops``), the sampled summand's ``scale`` by the gates and the
 coefficients (``_scale_ops``), the sage and concat layers' ``combine``
 (``_combine_ops``) and the mean ``softmax_cross_entropy`` (``_mean_loss_ops``,
 over the summed op ``_cross_entropy_sum_op``); and for whole layers, as
-``_layer_ops`` builds them from those compositions, in every stack, depth
-1-3, full and sampled.
+``_layer_ops`` builds them from those compositions, in every stack and in wl
+with the squash, depth 1-3, full and sampled.
 ``training.micro_f1``'s one hit count must equal the pooled TP / FP / FN
 counts it replaced (``_micro_f1_pooled``) exactly, and the refresh work
 ``train`` derives from its refresh count the per-refresh sum the sampler
@@ -547,6 +548,13 @@ def _amplify_ops(h, w, x, squash):
     return ad.hadamard(h, ad.sigmoid(a) if squash else a)
 
 
+def _amplify_gather_ops(h, w1, x1, w2, x2, idx, squash):
+    """``autodiff.amplify_gather`` as an ``amplify``, a ``matvec``, a
+    ``gather`` and a ``hadamard``: rw's and wl's summand before it."""
+    return ad.hadamard(ad.amplify(h, w1, x1, squash),
+                       ad.gather(ad.matvec(w2, x2), idx))
+
+
 def _scale_ops(a, s, c):
     """``autodiff.scale`` with a coefficient row as two ``scale``s."""
     a = ad.scale(a, s)
@@ -601,6 +609,16 @@ def _fused_case(name, rng, fe):
         v, b = _leaf(rng, 1, 2 * d + fe.shape[0]), _leaf(rng, 1, 1)
         return (lambda: ad.sigmoid_affine(v, (h, fe, x), b),
                 lambda: _sigmoid_affine_ops(v, (h, fe, x), b), [v, b, h, x])
+    if name.startswith("amplify_gather"):
+        u, squash = _leaf(rng, d, fe.shape[0]), "sigmoid" in name
+        w = _leaf(rng, d, 5)
+        y = (ad.Tensor2(rng.normal(size=(5, 9))) if name.endswith("constant")
+             else _leaf(rng, 5, 9))
+        idx = rng.integers(0, 8, size=k)  # column 8 of W y is left out
+        leaves = [h, u, w] + ([] if name.endswith("constant") else [y])
+        return (lambda: ad.amplify_gather(h, u, fe, w, y, idx, squash),
+                lambda: _amplify_gather_ops(h, u, fe, w, y, idx, squash),
+                leaves)
     if name.startswith("amplify"):
         u, squash = _leaf(rng, d, fe.shape[0]), name.endswith("sigmoid")
         return (lambda: ad.amplify(h, u, fe, squash),
@@ -620,7 +638,10 @@ def _fused_case(name, rng, fe):
             lambda: _mean_loss_ops(h, labels), [h])
 
 
-FUSED_CASES = ["sigmoid_affine", "amplify", "amplify-sigmoid", "scale",
+FUSED_CASES = ["sigmoid_affine", "amplify", "amplify-sigmoid",
+               "amplify_gather", "amplify_gather-sigmoid",
+               "amplify_gather-constant", "amplify_gather-sigmoid-constant",
+               "scale",
                "scale-constant", "scale-no-coefficients", "combine-sum",
                "combine-hadamard", "combine-concat", "mean-loss"]
 
@@ -641,14 +662,14 @@ def test_fused_ops_match_op_compositions(name, seed, tracked_fe):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-def _layer_ops(g, stack, l, nodes, pos, arcs, h, r):
+def _layer_ops(stack, l, m, arcs, consts, h, x):
     """``layers._layer`` built from the op compositions above, one op per
-    step as before the fused ops."""
+    step as before the fused ops: rw's and wl's summand as the
+    ``amplify``, ``matvec``, ``gather`` and ``hadamard`` that
+    ``amplify_gather`` replaced, and concat's terms as a ``concat`` op."""
     p = stack.layers[l]
-    ids, dst, coef = arcs
-    m = len(nodes[l])
-    src = pos[l - 1][g.arc_src[ids]]
-    fe = L._cols(g.link_features, g.arc_link[ids])
+    _, dst, coef = arcs
+    src, own, fe = consts
     hv = ad.gather(h, src)
     if stack.arch == "concat":
         core = ad.concat([hv, fe])
@@ -657,13 +678,10 @@ def _layer_ops(g, stack, l, nodes, pos, arcs, h, r):
         z = ad.add(ad.matvec(p.W1, ad.segment_sum(hv, dst, m)),
                    ad.matvec(p.W2, ad.segment_sum(fe, dst, m)))
         return ad.relu(z), 1.0, core
-    own = pos[l - 1][nodes[l]]
     lam = (stack.constant_decay if stack.kernel_mode else _sigmoid_affine_ops(
         p.V, (ad.gather(h, own[dst]), fe, hv), p.b))
     core = _amplify_ops(hv, p.U, fe, stack.amplifier_sigmoid)
     if stack.arch != "sage":
-        x = (L._cols(g.node_features, nodes[l]) if stack.arch == "rw"
-             else ad.gather(r, pos[0][nodes[l]]))
         core = ad.hadamard(core, ad.gather(ad.matvec(p.W, x), dst))
     nbsum = ad.segment_sum(_scale_ops(core, lam, coef), dst, m)
     if stack.arch == "sage":
@@ -672,8 +690,12 @@ def _layer_ops(g, stack, l, nodes, pos, arcs, h, r):
     return (nbsum if stack.kernel_mode else ad.relu(nbsum)), lam, core
 
 
+LAYER_STACKS = {**STACKS, "wl-amp-sigmoid": dict(arch="wl",
+                                                 amplifier_sigmoid=True)}
+
+
 @pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
-@pytest.mark.parametrize("sname", sorted(STACKS))
+@pytest.mark.parametrize("sname", sorted(LAYER_STACKS))
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("strategy", ["full", "minvar"])
 def test_layers_match_op_compositions(gname, sname, depth, strategy,
@@ -683,7 +705,7 @@ def test_layers_match_op_compositions(gname, sname, depth, strategy,
     those of the layers and loss built from single ops."""
     g, batch = graphs()[gname]
     model = T.Model(L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
-                                 depth=depth, seed=6, **STACKS[sname]),
+                                 depth=depth, seed=6, **LAYER_STACKS[sname]),
                     g.n_labels, seed=7)
     plan = S.SamplePlan(strategy=strategy, sample_size=2)
     state = S.SamplerState()

@@ -130,16 +130,24 @@ class TestTrain:
         _, h2 = T.train(g, split, run)
         assert h1.train_loss == h2.train_loss
 
-    @pytest.mark.parametrize("depth, strategy, ops", [
-        (1, "full", 7),  # the train-full benchmark configuration
-        (2, "minvar", 15),  # the train-minvar benchmark configuration
+    @pytest.mark.parametrize("arch, depth, strategy, ops", [
+        # the train-full and train-minvar benchmark configurations
+        pytest.param("sage", 1, "full", 7, id="1-full-7"),
+        pytest.param("sage", 2, "minvar", 15, id="2-minvar-15"),
+        ("rw", 2, "full", 17),
+        ("rw", 2, "minvar", 17),
+        ("wl", 2, "full", 27),
+        ("wl", 2, "minvar", 27),
+        ("concat", 2, "full", 6),
+        ("concat", 2, "minvar", 7),
     ])
-    def test_tape_ops_per_batch(self, depth, strategy, ops):
-        """The tape size of one sage batch is pinned: one op per
-        layer-level tensor downstream of a parameter."""
+    def test_tape_ops_per_batch(self, arch, depth, strategy, ops):
+        """The tape size of one batch is pinned: one op per layer-level
+        tensor downstream of a parameter.  An rw or wl layer's summand is
+        one op, and concat's per-arc terms are a constant, not an op."""
         g, split = G.synth_graph("interaction", 60, seed=3)
         plan = S.SamplePlan(strategy=strategy, sample_size=3)
-        run = quick_run(hidden=16, depth=depth, plan=plan)
+        run = quick_run(arch=arch, hidden=16, depth=depth, plan=plan)
         model = T.build_model(g, run)
         state = S.SamplerState()
         batch = list(split.train)[:16]
