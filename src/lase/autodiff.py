@@ -8,26 +8,25 @@ that is ops downstream of a parameter, and each backward rule computes
 gradients only for its tracked inputs (``None`` for the rest): an op on
 constants alone, such as a gather of node features, costs its forward and
 nothing more.  Outside any tape nothing is tracked or recorded, which is the
-fast no-grad path.  ``affine`` is the one linear op (``matvec`` is its
-one-block case).  Per-op overhead outweighs the arithmetic at these sizes, so
-a layer's compositions are single ops: ``sigmoid_affine`` (the gate),
+fast no-grad path.  ``affine`` is the one linear op.  Per-op overhead
+outweighs the arithmetic at these sizes, so a layer's compositions are single
+ops: ``sigmoid_affine`` (the gate and the relabel's message),
 ``amplify`` (a column scaled by a linear map, optionally squashed),
 ``amplify_gather`` (``amplify`` times gathered columns of a second linear
-map), ``combine`` (relu of two linear maps summed, multiplied or stacked),
-``scale`` by a row and a constant row, and the mean
-``softmax_cross_entropy``.  Each runs the numpy expressions of the ops it
-replaced in the same order, forward and backward, so every value is bit for
-bit theirs.  Broadcasting happens only where an op says so (``scale`` by
-a scalar or a row of per-column factors, ``affine``'s bias column); any other
-shape disagreement raises.  Column scatters (``segment_sum`` and the gradient
-of ``gather``) are one ``np.bincount`` each, whose sums are bit for bit those
-of ``np.add.at``.
+map), ``combine`` (relu, or with ``squash`` sigmoid, of two linear maps
+summed, multiplied or stacked), ``scale`` by a row and a constant row, and
+the mean ``softmax_cross_entropy``.  Each runs the numpy expressions of the
+ops it replaced in the same order, forward and backward, so every value is
+bit for bit theirs.  This module holds only the ops the package runs.
+Broadcasting happens only where an op says so (``scale`` by a scalar or a
+row of per-column factors, ``affine``'s bias column); any other shape
+disagreement raises.  Segment sums (``segment_sum``, the gradient of
+``gather`` and the kernels' hop recursion) are one ``scatter_add`` each.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
 
 import numpy as np
 
@@ -246,9 +245,10 @@ def amplify_gather(h, w1, x1, w2, x2, idx, squash=False):
 _COMBINED = {"sum": "add", "hadamard": "hadamard", "concat": "concat"}
 
 
-def combine(w1, x1, w2, x2, how):
+def combine(w1, x1, w2, x2, how, squash=False):
     """relu(W1 X1 o W2 X2) as one op, where o is ``how``: "sum",
-    "hadamard" or "concat" (W2 X2's rows below W1 X1's)."""
+    "hadamard" or "concat" (W2 X2's rows below W1 X1's); with ``squash``,
+    a sigmoid in place of the relu."""
     if how not in _COMBINED:
         raise ValueError("unknown combine op %r" % (how,))
     z1, in1, vjp1 = _affine(w1, (x1,), None)
@@ -265,9 +265,10 @@ def combine(w1, x1, w2, x2, how):
     if not np.isfinite(z).all():  # name the first step that overflowed
         for part, op in ((z1, "affine"), (z2, "affine"), (z, _COMBINED[how])):
             _finite(part, op)
+    y = 1.0 / (1.0 + np.exp(-z)) if squash else np.maximum(z, 0.0)
 
     def vjp(g):
-        g = g * (z > 0.0)
+        g = g * y * (1.0 - y) if squash else g * (z > 0.0)
         if how == "sum":
             g1 = g2 = g
         elif how == "hadamard":
@@ -276,31 +277,7 @@ def combine(w1, x1, w2, x2, how):
             g1, g2 = g[:len(z1)], g[len(z1):]
         return vjp1(g1) + vjp2(g2)
 
-    return _make(np.maximum(z, 0.0), "relu", in1 + in2, vjp)
-
-
-def matvec(w, x):
-    """Y = W X with W (m, n) and X (n, k): W applied to every column of X."""
-    return affine(w, (x,))
-
-
-def add(a, b):
-    if a.shape != b.shape:
-        raise ValueError("add shape mismatch: %s vs %s" % (a.shape, b.shape))
-    return _make(a.data + b.data, "add", (a, b),
-                 lambda g: (g if a.tracked else None,
-                            g if b.tracked else None))
-
-
-def hadamard(a, b):
-    if a.shape != b.shape:
-        raise ValueError("hadamard shape mismatch: %s vs %s" % (a.shape, b.shape))
-
-    def vjp(g):
-        return (g * b.data if a.tracked else None,
-                g * a.data if b.tracked else None)
-
-    return _make(a.data * b.data, "hadamard", (a, b), vjp)
+    return _make(y, "sigmoid" if squash else "relu", in1 + in2, vjp)
 
 
 def scale(a, s, c=None):
@@ -328,17 +305,27 @@ def scale(a, s, c=None):
     return _make(y, "scale", (a, s) if tensor else (a,), vjp)
 
 
-def _scatter_cols(x, idx, n):
-    """(rows, n) zeros with column j of x added into column idx[j].
+def scatter_add(index, values, shape):
+    """Zeros of ``shape`` (rows, cols) with each entry of ``values`` added,
+    in input order, into the flat row-major position its entry of the flat
+    ``index`` names; every position must lie in [0, rows * cols).
 
-    One ``np.bincount`` over the flat row-major positions ``row * n + idx``:
-    bincount adds its weights in input order, so every sum is bit for bit
-    the one ``np.add.at`` gives.  ``idx`` must lie in [0, n).
+    One weighted ``np.bincount``: bincount adds its weights in input order,
+    so every sum is bit for bit the one ``np.add.at`` gives.  The caller
+    builds the index, once for all the sums that share it.
     """
+    rows, cols = shape
+    return np.bincount(index, weights=values.ravel(),
+                       minlength=rows * cols).reshape(rows, cols)
+
+
+def _scatter_cols(x, idx, n):
+    """(rows, n) zeros with column j of x added into column idx[j]: a
+    ``scatter_add`` over the positions ``row * n + idx``.  ``idx`` must lie
+    in [0, n)."""
     rows = x.shape[0]
     flat = np.arange(rows)[:, None] * n + np.asarray(idx, dtype=np.intp)
-    return np.bincount(flat.ravel(), weights=x.ravel(),
-                       minlength=rows * n).reshape(rows, n)
+    return scatter_add(flat.ravel(), x, (rows, n))
 
 
 def gather(a, idx):
@@ -351,32 +338,6 @@ def segment_sum(a, idx, n):
     """(rows, n) sums: column j of a is added into column idx[j], in order."""
     return _make(_scatter_cols(a.data, idx, n), "segment_sum", (a,),
                  lambda g: (g[:, idx],))
-
-
-def concat(parts):
-    """Vertically stack tensors with equal column counts."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("concat of an empty list")
-    if len({p.shape[1] for p in parts}) != 1:
-        raise ValueError("concat expects equal column counts")
-    out = np.concatenate([p.data for p in parts], axis=0)
-    cuts = list(accumulate((p.shape[0] for p in parts), initial=0))
-
-    def vjp(g):
-        return [g[lo:hi] if p.tracked else None
-                for p, lo, hi in zip(parts, cuts, cuts[1:])]
-
-    return _make(out, "concat", parts, vjp)
-
-
-def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        return (g * y * (1.0 - y),)
-
-    return _make(y, "sigmoid", (a,), vjp)
 
 
 def relu(a):

@@ -397,7 +397,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:  # OSError: a path flag's file
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (graphmod.GraphError, ValueError, json.JSONDecodeError) as exc:

@@ -11,10 +11,9 @@ sums the kernel products of the walk pairs from u in g1 and u2 in g2.  With
 the link Gram factorized over link-feature coordinates k, one hop is
 M <- S (*) decay * sum_k R1_k M R2_k^T, where S is the node Gram and row u of
 R_k x sums fe[link, k] x[v] over the arcs v -> u (v a neighbor of u).  A hop
-gathers M's rows at the arcs' sources once; each R_k product is a segment sum
-by one weighted ``np.bincount`` over flat (arc, column) indices, built once per
-call for each graph, which adds the terms into zeros in arc order, so the sums
-are bit for bit those of ``np.add.at``.  It holds O(n1 n2 + A1 n2 + n1 A2)
+gathers M's rows at the arcs' sources once; each R_k product is one
+``autodiff.scatter_add`` over flat (arc, column) indices, built once per call
+for each graph.  It holds O(n1 n2 + A1 n2 + n1 A2)
 numbers for A arcs, the gathered rows and the index arrays included: no
 arc-pair matrix and no dense adjacency.
 
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import layers
 from .graph import AttributedGraph
 
@@ -96,12 +96,8 @@ def _propagate(g, rows, w, index):
     """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order.
 
     ``rows`` is the gather ``x[g.arc_src]``, ``w`` a scalar or a column with
-    one row per arc, and ``index`` is ``_segment_index(g, rows.shape[1])``.
-    One weighted bincount adds the terms into zeros in arc order, as
-    ``np.add.at`` would, so the sums are the same bit for bit."""
-    width = rows.shape[1]
-    return np.bincount(index, (w * rows).ravel(),
-                       minlength=g.n_nodes * width).reshape(g.n_nodes, width)
+    one row per arc, and ``index`` is ``_segment_index(g, rows.shape[1])``."""
+    return ad.scatter_add(index, w * rows, (g.n_nodes, rows.shape[1]))
 
 
 def _walk_matrix(g1, g2, hops, decay):

@@ -24,9 +24,12 @@ amplifier ``amplify`` (for rw and wl, ``amplify_gather``, with the product by
 W f(u) or W r(u)), the summand (term times gate, times the sampling
 coefficients) one ``scale``, and the sage and concat outputs
 relu(W1 x1 o W2 x2) one ``combine``.  Untaped, a sage layer runs 8 ops and a
-kernel-mode rw layer 4.  Inputs no parameter reaches (positions, link- and
-node-feature columns) are built once per forward over every node, whose
-layers share them, and once per layer over other fields.
+kernel-mode rw layer 4.  A wl relabel round runs 5: the message sigmoid(Q r)
+is one ``sigmoid_affine``, the new label sigmoid(P1 r(u) + P2 sum_v msg(v))
+one ``combine`` with the squash, and the other three are the gathers of the
+messages and of r(u) and the segment sum.  Inputs no parameter reaches
+(positions, link- and node-feature columns) are built once per forward over
+every node, whose layers share them, and once per layer over other fields.
 """
 
 from __future__ import annotations
@@ -174,11 +177,6 @@ def gate(h_u, h_v, fe, p, stack):
     return ad.sigmoid_affine(p.V, (h_u, fe, h_v), p.b)
 
 
-def amplifier(h_v, fe, p, stack):
-    """h_v scaled elementwise by (optionally squashed) U fe, as one op."""
-    return ad.amplify(h_v, p.U, fe, stack.amplifier_sigmoid)
-
-
 def _cols(mat, ids):
     """Constant tensor whose columns are the rows ``ids`` of ``mat``."""
     return ad.Tensor2(mat[ids].T)
@@ -303,11 +301,11 @@ def _relabel(g, stack, nodes, arcs):
     for d in range(1, len(nodes)):
         ids, dst, _ = arcs[d]
         pos = _positions(g, nodes[d - 1])
-        msg = ad.sigmoid(ad.matvec(stack.Q, r))
+        msg = ad.sigmoid_affine(stack.Q, (r,))
         nsum = ad.segment_sum(ad.gather(msg, pos[g.arc_src[ids]]), dst,
                               len(nodes[d]))
         own = ad.gather(r, pos[nodes[d]])
-        r = ad.sigmoid(ad.add(ad.matvec(stack.P1, own), ad.matvec(stack.P2, nsum)))
+        r = ad.combine(stack.P1, own, stack.P2, nsum, "sum", squash=True)
     return r
 
 
@@ -343,7 +341,7 @@ def _layer(stack, l, m, arcs, consts, h, x):
     lam = gate(None if stack.kernel_mode else ad.gather(h, own[dst]),
                hv, fe, p, stack)
     if stack.arch == "sage":
-        core = amplifier(hv, fe, p, stack)
+        core = ad.amplify(hv, p.U, fe, stack.amplifier_sigmoid)
     else:
         core = ad.amplify_gather(hv, p.U, fe, p.W, x, dst,
                                  stack.amplifier_sigmoid)
@@ -368,10 +366,10 @@ def _run(g, stack, nodes, arcs):
     r = x = None
     if stack.arch == "wl":
         r = _relabel(g, stack, *_full_field(g, nodes[0], stack.wl_depth - 1))
-        h = ad.matvec(stack.layers[0].W, r)
+        h = ad.affine(stack.layers[0].W, (r,))
     elif stack.arch == "rw":
         x = _cols(g.node_features, nodes[0])
-        h = ad.matvec(stack.layers[0].W, x)
+        h = ad.affine(stack.layers[0].W, (x,))
     else:
         h = _cols(g.node_features, nodes[0])
     out = [(h, None, None)]

@@ -1,6 +1,8 @@
 """Tensor ops, backward rules and the checkpoint format."""
 
 import inspect
+import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from lase import layers as L
 from lase import sampling as S
 from lase import training as T
 
-from util import dot, finite_diff_worst
+from util import (add, concat, dot, finite_diff_worst, hadamard, matvec,
+                  sigmoid)
 
 
 def t(data, grad=False):
@@ -20,16 +23,16 @@ def t(data, grad=False):
 
 class TestForward:
     def test_matvec_identity(self):
-        y = ad.matvec(t(np.eye(2)), t([3, 4]))
+        y = matvec(t(np.eye(2)), t([3, 4]))
         assert np.array_equal(y.data[:, 0], [3, 4])
 
     def test_matvec_zero(self):
-        y = ad.matvec(t(np.zeros((2, 2))), t([3, 4]))
+        y = matvec(t(np.zeros((2, 2))), t([3, 4]))
         assert np.array_equal(y.data, np.zeros((2, 1)))
 
     def test_matvec_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ad.matvec(t(np.eye(2)), t([1, 2, 3]))
+            matvec(t(np.eye(2)), t([1, 2, 3]))
 
     @pytest.mark.parametrize("w, xs, b", [
         ((1, 4), [(2, 3), (2, 2)], None),  # block columns disagree
@@ -42,9 +45,9 @@ class TestForward:
                       None if b is None else t(np.ones(b)))
 
     @pytest.mark.parametrize("op, args, match", [
-        (ad.add, ((2, 1), (3, 1)), "add shape"),
-        (ad.hadamard, ((2, 2), (2, 1)), "hadamard shape"),
-        (lambda a, b: ad.concat([a, b]), ((2, 1), (2, 2)), "equal column"),
+        (add, ((2, 1), (3, 1)), "add shape"),
+        (hadamard, ((2, 2), (2, 1)), "hadamard shape"),
+        (lambda a, b: concat([a, b]), ((2, 1), (2, 2)), "equal column"),
         (ad.scale, ((2, 3), (1, 2)), r"\(1, 3\) row"),
     ])
     def test_shape_mismatch(self, op, args, match):
@@ -60,27 +63,27 @@ class TestForward:
             t([1.0, 2.0]).item()
 
     def test_hadamard(self):
-        c = ad.hadamard(t([1, 2]), t([3, 4]))
+        c = hadamard(t([1, 2]), t([3, 4]))
         assert np.array_equal(c.data[:, 0], [3, 8])
 
     def test_hadamard_identity_element(self):
         a = t([0.3, -1.2])
-        assert np.array_equal(ad.hadamard(a, t([1, 1])).data, a.data)
+        assert np.array_equal(hadamard(a, t([1, 1])).data, a.data)
 
     def test_concat(self):
-        c = ad.concat([t([1]), t([2, 3])])
+        c = concat([t([1]), t([2, 3])])
         assert np.array_equal(c.data[:, 0], [1, 2, 3])
 
     def test_concat_single_part_identity(self):
         a = t([1.5, 2.5])
-        assert np.array_equal(ad.concat([a]).data, a.data)
+        assert np.array_equal(concat([a]).data, a.data)
 
     def test_concat_empty(self):
         with pytest.raises(ValueError):
-            ad.concat([])
+            concat([])
 
     def test_sigmoid_zero(self):
-        assert ad.sigmoid(t([0.0])).item() == 0.5
+        assert sigmoid(t([0.0])).item() == 0.5
 
     def test_softmax_uniform(self):
         loss = ad.softmax_cross_entropy(t([0.0, 0.0, 0.0]), 1)
@@ -93,7 +96,7 @@ class TestForward:
     def test_nonfinite_is_error(self):
         big = t([800.0])
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            ad.hadamard(ad.matvec(t([[1e308]]), big), ad.matvec(t([[1e308]]), big))
+            hadamard(matvec(t([[1e308]]), big), matvec(t([[1e308]]), big))
 
     def test_fused_ops_name_the_step_that_overflowed(self):
         """An activation that would hide an overflow (sigmoid(-inf) = 0,
@@ -108,6 +111,14 @@ class TestForward:
                 ad.combine(one, one, low, x, "concat")
             with pytest.raises(FloatingPointError, match="by hadamard$"):
                 ad.combine(high, one, high, one, "hadamard")
+            # the squash hides an overflow as sigmoid(-inf) = 0 and
+            # sigmoid(inf) = 1
+            with pytest.raises(FloatingPointError, match="by affine$"):
+                ad.combine(one, one, low, x, "sum", squash=True)
+            for sign in (1.0, -1.0):
+                with pytest.raises(FloatingPointError, match="by add$"):
+                    ad.combine(t([[sign * 1e308]]), one, t([[sign * 1e308]]),
+                               one, "sum", squash=True)
 
     @pytest.mark.parametrize("h, w1, w2, x2, squash, step", [
         ([[1.0, 1.0]], 1e308, 1.0, [[1.0, 1.0, 1.0]], False, "affine"),
@@ -152,16 +163,16 @@ class TestForward:
         w = t(rng.normal(size=(4, 3)))
         x, y = rng.normal(size=3), rng.normal(size=3)
         a, b = 0.7, -1.3
-        lhs = ad.matvec(w, t(a * x + b * y)).data
-        rhs = a * ad.matvec(w, t(x)).data + b * ad.matvec(w, t(y)).data
+        lhs = matvec(w, t(a * x + b * y)).data
+        rhs = a * matvec(w, t(x)).data + b * matvec(w, t(y)).data
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(5, 5))
         x = rng.normal(size=5)
-        r1 = ad.matvec(t(w), t(x)).data
-        r2 = ad.matvec(t(w), t(x)).data
+        r1 = matvec(t(w), t(x)).data
+        r2 = matvec(t(w), t(x)).data
         assert np.array_equal(r1, r2)
 
 
@@ -184,7 +195,7 @@ class TestBackward:
     def test_matvec_zero_weight_gradient(self):
         x = t([1.0, 2.0], grad=True)
         with ad.Tape() as tape:
-            loss = dot(ad.matvec(t(np.zeros((2, 2))), x), t([1.0, 1.0]))
+            loss = dot(matvec(t(np.zeros((2, 2))), x), t([1.0, 1.0]))
             tape.backward(loss)
         assert np.array_equal(x.grad, np.zeros((2, 1)))
 
@@ -192,7 +203,7 @@ class TestBackward:
         w = t([1.0, 1.0], grad=True)
         x = np.array([2.0, 3.0])
         with ad.Tape() as tape:
-            loss = ad.add(dot(w, t(x)), dot(w, t(x)))
+            loss = add(dot(w, t(x)), dot(w, t(x)))
             tape.backward(loss)
         assert np.array_equal(w.grad[:, 0], 2 * x)
 
@@ -220,12 +231,11 @@ class TestBackward:
         label = int(rng.integers(4))
 
         def loss_fn():
-            h = ad.hadamard(ad.sigmoid(ad.matvec(w, ad.Tensor2(x))),
-                            ad.relu(ad.matvec(u, ad.Tensor2(x))))
-            logits = ad.add(h, b)
+            h = hadamard(sigmoid(matvec(w, ad.Tensor2(x))),
+                         ad.relu(matvec(u, ad.Tensor2(x))))
+            logits = add(h, b)
             ce = ad.softmax_cross_entropy(logits, label)
-            return ad.add(ce, ad.scale(dot(ad.concat([h, b]),
-                                                ad.concat([h, b])), 0.1))
+            return add(ce, ad.scale(dot(concat([h, b]), concat([h, b])), 0.1))
 
         worst = finite_diff_worst([("w", w), ("u", u), ("b", b)], loss_fn)
         assert worst < 1e-4
@@ -234,8 +244,8 @@ class TestBackward:
 def _weighted_total(out):
     """Every entry of ``out`` times a fixed random weight, summed to (1, 1)."""
     w = ad.Tensor2(np.random.default_rng(0).normal(size=out.shape))
-    rows = ad.matvec(ad.Tensor2(np.ones((1, out.shape[0]))), ad.hadamard(out, w))
-    return ad.matvec(rows, ad.Tensor2(np.ones((out.shape[1], 1))))
+    rows = matvec(ad.Tensor2(np.ones((1, out.shape[0]))), hadamard(out, w))
+    return matvec(rows, ad.Tensor2(np.ones((out.shape[1], 1))))
 
 
 def _fd_case(name, rng):
@@ -265,17 +275,18 @@ def _fd_case(name, rng):
         return leaves, lambda: ad.amplify_gather(a, w2, fe, w, x2, idx[:5],
                                                  op[1] == "sigmoid")
     if op[0] == "combine":
-        return [w, x, w2, fe], lambda: ad.combine(w, x, w2, fe, op[1])
+        return [w, x, w2, fe], lambda: ad.combine(w, x, w2, fe, op[1],
+                                                  op[-1] == "sigmoid")
     if op[0] == "softmax_cross_entropy":
         return [a], lambda: ad.softmax_cross_entropy(a, [0, 2, 1, 1, 0])
     return [a, b, w, x], {
-        "matvec": lambda: ad.matvec(w, x),
-        "add": lambda: ad.add(a, b),
-        "hadamard": lambda: ad.hadamard(a, b),
+        "matvec": lambda: matvec(w, x),
+        "add": lambda: add(a, b),
+        "hadamard": lambda: hadamard(a, b),
         "gather": lambda: ad.gather(a, idx),
         "segment_sum": lambda: ad.segment_sum(b, idx[:5], 6),
-        "concat": lambda: ad.concat([a, x, b]),
-        "sigmoid": lambda: ad.sigmoid(a),
+        "concat": lambda: concat([a, x, b]),
+        "sigmoid": lambda: sigmoid(a),
         "relu": lambda: ad.relu(a),
     }[op[0]]
 
@@ -286,7 +297,8 @@ FD_CASES = ["affine", "matvec", "add", "hadamard", "scale-row",
             "amplify-sigmoid", "amplify_gather-plain-tracked",
             "amplify_gather-sigmoid-tracked", "amplify_gather-plain-constant",
             "amplify_gather-sigmoid-constant", "combine-sum",
-            "combine-hadamard", "combine-concat"]
+            "combine-hadamard", "combine-concat", "combine-sum-sigmoid",
+            "combine-hadamard-sigmoid", "combine-concat-sigmoid"]
 
 
 class TestOpGradients:
@@ -307,6 +319,22 @@ class TestOpGradients:
             and "_make(" in inspect.getsource(fn)}
         assert {"affine", "combine", "softmax_cross_entropy"} <= recording
         assert recording <= {name.split("-")[0] for name in FD_CASES}
+
+
+def test_every_public_function_runs_in_the_package():
+    """Each public function of ``autodiff`` is called from another module
+    of the package: an op only the tests use belongs in ``tests/util.py``."""
+    src = os.path.dirname(ad.__file__)
+    called = set()
+    for name in os.listdir(src):
+        if name.endswith(".py") and name != "autodiff.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                called.update(re.findall(r"\b(?:ad|autodiff)\.(\w+)\(",
+                                         fh.read()))
+    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if not name.startswith("_") and fn.__module__ == ad.__name__}
+    assert {"affine", "combine", "scatter_add"} <= public
+    assert public - called == set()
 
 
 def _model_batch(arch, depth, strategy):
@@ -330,19 +358,19 @@ class TestPruning:
     def test_ops_on_untracked_inputs_record_nothing(self):
         w, x = t(np.eye(2)), t([3.0, 4.0])
         with ad.Tape() as tape:
-            y = ad.concat([ad.sigmoid(ad.matvec(w, x)), ad.gather(x, [0])])
-            z = ad.affine(w, (ad.hadamard(x, x),), t([[1.0], [2.0]]))
+            y = concat([sigmoid(matvec(w, x)), ad.gather(x, [0])])
+            z = ad.affine(w, (hadamard(x, x),), t([[1.0], [2.0]]))
         assert tape._nodes == [] and not y.tracked and not z.tracked
 
     def test_ops_off_the_tape_are_untracked(self):
         w = t(np.eye(2), grad=True)
-        assert w.tracked and not ad.matvec(w, t([3.0, 4.0])).tracked
+        assert w.tracked and not matvec(w, t([3.0, 4.0])).tracked
 
     def test_only_ops_downstream_of_a_leaf_are_recorded(self):
         w, x = t([[1.0, 2.0]], grad=True), t([3.0, 4.0])
         with ad.Tape() as tape:
             c = ad.relu(x)
-            y = ad.add(ad.matvec(w, c), ad.matvec(t([[1.0, 1.0]]), c))
+            y = add(matvec(w, c), matvec(t([[1.0, 1.0]]), c))
         assert len(tape._nodes) == 2 and tape._nodes[-1][0] is y
         assert y.tracked and not c.tracked
 

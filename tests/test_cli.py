@@ -131,6 +131,24 @@ class TestUsageErrors:
         assert "must be at least" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--nodes", "n.tsv", "--links", "l.tsv", "--config", "d",
+         "--out", "run"),
+        ("kernel", "--nodes", "d", "--links", "l.tsv"),
+        ("kernel", "--gram", "2", "--out", "d"),
+    ])
+    def test_path_flag_naming_a_directory(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        G.save_graph(G.synth_graph("random", 10)[0], "n.tsv", "l.tsv")
+        (tmp_path / "d").mkdir()
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "Is a directory" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "l.tsv",
+                                                               "n.tsv"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     @pytest.mark.parametrize("snr", ["abc", "4,-1", "0", "1,,2", "inf,nan",
                                      "-inf"])

@@ -82,14 +82,14 @@ class TestAmplifier:
         self.p.U.data[...] = 1.0 / self.stack.d_link
         h = ad.Tensor2([1.0, -2.0, 3.0])
         fe = ad.Tensor2(np.ones(self.stack.d_link))
-        out = L.amplifier(h, fe, self.p, self.stack)
+        out = ad.amplify(h, self.p.U, fe, self.stack.amplifier_sigmoid)
         assert np.allclose(out.data, h.data, atol=1e-12)
 
     def test_zero_u_gives_zero(self):
         self.p.U.data[...] = 0.0
         h = ad.Tensor2([1.0, -2.0, 3.0])
         fe = ad.Tensor2(np.ones(self.stack.d_link))
-        out = L.amplifier(h, fe, self.p, self.stack)
+        out = ad.amplify(h, self.p.U, fe, self.stack.amplifier_sigmoid)
         assert np.array_equal(out.data, np.zeros((3, 1)))
 
     def test_zero_u_with_sigmoid_halves(self):
@@ -97,7 +97,7 @@ class TestAmplifier:
         self.p.U.data[...] = 0.0
         h = ad.Tensor2([2.0, -4.0, 6.0])
         fe = ad.Tensor2(np.ones(self.stack.d_link))
-        out = L.amplifier(h, fe, self.p, self.stack)
+        out = ad.amplify(h, self.p.U, fe, self.stack.amplifier_sigmoid)
         assert np.allclose(out.data[:, 0], [1.0, -2.0, 3.0])
 
     def test_gradient_on_u(self):
@@ -106,7 +106,8 @@ class TestAmplifier:
         fe = rng.uniform(-1, 1, self.stack.d_link)
 
         def loss_fn():
-            out = L.amplifier(ad.Tensor2(h), ad.Tensor2(fe), self.p, self.stack)
+            out = ad.amplify(ad.Tensor2(h), self.p.U, ad.Tensor2(fe),
+                             self.stack.amplifier_sigmoid)
             return dot(out, out)
 
         assert finite_diff_worst([("U", self.p.U)], loss_fn) < 1e-4

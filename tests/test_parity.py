@@ -37,10 +37,14 @@ The same holds for each fused op against the ops it replaced: the gate's
 (``_amplify_ops``), rw's and wl's summand ``amplify_gather``
 (``_amplify_gather_ops``), the sampled summand's ``scale`` by the gates and the
 coefficients (``_scale_ops``), the sage and concat layers' ``combine``
-(``_combine_ops``) and the mean ``softmax_cross_entropy`` (``_mean_loss_ops``,
-over the summed op ``_cross_entropy_sum_op``); and for whole layers, as
-``_layer_ops`` builds them from those compositions, in every stack and in wl
-with the squash, depth 1-3, full and sampled.
+(``_combine_ops``, also with the squash) and the mean
+``softmax_cross_entropy`` (``_mean_loss_ops``, over the summed op
+``_cross_entropy_sum_op``); for wl's relabel rounds, a ``sigmoid_affine`` and
+a squashed ``combine`` each, against the rounds of single ops
+(``_relabel_ops``); and for whole layers, as ``_layer_ops`` builds them from
+those compositions, in every stack and in wl with the squash, depth 1-3, full
+and sampled.  The single ops live in ``tests/util.py``, since the package
+runs only the fused ones.
 ``training.micro_f1``'s one hit count must equal the pooled TP / FP / FN
 counts it replaced (``_micro_f1_pooled``) exactly, and the refresh work
 ``train`` derives from its refresh count the per-refresh sum the sampler
@@ -66,7 +70,8 @@ from lase import layers as L
 from lase import sampling as S
 from lase import training as T
 
-from util import degree, random_digraph, random_graph
+from util import (add, concat, degree, hadamard, matvec, random_digraph,
+                  random_graph, sigmoid)
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "parity.json")
@@ -285,8 +290,8 @@ def _scatter_cases():
 def _dot_all(t):
     """The sum of every entry of ``t`` as a (1, 1) tensor, by ``matvec``s
     with rows of ones (each product by 1.0 is exact)."""
-    rows = ad.matvec(ad.Tensor2(np.ones((1, t.shape[0]))), t)
-    return ad.matvec(rows, ad.Tensor2(np.ones((t.shape[1], 1))))
+    rows = matvec(ad.Tensor2(np.ones((1, t.shape[0]))), t)
+    return matvec(rows, ad.Tensor2(np.ones((t.shape[1], 1))))
 
 
 @pytest.mark.parametrize("x, idx, n", [c[1:] for c in _scatter_cases()],
@@ -307,7 +312,7 @@ def test_gather_gradient_through_the_tape_matches_add_at_oracle():
     idx = np.array([5, 0, 5, 2, 5, 0, 1])
     w = rng.normal(size=(3, idx.size)) * 1e6
     with ad.Tape() as tape:
-        loss = _dot_all(ad.hadamard(ad.gather(a, idx), ad.Tensor2(w)))
+        loss = _dot_all(hadamard(ad.gather(a, idx), ad.Tensor2(w)))
         tape.backward(loss)
     assert np.array_equal(a.grad, _scatter_add_at(w, idx, 6))
 
@@ -462,9 +467,9 @@ def _gate_ops(h_u, h_v, fe, p, stack):
     z, ofs = None, 0
     for x in (h_u, fe, h_v):
         zx = _matvec_op(ad.gather(p.V, np.arange(ofs, ofs + x.shape[0])), x)
-        z = zx if z is None else ad.add(z, zx)
+        z = zx if z is None else add(z, zx)
         ofs += x.shape[0]
-    return ad.sigmoid(_add_bias_op(z, p.b))
+    return sigmoid(_add_bias_op(z, p.b))
 
 
 def _head_ops(model, h):
@@ -484,7 +489,7 @@ def _backward(loss_of, leaves):
     with ad.Tape() as tape:
         out = loss_of()
         w = np.random.default_rng(0).normal(size=out.shape)
-        tape.backward(_dot_all(ad.hadamard(out, ad.Tensor2(w))))
+        tape.backward(_dot_all(hadamard(out, ad.Tensor2(w))))
     return out.data, [t.grad.copy() for t in leaves]
 
 
@@ -538,21 +543,21 @@ def test_batch_loss_matches_op_compositions(gname, arch, depth, monkeypatch):
 
 def _sigmoid_affine_ops(w, xs, b):
     """``autodiff.sigmoid_affine`` as an ``affine`` and a ``sigmoid``."""
-    return ad.sigmoid(ad.affine(w, xs, b))
+    return sigmoid(ad.affine(w, xs, b))
 
 
 def _amplify_ops(h, w, x, squash):
     """``autodiff.amplify`` as a ``matvec``, an optional ``sigmoid`` and a
     ``hadamard``."""
-    a = ad.matvec(w, x)
-    return ad.hadamard(h, ad.sigmoid(a) if squash else a)
+    a = matvec(w, x)
+    return hadamard(h, sigmoid(a) if squash else a)
 
 
 def _amplify_gather_ops(h, w1, x1, w2, x2, idx, squash):
     """``autodiff.amplify_gather`` as an ``amplify``, a ``matvec``, a
     ``gather`` and a ``hadamard``: rw's and wl's summand before it."""
-    return ad.hadamard(ad.amplify(h, w1, x1, squash),
-                       ad.gather(ad.matvec(w2, x2), idx))
+    return hadamard(ad.amplify(h, w1, x1, squash),
+                    ad.gather(matvec(w2, x2), idx))
 
 
 def _scale_ops(a, s, c):
@@ -561,15 +566,16 @@ def _scale_ops(a, s, c):
     return a if c is None else ad.scale(a, c)
 
 
-def _combine_ops(w1, x1, w2, x2, how):
+def _combine_ops(w1, x1, w2, x2, how, squash=False):
     """``autodiff.combine`` as two ``matvec``s, an ``add``, ``hadamard`` or
-    ``concat``, and a ``relu``."""
-    z1, z2 = ad.matvec(w1, x1), ad.matvec(w2, x2)
+    ``concat``, and a ``relu`` (a ``sigmoid`` with ``squash``)."""
+    z1, z2 = matvec(w1, x1), matvec(w2, x2)
+    act = sigmoid if squash else ad.relu
     if how == "sum":
-        return ad.relu(ad.add(z1, z2))
+        return act(add(z1, z2))
     if how == "hadamard":
-        return ad.relu(ad.hadamard(z1, z2))
-    return ad.relu(ad.concat([z1, z2]))
+        return act(hadamard(z1, z2))
+    return act(concat([z1, z2]))
 
 
 def _cross_entropy_sum_op(logits, label):
@@ -630,9 +636,10 @@ def _fused_case(name, rng, fe):
         return (lambda: ad.scale(h, lam, c), lambda: _scale_ops(h, lam, c),
                 leaves)
     if name.startswith("combine"):
-        how = name.split("-")[1]
-        return (lambda: ad.combine(w1, h, w2, x, how),
-                lambda: _combine_ops(w1, h, w2, x, how), [w1, w2, h, x])
+        how, squash = name.split("-")[1], name.endswith("sigmoid")
+        return (lambda: ad.combine(w1, h, w2, x, how, squash),
+                lambda: _combine_ops(w1, h, w2, x, how, squash),
+                [w1, w2, h, x])
     labels = rng.integers(0, d, size=k)
     return (lambda: ad.softmax_cross_entropy(h, labels),
             lambda: _mean_loss_ops(h, labels), [h])
@@ -643,7 +650,9 @@ FUSED_CASES = ["sigmoid_affine", "amplify", "amplify-sigmoid",
                "amplify_gather-constant", "amplify_gather-sigmoid-constant",
                "scale",
                "scale-constant", "scale-no-coefficients", "combine-sum",
-               "combine-hadamard", "combine-concat", "mean-loss"]
+               "combine-hadamard", "combine-concat", "combine-sum-sigmoid",
+               "combine-hadamard-sigmoid", "combine-concat-sigmoid",
+               "mean-loss"]
 
 
 @pytest.mark.parametrize("tracked_fe", [False, True])
@@ -672,22 +681,57 @@ def _layer_ops(stack, l, m, arcs, consts, h, x):
     src, own, fe = consts
     hv = ad.gather(h, src)
     if stack.arch == "concat":
-        core = ad.concat([hv, fe])
+        core = concat([hv, fe])
         if coef is not None:
             hv, fe = ad.scale(hv, coef), ad.scale(fe, coef)
-        z = ad.add(ad.matvec(p.W1, ad.segment_sum(hv, dst, m)),
-                   ad.matvec(p.W2, ad.segment_sum(fe, dst, m)))
+        z = add(matvec(p.W1, ad.segment_sum(hv, dst, m)),
+                matvec(p.W2, ad.segment_sum(fe, dst, m)))
         return ad.relu(z), 1.0, core
     lam = (stack.constant_decay if stack.kernel_mode else _sigmoid_affine_ops(
         p.V, (ad.gather(h, own[dst]), fe, hv), p.b))
     core = _amplify_ops(hv, p.U, fe, stack.amplifier_sigmoid)
     if stack.arch != "sage":
-        core = ad.hadamard(core, ad.gather(ad.matvec(p.W, x), dst))
+        core = hadamard(core, ad.gather(matvec(p.W, x), dst))
     nbsum = ad.segment_sum(_scale_ops(core, lam, coef), dst, m)
     if stack.arch == "sage":
         return (_combine_ops(p.W1, ad.gather(h, own), p.W2, nbsum,
                              stack.combine), lam, core)
     return (nbsum if stack.kernel_mode else ad.relu(nbsum)), lam, core
+
+
+def _relabel_ops(g, stack, nodes, arcs):
+    """``layers._relabel`` as it was before its fused ops: each round's
+    message sigmoid(Q r) a ``matvec`` and a ``sigmoid``, and its new label
+    a ``sigmoid`` of the ``add`` of two ``matvec``s."""
+    r = L._cols(g.node_features, nodes[0])
+    for d in range(1, len(nodes)):
+        ids, dst, _ = arcs[d]
+        pos = L._positions(g, nodes[d - 1])
+        msg = sigmoid(matvec(stack.Q, r))
+        nsum = ad.segment_sum(ad.gather(msg, pos[g.arc_src[ids]]), dst,
+                              len(nodes[d]))
+        own = ad.gather(r, pos[nodes[d]])
+        r = sigmoid(add(matvec(stack.P1, own), matvec(stack.P2, nsum)))
+    return r
+
+
+@pytest.mark.parametrize("gname", ["interaction", "random+isolated"])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("whole", [True, False])
+def test_relabel_matches_op_compositions(gname, rounds, whole):
+    """The relabels r(u) and the gradients of P1, P2 and Q are bit for bit
+    those of the rounds built from single ops, over every node and below a
+    batch."""
+    g, batch = graphs()[gname]
+    stack = L.LayerStack("wl", g.d_node, g.d_link, hidden=4, depth=1, seed=5)
+    field = (L._whole_field(g, rounds) if whole
+             else L._full_field(g, np.array(batch), rounds))
+    leaves = [stack.P1, stack.P2, stack.Q]
+    new = _backward(lambda: L._relabel(g, stack, *field), leaves)
+    old = _backward(lambda: _relabel_ops(g, stack, *field), leaves)
+    for a, b in zip([new[0]] + new[1], [old[0]] + old[1]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert all(grad.any() for grad in new[1])
 
 
 LAYER_STACKS = {**STACKS, "wl-amp-sigmoid": dict(arch="wl",
@@ -702,7 +746,8 @@ def test_layers_match_op_compositions(gname, sname, depth, strategy,
                                       monkeypatch):
     """A batch's loss and every parameter gradient (full or sampled), and
     ``full_forward``'s hidden arrays, gates and summands, are bit for bit
-    those of the layers and loss built from single ops."""
+    those of the layers, wl's relabels and the loss built from single
+    ops."""
     g, batch = graphs()[gname]
     model = T.Model(L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                                  depth=depth, seed=6, **LAYER_STACKS[sname]),
@@ -722,6 +767,7 @@ def test_layers_match_op_compositions(gname, sname, depth, strategy,
     new = run(lambda: T.batch_loss(g, model, list(batch), plan, state,
                                    np.random.default_rng(1)))
     monkeypatch.setattr(L, "_layer", _layer_ops)
+    monkeypatch.setattr(L, "_relabel", _relabel_ops)
     labels = [g.labels[u] for u in batch]
     old = run(lambda: _mean_loss_ops(ad.affine(model.C, (L.forward(
         g, model.stack, list(batch), plan, state, np.random.default_rng(1)),),

@@ -1,6 +1,10 @@
 """Shared test helpers: random small graphs, per-node neighbor lookups,
-finite-difference checking, and the interaction labelling rule and WL
-relabeling as arrays."""
+finite-difference checking, the interaction labelling rule and WL
+relabeling as arrays, and the single ops the fused ops of ``lase.autodiff``
+replaced (``matvec``, ``add``, ``hadamard``, ``concat``, ``sigmoid``), kept
+as their bit-for-bit oracles."""
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,10 +46,60 @@ def wl_relabel(g, stack, d):
     return L._relabel(g, stack, *L._whole_field(g, d)).data.T
 
 
+def matvec(w, x):
+    """Y = W X with W (m, n) and X (n, k): W applied to every column of X."""
+    return ad.affine(w, (x,))
+
+
+def add(a, b):
+    if a.shape != b.shape:
+        raise ValueError("add shape mismatch: %s vs %s" % (a.shape, b.shape))
+    return ad._make(a.data + b.data, "add", (a, b),
+                    lambda g: (g if a.tracked else None,
+                               g if b.tracked else None))
+
+
+def hadamard(a, b):
+    if a.shape != b.shape:
+        raise ValueError("hadamard shape mismatch: %s vs %s" % (a.shape, b.shape))
+
+    def vjp(g):
+        return (g * b.data if a.tracked else None,
+                g * a.data if b.tracked else None)
+
+    return ad._make(a.data * b.data, "hadamard", (a, b), vjp)
+
+
+def concat(parts):
+    """Vertically stack tensors with equal column counts."""
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("concat of an empty list")
+    if len({p.shape[1] for p in parts}) != 1:
+        raise ValueError("concat expects equal column counts")
+    out = np.concatenate([p.data for p in parts], axis=0)
+    cuts = list(accumulate((p.shape[0] for p in parts), initial=0))
+
+    def vjp(g):
+        return [g[lo:hi] if p.tracked else None
+                for p, lo, hi in zip(parts, cuts, cuts[1:])]
+
+    return ad._make(out, "concat", parts, vjp)
+
+
+def sigmoid(a):
+    y = 1.0 / (1.0 + np.exp(-a.data))
+
+    def vjp(g):
+        return (g * y * (1.0 - y),)
+
+    return ad._make(y, "sigmoid", (a,), vjp)
+
+
 def dot(a, b):
     """The inner product of two equal-shape columns as a (1, 1) tensor: their
     ``hadamard`` product summed by a ``matvec`` with a row of ones."""
-    return ad.matvec(ad.Tensor2(np.ones((1, a.shape[0]))), ad.hadamard(a, b))
+    return matvec(ad.Tensor2(np.ones((1, a.shape[0]))), hadamard(a, b))
 
 
 def finite_diff_worst(params, loss_fn, h=1e-6):
