@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graph as graphmod
 from . import autodiff, kernels, layers, sampling, training
-from .fileio import atomic_write
+from .fileio import atomic_write, check_output
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path, obj):
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    if path is not None:  # an optional output flag may be absent
+        atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph_args(args, suffix=""):
@@ -173,8 +174,7 @@ def build_parser():
 def _cmd_synth(args):
     g, split = graphmod.synth_graph(args.kind, args.n, seed=args.seed)
     graphmod.save_graph(g, args.nodes, args.links, args.manifest)
-    if args.split:
-        _write_json(args.split, asdict(split))
+    _write_json(args.split, asdict(split))
     print("synth %s: %d nodes, %d links, %d labels"
           % (args.kind, g.n_nodes, g.n_links, g.n_labels))
     return EXIT_OK
@@ -222,8 +222,7 @@ def _cmd_eval(args):
     split = graphmod.load_split(args.split, g.n_nodes)
     nodes = getattr(split, args.subset)
     f1 = training.evaluate(g, model, nodes, args.subset)
-    if args.out:
-        _write_json(args.out, {"subset": args.subset, "micro_f1": f1})
+    _write_json(args.out, {"subset": args.subset, "micro_f1": f1})
     print("eval: %s micro-F1 %.4f" % (args.subset, f1))
     return EXIT_OK
 
@@ -258,8 +257,7 @@ def _cmd_kernel(args):
     en = kernels.rw_kernel_enumerate(g1, g2, cfg)
     rel = abs(dp - en) / max(1.0, abs(en))
     result = {"dp": dp, "enumerate": en, "rel_err": rel}
-    if args.out:
-        _write_json(args.out, result)
+    _write_json(args.out, result)
     print("kernel: dp %.6g enumerate %.6g rel_err %.3g" % (dp, en, rel))
     return EXIT_OK if rel < 1e-9 else EXIT_NUMERIC
 
@@ -280,8 +278,7 @@ def _cmd_check_theorem1(args):
         rel = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, rel)
         results.append({"trial": trial, "lhs": lhs, "rhs": rhs, "rel_err": rel})
-    if args.out:
-        _write_json(args.out, {"results": results, "max_rel_err": worst})
+    _write_json(args.out, {"results": results, "max_rel_err": worst})
     ok = worst < 1e-9
     print("check-theorem1: %d trials, max rel_err %.3g -> %s"
           % (args.trials, worst, "PASS" if ok else "FAIL"))
@@ -310,8 +307,7 @@ def _cmd_figure3(args):
         c >= math.ceil(0.99 * args.trials) for c in separations.values())
     result = {"concat_gap": concat_gap, "trials": args.trials,
               "separated": separations, "pass": ok}
-    if args.out:
-        _write_json(args.out, result)
+    _write_json(args.out, result)
     print("figure3-check: concat gap %.3g, rw %d/%d, sage %d/%d -> %s"
           % (concat_gap, separations["rw"], args.trials,
              separations["sage"], args.trials, "PASS" if ok else "FAIL"))
@@ -376,6 +372,16 @@ def _cmd_snr_sweep(args):
     return EXIT_OK
 
 
+def _outputs(args):
+    """The paths a command writes, checked before it does its work."""
+    if args.command == "train":
+        return [args.out + ext for ext in (".ckpt.bin", ".ckpt.json",
+                                           ".metrics.csv", ".summary.json")]
+    paths = ([args.nodes, args.links, args.manifest, args.split]
+             if args.command == "synth" else [args.out])
+    return [path for path in paths if path is not None]
+
+
 _COMMANDS = {
     "synth": _cmd_synth,
     "train": _cmd_train,
@@ -396,6 +402,8 @@ def main(argv=None):
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     try:
+        for path in _outputs(args):
+            check_output(path)
         return _COMMANDS[args.command](args)
     except (UsageError, OSError) as exc:  # OSError: a path flag's file
         print("usage error: %s" % exc, file=sys.stderr)

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
+
+
+def check_output(path):
+    """Raise the OSError, naming ``path``, that a write to it would end in
+    because it is empty, names a directory or its directory is missing."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def atomic_write(path, data):
@@ -11,20 +21,24 @@ def atomic_write(path, data):
 
     Readers see either the previous file or the complete new one; on any
     failure the temp file is removed and the previous file is left intact.
-    The file gets the mode a plain ``open`` would give it under the umask.
+    An OSError with an error code names ``path``, not the temp file.  The
+    file gets the mode a plain ``open`` would give it under the umask.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

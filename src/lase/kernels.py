@@ -87,17 +87,9 @@ def _check_dims(g1, g2):
 
 def _segment_index(g, width):
     """Flat positions ``arc_dst[a] * width + j`` of an (A, width) arc array
-    in an (n, width) output, in arc order: the segment-sum index of
-    ``_propagate``."""
+    in an (n, width) output, in arc order: ``ad.scatter_add``'s index for
+    summing the rows ``x[g.arc_src]`` into row u over the arcs v -> u."""
     return (g.arc_dst[:, None] * width + np.arange(width)).ravel()
-
-
-def _propagate(g, rows, w, index):
-    """Row u sums ``w[a] * x[v]`` over the arcs a = v -> u, in arc order.
-
-    ``rows`` is the gather ``x[g.arc_src]``, ``w`` a scalar or a column with
-    one row per arc, and ``index`` is ``_segment_index(g, rows.shape[1])``."""
-    return ad.scatter_add(index, w * rows, (g.n_nodes, rows.shape[1]))
 
 
 def _walk_matrix(g1, g2, hops, decay):
@@ -113,8 +105,9 @@ def _walk_matrix(g1, g2, hops, decay):
         rows = m[g1.arc_src]
         acc = np.zeros_like(s)
         for k in range(g1.d_link):
-            half = _propagate(g1, rows, w1[:, k:k + 1], index1).T
-            acc += _propagate(g2, half[g2.arc_src], w2[:, k:k + 1], index2).T
+            half = ad.scatter_add(index1, w1[:, k:k + 1] * rows, s.shape).T
+            acc += ad.scatter_add(index2, w2[:, k:k + 1] * half[g2.arc_src],
+                                  s.T.shape).T
         m = s * decay * acc
     return m
 
@@ -135,7 +128,7 @@ def count_walks(g, hops):
     c = np.ones((g.n_nodes, 1))
     index = _segment_index(g, 1)
     for _ in range(hops):
-        c = _propagate(g, c[g.arc_src], 1.0, index)
+        c = ad.scatter_add(index, c[g.arc_src], c.shape)
     return float(c.sum())
 
 

@@ -27,9 +27,9 @@ relu(W1 x1 o W2 x2) one ``combine``.  Untaped, a sage layer runs 8 ops and a
 kernel-mode rw layer 4.  A wl relabel round runs 5: the message sigmoid(Q r)
 is one ``sigmoid_affine``, the new label sigmoid(P1 r(u) + P2 sum_v msg(v))
 one ``combine`` with the squash, and the other three are the gathers of the
-messages and of r(u) and the segment sum.  Inputs no parameter reaches
-(positions, link- and node-feature columns) are built once per forward over
-every node, whose layers share them, and once per layer over other fields.
+messages and of r(u) and the segment sum.  One builder, ``_field``, makes
+full and sampled fields top down, with positions; feature columns are built
+once per forward over every node, and once per layer over other fields.
 """
 
 from __future__ import annotations
@@ -93,13 +93,8 @@ class LayerStack:
     def _layer_dims(self):
         if self.arch in ("rw", "wl"):
             return [self.hidden] * (self.depth + 1)
-        dims = [self.d_node]
-        for _ in range(self.depth):
-            if self.arch == "sage" and self.combine == "concat":
-                dims.append(2 * self.hidden)
-            else:
-                dims.append(self.hidden)
-        return dims
+        wide = 2 if self.arch == "sage" and self.combine == "concat" else 1
+        return [self.d_node] + [wide * self.hidden] * self.depth
 
     def _init_layer(self, rng, l):
         d_in = self.dims[l - 1] if l > 0 else None
@@ -155,13 +150,11 @@ class LayerStack:
 # ---------------------------------------------------------------------------
 # Forward pass over arc arrays
 #
-# A layer's receptive field is a sorted node list per layer below the top
-# plus, per layer l >= 1, the arcs feeding its nodes: graph arc ids, the
-# position of each arc's destination in layer l's node list, and a row of
-# sampling coefficients (None under full neighborhoods).  Every tensor has one
-# column per node or per arc.  Under a Tape the ops downstream of a parameter
-# record their gradients (training); without one they run forward-only
-# (evaluation, refresh and the Theorem-1 check).
+# A receptive field (``_field``) is a node list per layer and, per layer
+# l >= 1, the arcs feeding its nodes.  Every tensor has one column per node
+# or per arc.  Under a Tape the ops downstream of a parameter record their
+# gradients (training); without one they run forward-only (evaluation,
+# refresh and the Theorem-1 check).
 # ---------------------------------------------------------------------------
 
 def gate(h_u, h_v, fe, p, stack):
@@ -182,39 +175,49 @@ def _cols(mat, ids):
     return ad.Tensor2(mat[ids].T)
 
 
-def _positions(g, nodes):
-    """Position map of a node list without repeats: ``pos[nodes[i]] == i``.
-
-    Only the entries of ``nodes`` are written, so read it only at members:
-    for a sorted list that is the index a binary search would find.
+def _field(g, top, depth, pick, own):
+    """Node lists and arcs of a receptive field, built top down from the
+    ``top`` nodes.  Layer l's arcs are ``pick(l, nodes[l])``: graph arc ids,
+    the position in nodes[l] of each arc's destination, and a row of sampling
+    coefficients (None: full neighborhoods).  nodes[l - 1] is the sorted set
+    of the arcs' sources, plus nodes[l] when ``own`` is set.  Each layer's
+    arcs tuple carries two more arrays: the positions in nodes[l - 1] of each
+    arc's source and of each node of nodes[l] (None without ``own``).
     """
-    pos = np.empty(g.n_nodes, dtype=np.intp)
-    pos[nodes] = np.arange(len(nodes))
-    return pos
+    nodes, arcs = [None] * (depth + 1), [None] * (depth + 1)
+    nodes[depth] = top
+    for l in range(depth, 0, -1):
+        ids, dst, coef = pick(l, nodes[l])
+        src = g.arc_src[ids]
+        below = np.zeros(g.n_nodes, dtype=bool)
+        below[src] = True
+        if own:
+            below[nodes[l]] = True
+        nodes[l - 1] = np.flatnonzero(below)
+        pos = np.empty(g.n_nodes, dtype=np.intp)  # read only at members
+        pos[nodes[l - 1]] = np.arange(len(nodes[l - 1]))
+        arcs[l] = (ids, dst, coef, pos[src], pos[nodes[l]] if own else None)
+    return nodes, arcs
 
 
 def _whole_field(g, depth):
     """``_full_field`` below every node, known without a search: each layer
-    holds every node, and each layer's arcs are every arc, with its
-    destination's id as its position."""
-    arcs = (np.arange(len(g.arc_src)), g.arc_dst, None)
-    return [np.arange(g.n_nodes)] * (depth + 1), [None] + [arcs] * depth
+    holds every node, each layer's arcs are every arc, and every position
+    is a node id."""
+    every = np.arange(g.n_nodes)
+    arcs = (np.arange(len(g.arc_src)), g.arc_dst, None, g.arc_src, every)
+    return [every] * (depth + 1), [None] + [arcs] * depth
 
 
 def _full_field(g, top, depth):
     """Node lists and arcs of full neighborhoods below the ``top`` nodes."""
-    nodes, arcs = [None] * (depth + 1), [None] * (depth + 1)
-    nodes[depth] = top
-    for l in range(depth, 0, -1):
-        arcs[l] = (*g.arcs_into(nodes[l]), None)
-        below = np.zeros(g.n_nodes, dtype=bool)
-        below[nodes[l]] = below[g.arc_src[arcs[l][0]]] = True
-        nodes[l - 1] = np.flatnonzero(below)
-    return nodes, arcs
+    return _field(g, top, depth,
+                  lambda l, nodes: (*g.arcs_into(nodes), None), True)
 
 
 def _sampled_field(g, stack, batch, plan, state, rng):
-    """Node lists and drawn arcs of a sampled batch.
+    """Node lists and drawn arcs of a sampled batch: ``_field`` with each
+    node's row of draws as its arcs.
 
     Draws come depth first from the batch, so the draw sequence is fixed by
     the batch and the seed: at each newly visited (layer, node) above layer
@@ -235,33 +238,32 @@ def _sampled_field(g, stack, batch, plan, state, rng):
     s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
     own = stack.arch != "concat"
     batch = np.array(batch, dtype=np.intp)
-    seen = [set() for _ in range(depth + 1)]
-    drawn = [([], [], []) for _ in range(depth + 1)]  # nodes, arc ids, coefs
-    ones, x = [], [np.empty(0)]  # layer-1 drawing nodes, their uniforms
+    # per layer, node -> its row of draws (none: None, or no key at layer 1)
+    row = [{} for _ in range(depth + 1)]
+    drawn = [([], []) for _ in range(depth + 1)]  # arc ids, coefficients
+    x = [np.empty(0)]  # the uniforms of layer 1's draws
 
     def reach(l, reached):
         """Visit each of ``reached`` at layer l, in order."""
         if l == 1:
-            m = len(ones)
+            m = len(row[1])
             for u in reached:
-                if u not in seen[1]:
-                    seen[1].add(u)
-                    if ptr[u + 1] > ptr[u]:
-                        ones.append(u)
-            if len(ones) > m:
-                x.append(rng.random(s * (len(ones) - m)))
+                if u not in row[1] and ptr[u + 1] > ptr[u]:
+                    row[1][u] = len(row[1])
+            if len(row[1]) > m:
+                x.append(rng.random(s * (len(row[1]) - m)))
             return
         for u in reached:
-            if u in seen[l]:
+            if u in row[l]:
                 continue
-            seen[l].add(u)
+            row[l][u] = None
             below = [u] if own else []
             if ptr[u + 1] > ptr[u]:
                 p = sampling.plan_probs(g, stack, state, plan, l, u)
                 j = sampling.draw(p, s, rng)
                 a = ptr[u] + j
-                nodes_l, ids, coefs = drawn[l]
-                nodes_l.append(u)
+                ids, coefs = drawn[l]
+                row[l][u] = len(ids) // s
                 ids += a.tolist()
                 coefs += (1.0 / (s * p[j])).tolist()
                 below += g.arc_src[a].tolist()
@@ -269,59 +271,47 @@ def _sampled_field(g, stack, batch, plan, state, rng):
 
     reach(depth, batch.tolist())
     del reach  # it refers to itself: free the field now, not at a gc pass
-    ones = np.array(ones, dtype=np.intp)
+    ones = np.array(list(row[1]), dtype=np.intp)
     order, at, a, p, cdf = sampling.layer_probs(g, state, 1, ones)
     k = sampling.draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])
-    rows = [None, (ones[order], a[k], 1.0 / (s * p[k]))]
-    rows += [(np.array(nodes_l, dtype=np.intp),
-              np.array(ids, dtype=np.intp).reshape(-1, s),
-              np.array(coefs).reshape(-1, s)) for nodes_l, ids, coefs in drawn[2:]]
+    drawn[1] = np.empty_like(k), np.empty(k.shape)  # rows in ``ones`` order
+    drawn[1][0][order], drawn[1][1][order] = a[k], 1.0 / (s * p[k])
 
-    nodes = ([None] + [np.array(sorted(d), dtype=np.intp) for d in seen[1:-1]]
-             + [batch])
-    below = np.zeros(g.n_nodes, dtype=bool)
-    below[g.arc_src[rows[1][1].ravel()]] = True
-    if own:
-        below[nodes[1]] = True
-    nodes[0] = np.flatnonzero(below)
-    arcs = [None]
-    for l in range(1, depth + 1):
-        # a column with neighbors takes its node's drawn row; others none
-        cols = np.flatnonzero(ptr[nodes[l] + 1] > ptr[nodes[l]])
-        rnodes, ids, coefs = rows[l]
-        r = _positions(g, rnodes)[nodes[l][cols]]
-        arcs.append((ids[r].ravel(), np.repeat(cols, s),
-                     coefs[r].reshape(1, -1)))
-    return nodes, arcs
+    def pick(l, nodes):
+        # a node with neighbors takes its drawn row; others none
+        cols = np.flatnonzero(ptr[nodes + 1] > ptr[nodes])
+        r = [row[l][u] for u in nodes[cols].tolist()]
+        ids = np.asarray(drawn[l][0], dtype=np.intp).reshape(-1, s)[r]
+        coefs = np.asarray(drawn[l][1]).reshape(-1, s)[r]
+        return ids.ravel(), np.repeat(cols, s), coefs.reshape(1, -1)
+
+    return _field(g, batch, depth, pick, own)
 
 
 def _relabel(g, stack, nodes, arcs):
     """Relabeling rounds over a full-neighborhood field; columns are nodes[-1]."""
     r = _cols(g.node_features, nodes[0])
     for d in range(1, len(nodes)):
-        ids, dst, _ = arcs[d]
-        pos = _positions(g, nodes[d - 1])
+        _, dst, _, src, own = arcs[d]
         msg = ad.sigmoid_affine(stack.Q, (r,))
-        nsum = ad.segment_sum(ad.gather(msg, pos[g.arc_src[ids]]), dst,
-                              len(nodes[d]))
-        own = ad.gather(r, pos[nodes[d]])
-        r = ad.combine(stack.P1, own, stack.P2, nsum, "sum", squash=True)
+        nsum = ad.segment_sum(ad.gather(msg, src), dst, len(nodes[d]))
+        r = ad.combine(stack.P1, ad.gather(r, own), stack.P2, nsum, "sum",
+                       squash=True)
     return r
 
 
-def _layer(stack, l, m, arcs, consts, h, x):
+def _layer(stack, l, m, arcs, fe, h, x):
     """Layer l over its field: (hidden, per-arc gates, per-arc summands).
 
-    ``m`` is the length of nodes[l], and ``consts`` the inputs no parameter
-    reaches (``_run``): per arc, its source's position in nodes[l - 1]; per
-    node of nodes[l], its position there; and per arc, its link features.
-    ``x`` is the per-node input of rw and wl (node features or relabels of
-    nodes[l]).  Gates and summands are the lambda and g(v|u) of sampling's
-    estimator; a constant gate (kernel mode, and 1 for concat) is a float.
+    ``m`` is the length of nodes[l], ``arcs`` layer l's arcs tuple with
+    their source positions and own positions (``_field``), and ``fe`` the
+    arcs' link-feature columns.  ``x`` is the per-node input of rw and wl
+    (node features or relabels of nodes[l]).  Gates and summands are the
+    lambda and g(v|u) of sampling's estimator; a constant gate (kernel mode,
+    and 1 for concat) is a float.
     """
     p = stack.layers[l]
-    _, dst, coef = arcs
-    src, own, fe = consts
+    _, dst, coef, src, own = arcs
     hv = ad.gather(h, src)
 
     if stack.arch == "concat":
@@ -357,11 +347,12 @@ def _run(g, stack, nodes, arcs):
     """(hidden, gates, summands) per layer over a field; layer 0 has no
     gates or summands.
 
-    A layer's inputs that no parameter reaches (positions, link-feature
-    columns and rw's node-feature columns) are built again only where its
-    node lists or arcs are not the objects the layer below used: once per
-    forward over ``_whole_field``, whose layers share them, and per layer
-    over the other fields.
+    A layer's inputs that no parameter reaches (link-feature columns, rw's
+    node-feature columns and the map of wl's columns into nodes[0]) are
+    built again only where its arcs are not the object the layer below used:
+    once per forward over ``_whole_field``, whose layers share one arcs
+    tuple, and per layer over the other fields.  The positions come with
+    the field.
     """
     r = x = None
     if stack.arch == "wl":
@@ -373,23 +364,17 @@ def _run(g, stack, nodes, arcs):
     else:
         h = _cols(g.node_features, nodes[0])
     out = [(h, None, None)]
-    pos0 = _positions(g, nodes[0])
     for l in range(1, stack.depth + 1):
-        if l == 1 or not (nodes[l] is nodes[l - 1] is nodes[l - 2]
-                          and arcs[l] is arcs[l - 1]):
-            pos = (pos0 if nodes[l - 1] is nodes[0]
-                   else _positions(g, nodes[l - 1]))
-            ids = arcs[l][0]
-            consts = (pos[g.arc_src[ids]], pos[nodes[l]],
-                      _cols(g.link_features, g.arc_link[ids]))
+        if arcs[l] is not arcs[l - 1]:
+            fe = _cols(g.link_features, g.arc_link[arcs[l][0]])
             if stack.arch == "rw" and nodes[l] is not nodes[l - 1]:
                 # x holds the columns of nodes[l - 1]
                 x = _cols(g.node_features, nodes[l])
-            elif stack.arch == "wl":
-                at = pos0[nodes[l]]  # the columns of r
+            elif stack.arch == "wl":  # the columns of r, chained by own
+                at = arcs[l][4] if l == 1 else at[arcs[l][4]]
         if stack.arch == "wl":
             x = ad.gather(r, at)
-        out.append(_layer(stack, l, len(nodes[l]), arcs[l], consts,
+        out.append(_layer(stack, l, len(nodes[l]), arcs[l], fe,
                           out[-1][0], x))
     return out
 

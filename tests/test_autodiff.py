@@ -1,8 +1,9 @@
 """Tensor ops, backward rules and the checkpoint format."""
 
+import ast
+import importlib
 import inspect
 import os
-import re
 
 import numpy as np
 import pytest
@@ -321,20 +322,64 @@ class TestOpGradients:
         assert recording <= {name.split("-")[0] for name in FD_CASES}
 
 
+# Public names that no package code reaches, kept on purpose, with why.
+KEPT = {
+    "sampling.probs_uniform": "the paper's uniform proposal, an oracle of "
+                              "test_05 and test_06",
+    "sampling.probs_from_gates": "the paper's gate proposal, an oracle of "
+                                 "test_05 and test_06",
+    "sampling.probs_minvar_weights": "the paper's minimum-variance proposal, "
+                                     "an oracle of test_05 and test_06",
+    "training.refresh_sweep": "the refresh-interval experiment test_09 runs",
+    "kernels.neighbor_feature": "the paper's neighbor feature tensor, "
+                                "exported from lase",
+    "kernels.neighbor_kernel": "the paper's neighbor kernel, exported from "
+                               "lase",
+    "kernels.neighborhood_kernel": "the paper's l-hop neighborhood kernel, "
+                                   "exported from lase",
+    "graph.AttributedGraph.adjacency": "perfbench/spans.py reads it",
+}
+
+
+def _public_members(module):
+    """{"module.name" or "module.Class.name": name} for each public function
+    of ``module``, and each public method and property of its classes."""
+    short = module.__name__.split(".")[-1]
+    out = {}
+    for name, v in vars(module).items():
+        if (name.startswith("_")
+                or getattr(v, "__module__", None) != module.__name__):
+            continue
+        if inspect.isfunction(v):
+            out["%s.%s" % (short, name)] = name
+        elif inspect.isclass(v):
+            out.update(("%s.%s.%s" % (short, name, m), m)
+                       for m, mv in vars(v).items() if not m.startswith("_")
+                       and (inspect.isfunction(mv) or isinstance(
+                           mv, (property, classmethod, staticmethod))))
+    return out
+
+
 def test_every_public_function_runs_in_the_package():
-    """Each public function of ``autodiff`` is called from another module
-    of the package: an op only the tests use belongs in ``tests/util.py``."""
+    """Each public function, method and property of a ``lase`` module is
+    read by package code (by name or as an attribute), or is kept on purpose
+    in ``KEPT``: code only the tests use belongs in ``tests/util.py``."""
     src = os.path.dirname(ad.__file__)
-    called = set()
-    for name in os.listdir(src):
-        if name.endswith(".py") and name != "autodiff.py":
+    read, public = set(), {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
-                called.update(re.findall(r"\b(?:ad|autodiff)\.(\w+)\(",
-                                         fh.read()))
-    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-              if not name.startswith("_") and fn.__module__ == ad.__name__}
-    assert {"affine", "combine", "scatter_add"} <= public
-    assert public - called == set()
+                tree = ast.parse(fh.read())
+            read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load))
+            read.update(n.attr for n in ast.walk(tree)
+                        if isinstance(n, ast.Attribute))
+            public.update(_public_members(
+                importlib.import_module("lase." + name[:-3])))
+    assert {"autodiff.scatter_add", "layers.forward",
+            "training.Model.snapshot"} <= set(public)
+    unread = {key for key, name in public.items() if name not in read}
+    assert unread == set(KEPT)
 
 
 def _model_batch(arch, depth, strategy):

@@ -145,10 +145,89 @@ class TestUsageErrors:
         assert run_cli(*argv) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert "usage error" in captured.err and "Is a directory" in captured.err
-        assert "Traceback" not in captured.err
+        assert "Traceback" not in captured.err and ".tmp-" not in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "l.tsv",
                                                                "n.tsv"]
         assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--kind", "random", "--nodes", "OUT", "--links", "l2.tsv"),
+        ("synth", "--kind", "random", "--nodes", "n2.tsv", "--links",
+         "l2.tsv", "--split", "OUT"),
+        ("train", "--nodes", "n.tsv", "--links", "l.tsv", "--config",
+         "c.json", "--out", "OUT"),
+        ("eval", "--nodes", "n.tsv", "--links", "l.tsv", "--checkpoint",
+         "run.ckpt", "--split", "s.json", "--out", "OUT"),
+        ("kernel", "--nodes", "n.tsv", "--links", "l.tsv", "--out", "OUT"),
+        ("kernel", "--gram", "2", "--out", "OUT"),
+        ("check-theorem1", "--trials", "1", "--out", "OUT"),
+        ("figure3-check", "--trials", "1", "--out", "OUT"),
+        ("sample-variance", "--n", "20", "--draws", "10", "--out", "OUT"),
+        ("snr-sweep", "--n", "40", "--snr", "inf", "--out", "OUT"),
+    ])
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_bad_output_path_fails_before_the_command_runs(
+            self, argv, bad, tmp_path, monkeypatch, capsys):
+        """An output path whose directory is missing, or that names a
+        directory (for train, a file its prefix names), is a usage error
+        naming that path, raised before the command's work."""
+        monkeypatch.chdir(tmp_path)
+        G.save_graph(G.synth_graph("random", 10)[0], "n.tsv", "l.tsv")
+        out = "missing/out" if bad == "missing-dir" else "d"
+        named = out
+        if argv[0] == "train":  # a file the prefix names
+            named += ".ckpt.bin" if bad == "missing-dir" else ".metrics.csv"
+        if bad == "directory":
+            (tmp_path / named).mkdir()
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0],
+                            lambda args: ran.append(args))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [out if a == "OUT" else a for a in argv]
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and repr(named) in err, err
+        assert ran == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv", [
+        ("sample-variance", "--n", "20", "--draws", "10"),
+        ("check-theorem1", "--trials", "1"),
+        ("synth", "--kind", "random", "--nodes", "n.tsv", "--links", "l.tsv",
+         "--split"),
+    ])
+    def test_empty_output_path_fails_before_the_command_runs(
+            self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0],
+                            lambda args: ran.append(args))
+        if argv[0] != "synth":
+            argv += ("--out",)
+        assert run_cli(*argv, "") == cli.EXIT_USAGE
+        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert ran == [] and list(tmp_path.iterdir()) == []
+
+    def test_train_with_a_missing_output_directory_never_trains(
+            self, synth_files, tmp_path, monkeypatch, capsys):
+        trainings = []
+        monkeypatch.setattr(T, "train", lambda *a, **kw: trainings.append(a))
+        out = str(tmp_path / "missing" / "run")
+        code = run_cli("train", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--config", write_config(tmp_path), "--out", out)
+        assert code == cli.EXIT_USAGE and trainings == []
+        err = capsys.readouterr().err
+        assert repr(out + ".ckpt.bin") in err and ".tmp-" not in err
+
+    def test_train_writes_the_outputs_it_checks(self, synth_files, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", "--nodes", synth_files["nodes"], "--links",
+                synth_files["links"], "--config", write_config(tmp_path),
+                "--out", str(out / "run")]
+        assert run_cli(*argv) == cli.EXIT_OK
+        checked = cli._outputs(cli.build_parser().parse_args(argv))
+        assert sorted(str(p) for p in out.iterdir()) == sorted(checked)
 
     @pytest.mark.parametrize("snr", ["abc", "4,-1", "0", "1,,2", "inf,nan",
                                      "-inf"])

@@ -35,6 +35,21 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_failed_write_names_the_path_it_was_given(tmp_path):
+    """The error names the file asked for, not the temp file, whether the
+    directory is missing or the path is a directory."""
+    missing = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(FileNotFoundError) as exc:
+        atomic_write(missing, "x")
+    assert exc.value.filename == missing and ".tmp-" not in str(exc.value)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        atomic_write(str(tmp_path / "d"), "x")
+    assert exc.value.filename == str(tmp_path / "d")
+    assert ".tmp-" not in str(exc.value)
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
 def test_failed_graph_and_checkpoint_saves_keep_previous_files(tmp_path,
                                                                 monkeypatch):
     paths = [str(tmp_path / x) for x in ("n.tsv", "l.tsv", "m.json")]

@@ -287,9 +287,9 @@ class TestUntapedOps:
 
 
 class TestConstantInputs:
-    """Positions and feature columns, which no parameter reaches, are built
-    once per forward over ``_whole_field``, whose layers share one node list
-    and one arcs tuple, and once per layer over any other field."""
+    """Feature columns, which no parameter reaches, are built once per
+    forward over ``_whole_field``, whose layers share one node list and one
+    arcs tuple, and once per layer over any other field."""
 
     @staticmethod
     def count_cols(monkeypatch, g):

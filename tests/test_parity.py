@@ -52,7 +52,9 @@ kept before (``test_refresh_work_matches_per_refresh_sum``).  Likewise ``layers.
 must equal, bit for bit and in the generator state it leaves, the per-visit
 walk it replaced (``_sampled_field_per_visit``), and ``layers._whole_field``
 the field ``_full_field`` searches for below every node, with the
-``full_forward`` and eager-refresh weights over each equal bit for bit.
+``full_forward`` and eager-refresh weights over each equal bit for bit; in
+every such field, each layer's positions pick out its arcs' sources and its
+own nodes from the layer below (``assert_field_positions``).
 """
 
 import json
@@ -671,14 +673,13 @@ def test_fused_ops_match_op_compositions(name, seed, tracked_fe):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-def _layer_ops(stack, l, m, arcs, consts, h, x):
+def _layer_ops(stack, l, m, arcs, fe, h, x):
     """``layers._layer`` built from the op compositions above, one op per
     step as before the fused ops: rw's and wl's summand as the
     ``amplify``, ``matvec``, ``gather`` and ``hadamard`` that
     ``amplify_gather`` replaced, and concat's terms as a ``concat`` op."""
     p = stack.layers[l]
-    _, dst, coef = arcs
-    src, own, fe = consts
+    _, dst, coef, src, own = arcs
     hv = ad.gather(h, src)
     if stack.arch == "concat":
         core = concat([hv, fe])
@@ -705,12 +706,10 @@ def _relabel_ops(g, stack, nodes, arcs):
     a ``sigmoid`` of the ``add`` of two ``matvec``s."""
     r = L._cols(g.node_features, nodes[0])
     for d in range(1, len(nodes)):
-        ids, dst, _ = arcs[d]
-        pos = L._positions(g, nodes[d - 1])
+        _, dst, _, src, own = arcs[d]
         msg = sigmoid(matvec(stack.Q, r))
-        nsum = ad.segment_sum(ad.gather(msg, pos[g.arc_src[ids]]), dst,
-                              len(nodes[d]))
-        own = ad.gather(r, pos[nodes[d]])
+        nsum = ad.segment_sum(ad.gather(msg, src), dst, len(nodes[d]))
+        own = ad.gather(r, own)
         r = sigmoid(add(matvec(stack.P1, own), matvec(stack.P2, nsum)))
     return r
 
@@ -849,6 +848,18 @@ def _sampled_field_per_visit(g, stack, batch, plan, state, rng):
     return nodes, arcs
 
 
+def assert_field_positions(g, nodes, arcs, own):
+    """Each layer's arcs carry the positions in the node list below of
+    their sources and, where own nodes are kept, of the layer's nodes."""
+    for l in range(1, len(nodes)):
+        ids, _, _, src, at = arcs[l]
+        assert np.array_equal(nodes[l - 1][src], g.arc_src[ids]), l
+        if own:
+            assert np.array_equal(nodes[l - 1][at], nodes[l]), l
+        else:
+            assert at is None, l
+
+
 def _with_hub(g):
     """g plus one node linked to every node of g."""
     n = g.n_nodes
@@ -906,6 +917,8 @@ def test_sampled_field_matches_per_visit_oracle(arch, depth):
                                 assert a.dtype == w.dtype, case
                                 assert a.shape == w.shape, case
                                 assert np.array_equal(a, w), case
+                        assert_field_positions(g, nodes, arcs,
+                                               own=arch != "concat")
                         assert (rng.bit_generator.state
                                 == oracle_rng.bit_generator.state), case
 
@@ -927,7 +940,7 @@ def test_sampled_batch_of_isolated_nodes(arch, depth):
     _, arcs = L._sampled_field(g, stack, batch, plan, state, rng)
     assert rng.bit_generator.state == before
     assert all(ids.size == dst.size == coef.size == 0
-               for ids, dst, coef in arcs[1:])
+               for ids, dst, coef, _, _ in arcs[1:])
     sampled = L.forward(g, stack, batch, plan, state, rng).data
     assert np.array_equal(sampled, L.forward(g, stack, batch).data)
 
@@ -952,10 +965,12 @@ def test_whole_field_matches_searched_field(gname, sname, depth):
     for a, b in zip(nodes, want_nodes):
         assert np.array_equal(a, b)
     assert arcs[0] is want_arcs[0] is None
-    for (ids, dst, coef), (want_ids, want_dst, want_coef) in zip(
-            arcs[1:], want_arcs[1:]):
-        assert np.array_equal(ids, want_ids) and np.array_equal(dst, want_dst)
-        assert coef is want_coef is None
+    for got, want in zip(arcs[1:], want_arcs[1:]):
+        assert got[2] is want[2] is None
+        for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            assert np.array_equal(a, b)
+    assert_field_positions(g, nodes, arcs, own=True)
+    assert_field_positions(g, want_nodes, want_arcs, own=True)
 
     stack = L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                          depth=depth, seed=5, **STACKS[sname])
@@ -999,7 +1014,7 @@ def compute_sampled():
                             "nodes": [n.tolist() for n in nodes],
                             "arcs": [[ids.tolist(), dst.tolist(),
                                       coef[0].tolist()]
-                                     for ids, dst, coef in arcs[1:]]})
+                                     for ids, dst, coef, _, _ in arcs[1:]]})
                     key = "%s/sampled-%s-%d-%s" % (gname, arch, depth,
                                                    strategy)
                     out[key] = fields
