@@ -383,6 +383,11 @@ def softmax_cross_entropy(logits, label):
 # blob, tensors flattened row-major and concatenated in manifest order.
 # ---------------------------------------------------------------------------
 
+def checkpoint_paths(path_prefix):
+    """(blob, manifest) paths of the checkpoint at ``path_prefix``."""
+    return path_prefix + ".bin", path_prefix + ".json"
+
+
 def save_checkpoint(path_prefix, named_tensors, meta=None):
     manifest = {"meta": meta or {}, "tensors": []}
     blob = bytearray()
@@ -390,8 +395,9 @@ def save_checkpoint(path_prefix, named_tensors, meta=None):
         r, c = t.shape
         manifest["tensors"].append({"name": name, "rows": r, "cols": c})
         blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    atomic_write(path_prefix + ".bin", bytes(blob))
-    atomic_write(path_prefix + ".json",
+    blob_path, manifest_path = checkpoint_paths(path_prefix)
+    atomic_write(blob_path, bytes(blob))
+    atomic_write(manifest_path,
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -423,11 +429,12 @@ def _check_manifest(manifest, where):
 def load_checkpoint(path_prefix):
     """(named tensors, meta) of a checkpoint, after checking its manifest and
     that the blob holds exactly the float64s the manifest lists."""
-    with open(path_prefix + ".json", "r", encoding="utf-8") as fh:
+    blob_path, manifest_path = checkpoint_paths(path_prefix)
+    with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    with open(path_prefix + ".bin", "rb") as fh:
+    with open(blob_path, "rb") as fh:
         blob = fh.read()
-    _check_manifest(manifest, path_prefix + ".json")
+    _check_manifest(manifest, manifest_path)
     entries = manifest["tensors"]
     if sum(e["rows"] * e["cols"] * 8 for e in entries) != len(blob):
         raise ValueError("checkpoint blob size disagrees with manifest")

@@ -8,8 +8,10 @@ are written atomically (temp file + rename) so reruns are all-or-nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -375,8 +377,10 @@ def _cmd_snr_sweep(args):
 def _outputs(args):
     """The paths a command writes, checked before it does its work."""
     if args.command == "train":
-        return [args.out + ext for ext in (".ckpt.bin", ".ckpt.json",
-                                           ".metrics.csv", ".summary.json")]
+        if not os.path.basename(args.out):  # "" or "dir/": no file name
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        return [*autodiff.checkpoint_paths(args.out + ".ckpt"),
+                args.out + ".metrics.csv", args.out + ".summary.json"]
     paths = ([args.nodes, args.links, args.manifest, args.split]
              if args.command == "synth" else [args.out])
     return [path for path in paths if path is not None]

@@ -93,8 +93,13 @@ class LayerStack:
     def _layer_dims(self):
         if self.arch in ("rw", "wl"):
             return [self.hidden] * (self.depth + 1)
-        wide = 2 if self.arch == "sage" and self.combine == "concat" else 1
-        return [self.d_node] + [wide * self.hidden] * self.depth
+        dims = [self.d_node]
+        for _ in range(self.depth):
+            if self.arch == "sage" and self.combine == "concat":
+                dims.append(2 * self.hidden)
+            else:
+                dims.append(self.hidden)
+        return dims
 
     def _init_layer(self, rng, l):
         d_in = self.dims[l - 1] if l > 0 else None

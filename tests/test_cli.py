@@ -194,6 +194,8 @@ class TestUsageErrors:
         ("check-theorem1", "--trials", "1"),
         ("synth", "--kind", "random", "--nodes", "n.tsv", "--links", "l.tsv",
          "--split"),
+        ("train", "--nodes", "n.tsv", "--links", "l.tsv", "--config",
+         "c.json"),
     ])
     def test_empty_output_path_fails_before_the_command_runs(
             self, argv, tmp_path, monkeypatch, capsys):
@@ -206,6 +208,24 @@ class TestUsageErrors:
         assert run_cli(*argv, "") == cli.EXIT_USAGE
         assert "No such file or directory: ''" in capsys.readouterr().err
         assert ran == [] and list(tmp_path.iterdir()) == []
+
+    def test_train_prefix_naming_no_file_fails_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        """``--out d/`` names a directory but no file for the prefix; it is
+        refused, while ``--out d`` (for d.ckpt.bin and the rest) passes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "train",
+                            lambda args: ran.append(args))
+        argv = ("train", "--nodes", "n.tsv", "--links", "l.tsv", "--config",
+                "c.json", "--out")
+        assert run_cli(*argv, "d/") == cli.EXIT_USAGE
+        assert repr("d/") in capsys.readouterr().err and ran == []
+        run_cli(*argv, "d")
+        assert len(ran) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_train_with_a_missing_output_directory_never_trains(
             self, synth_files, tmp_path, monkeypatch, capsys):
