@@ -204,8 +204,9 @@ def _cmd_train(args):
     _write_json(args.out + ".summary.json", {
         "test_f1": hist.test_f1, "best_epoch": hist.best_epoch,
         "epochs": len(hist.train_loss), "config": run.to_dict()})
-    print("train: test micro-F1 %.4f (best epoch %d)"
-          % (hist.test_f1, hist.best_epoch))
+    score = ("no test split" if hist.test_f1 is None
+             else "test micro-F1 %.4f" % hist.test_f1)
+    print("train: %s (best epoch %d)" % (score, hist.best_epoch))
     return EXIT_OK
 
 
@@ -332,7 +333,7 @@ def _cmd_sample_variance(args):
     for name, strategy in (("uniform", "uniform"), ("gate", "gate"),
                            ("min_var", "minvar")):
         plan, state = sampling.SamplePlan(strategy), sampling.SamplerState()
-        sampling.refresh(state, g, stack, plan)
+        sampling.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         order, ptr, _, p, _ = sampling.layer_probs(g, state, 1, chosen)
         dists[name] = dict(zip(chosen[order], np.split(p, ptr[1:-1])))
     lines = ["strategy,neighborhood_id,analytic_var,empirical_var"]

@@ -21,15 +21,16 @@ gate inputs, since the constant reads none.
 
 Each step of a layer is one autodiff op: the gate is ``sigmoid_affine``, the
 amplifier ``amplify`` (for rw and wl, ``amplify_gather``, with the product by
-W f(u) or W r(u)), the summand (term times gate, times the sampling
+W f(u) or W r(u)), the summand (term times gate, times the estimator's
 coefficients) one ``scale``, and the sage and concat outputs
 relu(W1 x1 o W2 x2) one ``combine``.  Untaped, a sage layer runs 8 ops and a
 kernel-mode rw layer 4.  A wl relabel round runs 5: the message sigmoid(Q r)
 is one ``sigmoid_affine``, the new label sigmoid(P1 r(u) + P2 sum_v msg(v))
 one ``combine`` with the squash, and the other three are the gathers of the
 messages and of r(u) and the segment sum.  One builder, ``_field``, makes
-full and sampled fields top down, with positions; feature columns are built
-once per forward over every node, and once per layer over other fields.
+full fields and, for the sampler, sampled ones, top down, with positions;
+``forward`` runs over either.  Feature columns are built once per forward
+over every node, and once per layer over other fields.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _cols(mat, ids):
 def _field(g, top, depth, pick, own):
     """Node lists and arcs of a receptive field, built top down from the
     ``top`` nodes.  Layer l's arcs are ``pick(l, nodes[l])``: graph arc ids,
-    the position in nodes[l] of each arc's destination, and a row of sampling
+    the position in nodes[l] of each arc's destination, and a row of estimator
     coefficients (None: full neighborhoods).  nodes[l - 1] is the sorted set
     of the arcs' sources, plus nodes[l] when ``own`` is set.  Each layer's
     arcs tuple carries two more arrays: the positions in nodes[l - 1] of each
@@ -220,79 +221,6 @@ def _full_field(g, top, depth):
                   lambda l, nodes: (*g.arcs_into(nodes), None), True)
 
 
-def _sampled_field(g, stack, batch, plan, state, rng):
-    """Node lists and drawn arcs of a sampled batch: ``_field`` with each
-    node's row of draws as its arcs.
-
-    Draws come depth first from the batch, so the draw sequence is fixed by
-    the batch and the seed: at each newly visited (layer, node) above layer
-    1, draw s neighbors with replacement from ``sampling.plan_probs`` by
-    ``sampling.draw`` (the inverse-CDF lookup of ``Generator.choice``), then
-    visit the node one layer down (every architecture but concat reads it),
-    then each drawn neighbor.  The new layer-1 nodes one visit reaches take
-    their uniforms as one block, and all layer-1 draws run after the walk as
-    one ``sampling.layer_probs`` and ``sampling.draw_rows`` lookup: the same
-    nodes, arcs, coefficients and generator state as one ``draw`` per
-    visit.  Layer 0 draws nothing.  A call before any ``sampling.refresh``
-    is a ValueError; after one, the generator's state is unspecified.
-    """
-    from . import sampling
-
-    if getattr(state, "weights", None) is None:
-        raise ValueError("a sampled forward needs a sampling.refresh first")
-    s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
-    own = stack.arch != "concat"
-    batch = np.array(batch, dtype=np.intp)
-    # per layer, node -> its row of draws (none: None, or no key at layer 1)
-    row = [{} for _ in range(depth + 1)]
-    drawn = [([], []) for _ in range(depth + 1)]  # arc ids, coefficients
-    x = [np.empty(0)]  # the uniforms of layer 1's draws
-
-    def reach(l, reached):
-        """Visit each of ``reached`` at layer l, in order."""
-        if l == 1:
-            m = len(row[1])
-            for u in reached:
-                if u not in row[1] and ptr[u + 1] > ptr[u]:
-                    row[1][u] = len(row[1])
-            if len(row[1]) > m:
-                x.append(rng.random(s * (len(row[1]) - m)))
-            return
-        for u in reached:
-            if u in row[l]:
-                continue
-            row[l][u] = None
-            below = [u] if own else []
-            if ptr[u + 1] > ptr[u]:
-                p = sampling.plan_probs(g, stack, state, plan, l, u)
-                j = sampling.draw(p, s, rng)
-                a = ptr[u] + j
-                ids, coefs = drawn[l]
-                row[l][u] = len(ids) // s
-                ids += a.tolist()
-                coefs += (1.0 / (s * p[j])).tolist()
-                below += g.arc_src[a].tolist()
-            reach(l - 1, below)
-
-    reach(depth, batch.tolist())
-    del reach  # it refers to itself: free the field now, not at a gc pass
-    ones = np.array(list(row[1]), dtype=np.intp)
-    order, at, a, p, cdf = sampling.layer_probs(g, state, 1, ones)
-    k = sampling.draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])
-    drawn[1] = np.empty_like(k), np.empty(k.shape)  # rows in ``ones`` order
-    drawn[1][0][order], drawn[1][1][order] = a[k], 1.0 / (s * p[k])
-
-    def pick(l, nodes):
-        # a node with neighbors takes its drawn row; others none
-        cols = np.flatnonzero(ptr[nodes + 1] > ptr[nodes])
-        r = [row[l][u] for u in nodes[cols].tolist()]
-        ids = np.asarray(drawn[l][0], dtype=np.intp).reshape(-1, s)[r]
-        coefs = np.asarray(drawn[l][1]).reshape(-1, s)[r]
-        return ids.ravel(), np.repeat(cols, s), coefs.reshape(1, -1)
-
-    return _field(g, batch, depth, pick, own)
-
-
 def _relabel(g, stack, nodes, arcs):
     """Relabeling rounds over a full-neighborhood field; columns are nodes[-1]."""
     r = _cols(g.node_features, nodes[0])
@@ -312,7 +240,7 @@ def _layer(stack, l, m, arcs, fe, h, x):
     their source positions and own positions (``_field``), and ``fe`` the
     arcs' link-feature columns.  ``x`` is the per-node input of rw and wl
     (node features or relabels of nodes[l]).  Gates and summands are the
-    lambda and g(v|u) of sampling's estimator; a constant gate (kernel mode,
+    lambda and g(v|u) of the sampled estimator; a constant gate (kernel mode,
     and 1 for concat) is a float.
     """
     p = stack.layers[l]
@@ -384,21 +312,18 @@ def _run(g, stack, nodes, arcs):
     return out
 
 
-def forward(g, stack, batch, plan=None, state=None, rng=None):
+def forward(g, stack, batch, field=None):
     """Top-layer hidden tensor (out_dim, len(batch)), columns in batch order.
 
-    ``plan=None`` (or strategy "full") means full neighborhoods.  With a
-    sampling plan, each layer's neighbor sum is replaced by the
-    importance-sampled estimator (1/s) sum_j gate * term / p_j, drawn with
-    ``rng`` from the rows ``sampling.refresh`` wrote into ``state``;
-    probabilities are constants of the draw and take no gradient.
+    ``field`` is a prebuilt receptive field whose top layer is ``batch``:
+    for a sampled batch, the one the sampler drew, whose per-arc
+    coefficients turn each neighbor sum into the importance-sampled
+    estimator (1/s) sum_j gate * term / p_j.  ``None`` means full
+    neighborhoods.
     """
-    if plan is not None and plan.strategy != "full":
-        nodes, arcs = _sampled_field(g, stack, batch, plan, state, rng)
-    else:
-        nodes, arcs = _full_field(g, np.array(batch, dtype=np.intp),
-                                  stack.depth)
-    return _run(g, stack, nodes, arcs)[-1][0]
+    if field is None:
+        field = _full_field(g, np.array(batch, dtype=np.intp), stack.depth)
+    return _run(g, stack, *field)[-1][0]
 
 
 def field_forward(g, stack, nodes, arcs):

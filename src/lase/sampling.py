@@ -18,17 +18,9 @@ lambda * ||g||) of each of its arcs still NaN, floored at EPS so importance
 weights never blow up.  The field holds every (layer, node) the batch can
 visit, and the weights are those a forward over the whole graph would give at
 the refresh.  Under the uniform strategy every arc weighs 1, written once.
-Rows come only from a refresh's weights: a sampled forward before any
-refresh is a ValueError.
-
-A sampled batch draws in two forms, both with the draws of
-``Generator.choice`` with replacement and the generator stream of one
-``choice`` call per (layer, node).  Above layer 1, each visit takes its row
-from ``plan_probs`` (normalized on first use and kept until the next
-refresh) and draws from it by ``draw``, an inverse-CDF lookup.  Layer 1, the
-most numerous, draws after the walk as one block: ``layer_probs`` normalizes
-all its rows at once, one block per degree, laid end to end, and
-``draw_rows`` draws from each row for its own uniforms by the same lookup.
+``sampled_field`` then draws the batch's receptive field from the rows the
+refresh wrote (before any refresh, a ValueError), and ``layers.forward``
+runs over it; its docstring gives the order of the draws.
 """
 
 from __future__ import annotations
@@ -201,19 +193,93 @@ def plan_probs(g, stack, state, plan, l, u):
     return p
 
 
-def refresh(state, g, stack, plan, batch=None):
+def sampled_field(g, stack, batch, plan, state, rng):
+    """The receptive field of a sampled batch, for ``layers.forward``:
+    ``layers._field`` with each (layer, node)'s row of s draws as its arcs,
+    with coefficients 1/(s p).
+
+    The draws are those of ``Generator.choice`` with replacement, in the
+    generator stream of one ``choice`` call per (layer, node), taken depth
+    first from the batch, so the batch and the seed fix them.  At each newly
+    visited (layer, node) above layer 1, s neighbors are drawn from its
+    ``plan_probs`` row by ``draw``, an inverse-CDF lookup; then the walk
+    visits the node one layer down (every architecture but concat reads
+    it), then each drawn neighbor.  Layer 1, the most numerous, draws after
+    the walk as one block: the new layer-1 nodes one visit reaches take
+    their uniforms as one block, ``layer_probs`` normalizes all their rows
+    at once, and ``draw_rows`` draws from each row for its own uniforms by
+    the same lookup.  Layer 0 draws nothing.  A call before any ``refresh``
+    is a ValueError; after an error, the generator's state is unspecified.
+    """
+    if getattr(state, "weights", None) is None:
+        raise ValueError("a sampled field needs a refresh first")
+    s, depth, ptr = plan.sample_size, stack.depth, g.arc_ptr
+    own = stack.arch != "concat"
+    batch = np.array(batch, dtype=np.intp)
+    # per layer, node -> its row of draws (none: None, or no key at layer 1)
+    row = [{} for _ in range(depth + 1)]
+    drawn = [([], []) for _ in range(depth + 1)]  # arc ids, coefficients
+    x = [np.empty(0)]  # the uniforms of layer 1's draws
+
+    def reach(l, reached):
+        """Visit each of ``reached`` at layer l, in order."""
+        if l == 1:
+            m = len(row[1])
+            for u in reached:
+                if u not in row[1] and ptr[u + 1] > ptr[u]:
+                    row[1][u] = len(row[1])
+            if len(row[1]) > m:
+                x.append(rng.random(s * (len(row[1]) - m)))
+            return
+        for u in reached:
+            if u in row[l]:
+                continue
+            row[l][u] = None
+            below = [u] if own else []
+            if ptr[u + 1] > ptr[u]:
+                # module globals, looked up per call: a wrapper sees each one
+                p = plan_probs(g, stack, state, plan, l, u)
+                j = draw(p, s, rng)
+                a = ptr[u] + j
+                ids, coefs = drawn[l]
+                row[l][u] = len(ids) // s
+                ids += a.tolist()
+                coefs += (1.0 / (s * p[j])).tolist()
+                below += g.arc_src[a].tolist()
+            reach(l - 1, below)
+
+    reach(depth, batch.tolist())
+    del reach  # it refers to itself: free the field now, not at a gc pass
+    ones = np.array(list(row[1]), dtype=np.intp)
+    order, at, a, p, cdf = layer_probs(g, state, 1, ones)
+    k = draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])
+    drawn[1] = np.empty_like(k), np.empty(k.shape)  # rows in ``ones`` order
+    drawn[1][0][order], drawn[1][1][order] = a[k], 1.0 / (s * p[k])
+
+    def pick(l, nodes):
+        # a node with neighbors takes its drawn row; others none
+        cols = np.flatnonzero(ptr[nodes + 1] > ptr[nodes])
+        r = [row[l][u] for u in nodes[cols].tolist()]
+        ids = np.asarray(drawn[l][0], dtype=np.intp).reshape(-1, s)[r]
+        coefs = np.asarray(drawn[l][1]).reshape(-1, s)[r]
+        return ids.ravel(), np.repeat(cols, s), coefs.reshape(1, -1)
+
+    return layers._field(g, batch, depth, pick, own)
+
+
+def refresh(state, g, stack, plan, batch):
     """Advance the refresh clock by one batch, starting a refresh if the
     interval elapsed, then weigh the arcs that ``batch`` can reach.
 
-    Call it once before each batch: the rows a sampled forward draws from
-    come only from it.  Returns True when a refresh started.  A refresh
-    freezes a copy of the stack's parameters and resets every weight to NaN.
-    Each call then runs one forward, under that copy, over the full receptive
-    field of the batch (``None``: of every node), and writes the weights of
-    the field's arcs still NaN.  The field contains every (layer, node) a
-    sampled batch can visit.  Under the uniform strategy every arc weighs 1:
-    those weights take no parameters and no forward, so the first refresh
-    writes them and later ones keep them.
+    Call it once before each batch's ``sampled_field``: the rows it draws
+    from come only from here.  Returns True when a refresh started.  A
+    refresh freezes a copy of the stack's parameters and resets every weight
+    to NaN.  Each call then runs one forward, under that copy, over the full
+    receptive field of the batch, and writes the weights of the field's arcs
+    still NaN.  The field contains every (layer, node) a sampled batch can
+    visit.  Under the uniform strategy every arc weighs 1: those weights
+    take no parameters and no forward, so the first refresh writes them and
+    later ones keep them.
     """
     due = (state.batches_since_refresh is None
            or state.batches_since_refresh >= plan.refresh_interval)
@@ -236,11 +302,8 @@ def refresh(state, g, stack, plan, batch=None):
 def _weigh(state, g, plan, batch):
     """Weigh the batch field's arcs still NaN; no forward runs if none are."""
     depth = state.params.depth
-    if batch is None:
-        nodes, arcs = layers._whole_field(g, depth)
-    else:
-        nodes, arcs = layers._full_field(
-            g, np.unique(np.asarray(batch, dtype=np.intp)), depth)
+    nodes, arcs = layers._full_field(
+        g, np.unique(np.asarray(batch, dtype=np.intp)), depth)
     fresh = [None] + [np.isnan(state.weights[l][arcs[l][0]])
                       for l in range(1, depth + 1)]
     if not any(m.any() for m in fresh[1:]):

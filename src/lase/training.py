@@ -279,9 +279,11 @@ def make_optimizer(run, model):
 # Training
 # ---------------------------------------------------------------------------
 
-def batch_loss(g, model, batch, plan=None, state=None, rng=None):
-    """Mean cross-entropy over a batch (taped)."""
-    h = layers.forward(g, model.stack, batch, plan=plan, state=state, rng=rng)
+def batch_loss(g, model, batch, field=None):
+    """Mean cross-entropy over a batch (taped), its forward over ``field``:
+    a sampled batch's ``sampling.sampled_field``, or ``None`` for full
+    neighborhoods."""
+    h = layers.forward(g, model.stack, batch, field)
     logits = ad.affine(model.C, (h,), model.c)
     return ad.softmax_cross_entropy(logits, [g.labels[u] for u in batch])
 
@@ -317,11 +319,13 @@ def train(g, split, run):
             losses = []
             for ofs in range(0, len(train_ids), run.batch_size):
                 batch = [train_ids[i] for i in order[ofs:ofs + run.batch_size]]
+                field = None
                 if sampled:
                     sampling.refresh(state, g, model.stack, run.plan, batch)
+                    field = sampling.sampled_field(g, model.stack, batch,
+                                                   run.plan, state, sample_rng)
                 with ad.Tape() as tape:
-                    loss = batch_loss(g, model, batch, plan=run.plan,
-                                      state=state, rng=sample_rng)
+                    loss = batch_loss(g, model, batch, field)
                     model.zero_grad()
                     tape.backward(loss)
                 opt.step()
@@ -369,6 +373,8 @@ def snr_sweep(g, split, run, snr_values):
     """Independent trainings per SNR; rows of (snr, test micro-F1)."""
     if not snr_values:
         raise ValueError("snr_values must be nonempty")
+    if not split.test:
+        raise ValueError("an SNR sweep needs a nonempty test split")
     rows = []
     for snr in snr_values:
         _, hist = train(g, split, replace(run, snr=snr))

@@ -414,17 +414,19 @@ def test_every_public_function_runs_in_the_package():
 
 
 def _model_batch(arch, depth, strategy):
-    """A model, a batch and the arguments of a sampled ``batch_loss`` (after
-    a refresh) on a small interaction graph."""
+    """A model, a batch and the field of its ``batch_loss`` on a small
+    interaction graph: a sampled one, drawn after a refresh, or None."""
     g, split = G.synth_graph("interaction", 40, seed=3)
     model = T.build_model(g, T.TrainRun(arch=arch, hidden=4, depth=depth,
                                         seed=2))
     batch = split.train[:6]
+    if strategy == "full":
+        return g, model, batch, None
     plan = S.SamplePlan(strategy=strategy, sample_size=2)
     state = S.SamplerState()
-    if strategy != "full":
-        S.refresh(state, g, model.stack, plan, batch)
-    return g, model, batch, (plan, state, np.random.default_rng(1))
+    S.refresh(state, g, model.stack, plan, batch)
+    return g, model, batch, S.sampled_field(g, model.stack, batch, plan,
+                                            state, np.random.default_rng(1))
 
 
 class TestPruning:
@@ -456,7 +458,7 @@ class TestPruning:
             self, arch, strategy, monkeypatch):
         """A spy on every recorded backward rule: the gradient of each
         untracked input is None, that of each tracked input an array."""
-        g, model, batch, sampled = _model_batch(arch, 2, strategy)
+        g, model, batch, field = _model_batch(arch, 2, strategy)
         seen = {"untracked": 0, "tracked": 0}
         record = ad.Tape.record
 
@@ -472,7 +474,7 @@ class TestPruning:
 
         monkeypatch.setattr(ad.Tape, "record", spy)
         with ad.Tape() as tape:
-            loss = T.batch_loss(g, model, batch, *sampled)
+            loss = T.batch_loss(g, model, batch, field)
             model.zero_grad()
             tape.backward(loss)
         assert seen["tracked"] and seen["untracked"]
@@ -486,9 +488,9 @@ class TestPruning:
         which the node and link features are tracked leaves too, so that
         every op of the forward is recorded and differentiated."""
         def grads():
-            g, model, batch, sampled = _model_batch(arch, depth, strategy)
+            g, model, batch, field = _model_batch(arch, depth, strategy)
             with ad.Tape() as tape:
-                loss = T.batch_loss(g, model, batch, *sampled)
+                loss = T.batch_loss(g, model, batch, field)
                 model.zero_grad()
                 tape.backward(loss)
             assert all(t.grad.any() for _, t in model.parameters())

@@ -400,6 +400,25 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_snr_sweep_with_an_empty_test_split_never_trains(
+            self, synth_files, tmp_path, capsys, monkeypatch):
+        """The sweep's rows are test F1s: an empty test split is a data
+        error, raised before the first training."""
+        split = json.loads(Path(synth_files["split"]).read_text())
+        bad = tmp_path / "no_test.json"
+        bad.write_text(json.dumps({**split, "test": []}))
+        monkeypatch.setattr(T, "train", lambda *a: pytest.fail("trained"))
+        out = tmp_path / "snr.csv"
+        code = run_cli("snr-sweep", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       "--split", str(bad), "--snr", "inf,1",
+                       "--config", write_config(tmp_path, max_epochs=1),
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA and not out.exists()
+        assert "nonempty test split" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("where, with_split", [
         ("train", False), ("train", True), ("val", True), ("test", True)])
     def test_unlabelled_node(self, synth_files, tmp_path, capsys, where,
@@ -541,6 +560,28 @@ class TestTrainEval:
                        "--out", str(tmp_path / "eval.json")) == 0
         ev = json.loads((tmp_path / "eval.json").read_text())
         assert ev["micro_f1"] == pytest.approx(summary["test_f1"])
+
+    def test_train_with_an_empty_test_split(self, synth_files, tmp_path,
+                                            capsys):
+        """Training needs no test nodes: every output is written, the
+        summary's test F1 is null and the report line names no score."""
+        split = json.loads(Path(synth_files["split"]).read_text())
+        no_test = tmp_path / "no_test.json"
+        no_test.write_text(json.dumps({**split, "test": []}))
+        out = tmp_path / "run"
+        code = run_cli("train", "--nodes", synth_files["nodes"],
+                       "--links", synth_files["links"],
+                       "--manifest", synth_files["manifest"],
+                       "--split", str(no_test), "--out", str(out),
+                       "--config", write_config(tmp_path, max_epochs=2))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK and "Traceback" not in captured.err
+        summary = json.loads((tmp_path / "run.summary.json").read_text())
+        assert summary["test_f1"] is None
+        assert captured.out == ("train: no test split (best epoch %d)\n"
+                                % summary["best_epoch"])
+        for suffix in (".ckpt.bin", ".ckpt.json", ".metrics.csv"):
+            assert (tmp_path / ("run" + suffix)).exists(), suffix
 
     def test_eval_takes_config_from_checkpoint(self, synth_files, tmp_path):
         cfg = write_config(tmp_path, arch="rw", hidden=6, depth=2, seed=4)

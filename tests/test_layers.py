@@ -247,13 +247,15 @@ class TestInvariance:
             st1, st2 = S.SamplerState(), S.SamplerState()
             S.refresh(st1, g, stack, plan, batch)
             S.refresh(st2, g2, stack, plan, batch)
+            f1 = S.sampled_field(g, stack, batch, plan, st1,
+                                 np.random.default_rng(3))
+            f2 = S.sampled_field(g2, stack, batch, plan, st2,
+                                 np.random.default_rng(3))
             with ad.Tape():
                 t1 = L.forward(g, stack, batch).data
                 t2 = L.forward(g2, stack, batch).data
-                s1 = L.forward(g, stack, batch, plan, st1,
-                               np.random.default_rng(3)).data
-                s2 = L.forward(g2, stack, batch, plan, st2,
-                               np.random.default_rng(3)).data
+                s1 = L.forward(g, stack, batch, f1).data
+                s2 = L.forward(g2, stack, batch, f2).data
             assert np.array_equal(t1, t2)
             assert np.array_equal(s1, s2)
 
@@ -327,13 +329,15 @@ class TestConstantInputs:
         g, split = small_graph()
         stack = L.LayerStack(arch, g.d_node, g.d_link, hidden=4, depth=2,
                              seed=0)
-        plan, state = S.SamplePlan(strategy=strategy, sample_size=2), None
+        batch, field = split.train[:4], None
         if strategy != "full":
+            plan = S.SamplePlan(strategy=strategy, sample_size=2)
             state = S.SamplerState()
-            S.refresh(state, g, stack, plan, split.train[:4])
+            S.refresh(state, g, stack, plan, batch)
+            field = S.sampled_field(g, stack, batch, plan, state,
+                                    np.random.default_rng(0))
         calls = self.count_cols(monkeypatch, g)
-        L.forward(g, stack, split.train[:4], plan, state,
-                  np.random.default_rng(0))
+        L.forward(g, stack, batch, field)
         per_layer = ["link", "node"] if arch == "rw" else ["link"]
         assert calls == ["node"] + per_layer * 2
 
@@ -393,9 +397,8 @@ class TestGradients:
     def test_sampled_stack_finite_difference(self, arch, strategy):
         """Gradients through the importance-sampled forward, whose sums
         scale each drawn summand by its coefficient.  One refresh fixes the
-        distributions and a fresh generator per evaluation the draws, so
-        every evaluation runs over the same sampled field.  Gaussian
-        features keep the ReLUs away from their kinks."""
+        distributions and one draw the sampled field every evaluation runs
+        over.  Gaussian features keep the ReLUs away from their kinks."""
         g, split = G.synth_graph("random", 24, seed=3)
         run = T.TrainRun(arch=arch, hidden=4, depth=2, seed=2, max_epochs=1)
         model = T.build_model(g, run)
@@ -403,9 +406,10 @@ class TestGradients:
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         state = S.SamplerState()
         S.refresh(state, g, model.stack, plan, batch)
+        field = S.sampled_field(g, model.stack, batch, plan, state,
+                                np.random.default_rng(5))
 
         def loss_fn():
-            return T.batch_loss(g, model, batch, plan, state,
-                                np.random.default_rng(5))
+            return T.batch_loss(g, model, batch, field)
 
         assert finite_diff_worst(model.parameters(), loss_fn) < 1e-4

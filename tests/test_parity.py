@@ -9,7 +9,7 @@ Theorem-1 pairs for every coordinate of a kernel-mode stack on the
 undirected graph: ``check_theorem1``'s left-hand side, and the walk sum
 against the parameter path rows by enumeration (``_walk_sum_against_path``,
 kept here as the oracle that produced the pinned values).  It also holds the
-sampled fields ``layers._sampled_field`` draws for three batches per
+sampled fields ``sampling.sampled_field`` draws for three batches per
 architecture, depth 1-3 and sampling strategy, each after a refresh: node
 lists, and per layer the drawn arc ids, destinations and coefficients.  Forward values,
 neighborhood matrices and the theorem's left-hand sides must match to 1e-12,
@@ -48,13 +48,14 @@ runs only the fused ones.
 ``training.micro_f1``'s one hit count must equal the pooled TP / FP / FN
 counts it replaced (``_micro_f1_pooled``) exactly, and the refresh work
 ``train`` derives from its refresh count the per-refresh sum the sampler
-kept before (``test_refresh_work_matches_per_refresh_sum``).  Likewise ``layers._sampled_field``
-must equal, bit for bit and in the generator state it leaves, the per-visit
-walk it replaced (``_sampled_field_per_visit``), and ``layers._whole_field``
-the field ``_full_field`` searches for below every node, with the
-``full_forward`` and eager-refresh weights over each equal bit for bit; in
-every such field, each layer's positions pick out its arcs' sources and its
-own nodes from the layer below (``assert_field_positions``).
+kept before (``test_refresh_work_matches_per_refresh_sum``).  Likewise
+``sampling.sampled_field`` must equal, bit for bit and in the generator
+state it leaves, the per-visit walk it replaced
+(``_sampled_field_per_visit``), and ``layers._whole_field`` the field
+``_full_field`` searches for below every node, with the ``full_forward``
+outputs over each equal bit for bit; in every such field, each layer's
+positions pick out its arcs' sources and its own nodes from the layer below
+(``assert_field_positions``).
 """
 
 import json
@@ -751,10 +752,13 @@ def test_layers_match_op_compositions(gname, sname, depth, strategy,
     model = T.Model(L.LayerStack(d_node=g.d_node, d_link=g.d_link, hidden=4,
                                  depth=depth, seed=6, **LAYER_STACKS[sname]),
                     g.n_labels, seed=7)
-    plan = S.SamplePlan(strategy=strategy, sample_size=2)
-    state = S.SamplerState()
+    field = None
     if strategy != "full":
+        plan = S.SamplePlan(strategy=strategy, sample_size=2)
+        state = S.SamplerState()
         S.refresh(state, g, model.stack, plan, list(batch))
+        field = S.sampled_field(g, model.stack, list(batch), plan, state,
+                                np.random.default_rng(1))
 
     def run(loss_of):
         with ad.Tape() as tape:
@@ -763,14 +767,12 @@ def test_layers_match_op_compositions(gname, sname, depth, strategy,
             tape.backward(loss)
         return loss.item(), model.grad.copy(), L.full_forward(g, model.stack)
 
-    new = run(lambda: T.batch_loss(g, model, list(batch), plan, state,
-                                   np.random.default_rng(1)))
+    new = run(lambda: T.batch_loss(g, model, list(batch), field))
     monkeypatch.setattr(L, "_layer", _layer_ops)
     monkeypatch.setattr(L, "_relabel", _relabel_ops)
     labels = [g.labels[u] for u in batch]
     old = run(lambda: _mean_loss_ops(ad.affine(model.C, (L.forward(
-        g, model.stack, list(batch), plan, state, np.random.default_rng(1)),),
-        model.c), labels))
+        g, model.stack, list(batch), field),), model.c), labels))
     assert new[0] == old[0]
     assert np.array_equal(new[1], old[1])
     for key in ("H", "gates", "terms"):
@@ -808,7 +810,7 @@ def compute_kernels():
 def _sampled_field_per_visit(g, stack, batch, plan, state, rng):
     """The sampled field drawn one (layer, node) at a time.
 
-    ``layers._sampled_field`` as it was before its draws were batched: a
+    ``sampling.sampled_field`` as it was before its draws were batched: a
     recursive visit per (layer, node), with one ``plan_probs`` lookup and one
     ``draw`` each.  Kept as the oracle that the batched field must equal in
     every node, arc, coefficient and generator state.
@@ -903,8 +905,8 @@ def test_sampled_field_matches_per_visit_oracle(arch, depth):
                                        np.random.default_rng(9))
                     for b in oracle_batches(g, batch):
                         S.refresh(state, g, stack, plan, b)
-                        nodes, arcs = L._sampled_field(g, stack, b, plan,
-                                                       state, rng)
+                        nodes, arcs = S.sampled_field(g, stack, b, plan,
+                                                      state, rng)
                         want_nodes, want_arcs = _sampled_field_per_visit(
                             g, stack, b, plan, state, oracle_rng)
                         assert len(nodes) == len(want_nodes) == depth + 1
@@ -937,11 +939,11 @@ def test_sampled_batch_of_isolated_nodes(arch, depth):
     state, rng = S.SamplerState(), np.random.default_rng(9)
     S.refresh(state, g, stack, plan, batch)
     before = rng.bit_generator.state
-    _, arcs = L._sampled_field(g, stack, batch, plan, state, rng)
+    field = S.sampled_field(g, stack, batch, plan, state, rng)
     assert rng.bit_generator.state == before
     assert all(ids.size == dst.size == coef.size == 0
-               for ids, dst, coef, _, _ in arcs[1:])
-    sampled = L.forward(g, stack, batch, plan, state, rng).data
+               for ids, dst, coef, _, _ in field[1][1:])
+    sampled = L.forward(g, stack, batch, field).data
     assert np.array_equal(sampled, L.forward(g, stack, batch).data)
 
 
@@ -951,8 +953,8 @@ def test_sampled_batch_of_isolated_nodes(arch, depth):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_whole_field_matches_searched_field(gname, sname, depth):
     """``_whole_field`` is the field ``_full_field`` finds below every node,
-    and ``full_forward`` and the eager refresh give over it, bit for bit,
-    what they give over the searched field."""
+    and ``full_forward`` gives over it, bit for bit, what it gives over the
+    searched field."""
     g = graphs()[gname if gname == "random+isolated" else "interaction"][0]
     if gname == "directed":
         g = directed(g)
@@ -982,17 +984,6 @@ def test_whole_field_matches_searched_field(gname, sname, depth):
             assert (a is b is None if key != "H" and l == 0
                     else np.array_equal(a, b)), (key, l)
 
-    # A refresh for the batch of every node weighs over the searched field.
-    for strategy in ("gate", "minvar"):
-        plan, eager, searched = (S.SamplePlan(strategy), S.SamplerState(),
-                                 S.SamplerState())
-        S.refresh(eager, g, stack, plan)
-        S.refresh(searched, g, stack, plan, np.arange(g.n_nodes))
-        for l in range(1, depth + 1):
-            assert not np.isnan(eager.weights[l]).any(), (strategy, l)
-            assert np.array_equal(eager.weights[l], searched.weights[l]), (
-                strategy, l)
-
 
 def compute_sampled():
     out = {}
@@ -1008,8 +999,8 @@ def compute_sampled():
                     fields = []
                     for b in batches:
                         S.refresh(state, g, stack, plan, b)
-                        nodes, arcs = L._sampled_field(g, stack, b, plan,
-                                                       state, rng)
+                        nodes, arcs = S.sampled_field(g, stack, b, plan,
+                                                      state, rng)
                         fields.append({
                             "nodes": [n.tolist() for n in nodes],
                             "arcs": [[ids.tolist(), dst.tolist(),

@@ -148,7 +148,8 @@ class TestDraw:
         with pytest.raises(ValueError, match="negative or NaN"):
             S.draw(p, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="negative or NaN"):
-            L.forward(g, stack, [v], plan, state, np.random.default_rng(0))
+            S.sampled_field(g, stack, [v], plan, state,
+                            np.random.default_rng(0))
 
     @pytest.mark.parametrize("arch", ["sage", "concat"])
     def test_uncovered_node_below_the_top_is_an_error(self, arch):
@@ -161,12 +162,13 @@ class TestDraw:
         state = S.SamplerState()
         u = split.train[0]
         S.refresh(state, g, stack, plan, [u])
-        nodes, _ = L._sampled_field(g, stack, [u], plan, state,
-                                    np.random.default_rng(0))
+        nodes, _ = S.sampled_field(g, stack, [u], plan, state,
+                                   np.random.default_rng(0))
         v = next(v for v in nodes[1].tolist() if degree(g, v))
         state.weights[1][g.arc_ptr[v]:g.arc_ptr[v + 1]] = np.nan
         with pytest.raises(ValueError, match="negative or NaN"):
-            L.forward(g, stack, [u], plan, state, np.random.default_rng(0))
+            S.sampled_field(g, stack, [u], plan, state,
+                            np.random.default_rng(0))
 
     @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
     def test_layer_probs_serve_each_row_once_by_degree(self, strategy):
@@ -177,7 +179,7 @@ class TestDraw:
                              seed=0)
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         state = S.SamplerState()
-        S.refresh(state, g, stack, plan)
+        S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         nodes = np.array([5, 0, 7, 5, 3])
         order, ptr, arcs, p, cdf = S.layer_probs(g, state, 1, nodes)
         assert order.tolist() == [0, 2, 3, 4, 1]  # the hub, node 0, last
@@ -205,8 +207,8 @@ class TestDraw:
         S.refresh(state, g, stack, plan, batch)
         tracemalloc.start()
         try:
-            nodes, _ = L._sampled_field(g, stack, batch, plan, state,
-                                        np.random.default_rng(0))
+            nodes, _ = S.sampled_field(g, stack, batch, plan, state,
+                                       np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,8 +227,8 @@ class TestDraw:
         gc.collect()
         gc.disable()
         try:
-            L._sampled_field(g, stack, split.train[:8], plan, state,
-                             np.random.default_rng(0))
+            S.sampled_field(g, stack, split.train[:8], plan, state,
+                            np.random.default_rng(0))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -299,7 +301,7 @@ def path_graph(n=4, seed=0):
 
 
 class TestEstimator:
-    """``layers.forward`` under a sampling plan: the estimator training runs,
+    """``layers.forward`` over a sampled field: the estimator training runs,
     (1/s) sum_j gate * term / p_j per (layer, node)."""
 
     def test_degree_one_exact(self):
@@ -311,8 +313,9 @@ class TestEstimator:
         for s in (1, 3, 10):
             plan = S.SamplePlan(strategy="uniform", sample_size=s)
             state = S.SamplerState()
-            S.refresh(state, g, stack, plan)
-            est = L.forward(g, stack, [0, 3], plan, state, rng)
+            S.refresh(state, g, stack, plan, [0, 3])
+            field = S.sampled_field(g, stack, [0, 3], plan, state, rng)
+            est = L.forward(g, stack, [0, 3], field)
             assert np.allclose(est.data, full, rtol=0, atol=1e-12)
 
     def test_zero_summands_give_zero(self):
@@ -322,9 +325,10 @@ class TestEstimator:
             p.U.data[...] = 0.0
         plan = S.SamplePlan(strategy="uniform", sample_size=5)
         state = S.SamplerState()
-        S.refresh(state, g, stack, plan)
-        est = L.forward(g, stack, list(range(8)), plan, state,
-                        np.random.default_rng(1))
+        batch = list(range(8))
+        S.refresh(state, g, stack, plan, batch)
+        est = L.forward(g, stack, batch, S.sampled_field(
+            g, stack, batch, plan, state, np.random.default_rng(1)))
         assert np.array_equal(est.data, np.zeros((3, 8)))
 
     @pytest.mark.parametrize("depth", [1, 2])
@@ -334,13 +338,13 @@ class TestEstimator:
         stack = kernel_stack(g, depth)
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         state = S.SamplerState()
-        S.refresh(state, g, stack, plan)
         batch = [u for u in range(g.n_nodes) if degree(g, u)][:6]
+        S.refresh(state, g, stack, plan, batch)
         full = L.forward(g, stack, batch).data
         rng = np.random.default_rng(21)
         n = 1500
-        ests = np.stack([L.forward(g, stack, batch, plan, state, rng).data
-                         for _ in range(n)])
+        ests = np.stack([L.forward(g, stack, batch, S.sampled_field(
+            g, stack, batch, plan, state, rng)).data for _ in range(n)])
         mean = ests.mean(axis=0)
         se = ests.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - full) <= 4.5 * se + 1e-12)
@@ -412,8 +416,8 @@ class TestRefresh:
         g, split, stack, _ = stack_and_ctx(seed=2)
         plan = S.SamplePlan(strategy="minvar", sample_size=2, refresh_interval=1)
         state = S.SamplerState()
-        assert S.refresh(state, g, stack, plan)
-        assert S.refresh(state, g, stack, plan)
+        assert S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
+        assert S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         assert state.refresh_count == 2
 
     def test_large_interval_computes_once(self):
@@ -422,15 +426,15 @@ class TestRefresh:
                             refresh_interval=1000)
         state = S.SamplerState()
         for _ in range(10):
-            S.refresh(state, g, stack, plan)
+            S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         assert state.refresh_count == 1
 
     def test_idempotent_under_fixed_params(self):
         g, split, stack, _ = stack_and_ctx(seed=4)
         plan = S.SamplePlan(strategy="minvar", sample_size=2, refresh_interval=1)
         s1, s2 = S.SamplerState(), S.SamplerState()
-        S.refresh(s1, g, stack, plan)
-        S.refresh(s2, g, stack, plan)
+        S.refresh(s1, g, stack, plan, np.arange(g.n_nodes))
+        S.refresh(s2, g, stack, plan, np.arange(g.n_nodes))
         for l in range(1, stack.depth + 1):
             assert np.array_equal(s1.weights[l], s2.weights[l])
             for u in range(g.n_nodes):
@@ -447,7 +451,7 @@ class TestRefresh:
                              seed=7)
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         state = S.SamplerState()
-        S.refresh(state, g, stack, plan)
+        S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         ctx = L.full_forward(g, stack)
         for l in (1, 2):
             for u in range(g.n_nodes):
@@ -484,10 +488,12 @@ class TestRefresh:
         for ofs in range(0, 24, 4):
             batch = split.train[ofs:ofs + 4]
             due = S.refresh(batched, g, model.stack, plan, batch)
-            assert S.refresh(eager, g, model.stack, plan) == due
+            assert S.refresh(eager, g, model.stack, plan,
+                             np.arange(g.n_nodes)) == due
             served.clear()
+            field = S.sampled_field(g, model.stack, batch, plan, batched, rng)
             with ad.Tape() as tape:
-                loss = T.batch_loss(g, model, batch, plan, batched, rng)
+                loss = T.batch_loss(g, model, batch, field)
                 model.zero_grad()
                 tape.backward(loss)
             opt.step()
@@ -556,7 +562,7 @@ class TestRefresh:
             return L.full_forward(*args)
 
         monkeypatch.setattr(S, "layers", types.SimpleNamespace(
-            full_forward=counted))
+            full_forward=counted, _field=L._field))
         g, split = G.synth_graph("interaction", 60, seed=8)
         plan = S.SamplePlan(strategy="uniform", sample_size=2,
                             refresh_interval=2)
@@ -571,14 +577,14 @@ class TestRefresh:
     @pytest.mark.parametrize("strategy", ["uniform", "minvar"])
     def test_sampled_forward_before_refresh_is_an_error(self, strategy):
         """Rows come only from a refresh: without one, or without a state,
-        a sampled forward draws nothing and raises."""
+        a sampled field draws nothing and raises."""
         g, _, stack, _ = stack_and_ctx(seed=5)
         plan = S.SamplePlan(strategy=strategy, sample_size=2)
         u = next(u for u in range(g.n_nodes) if degree(g, u))
         for state in (S.SamplerState(), None):
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="refresh first"):
-                L.forward(g, stack, [u], plan, state, rng)
+                S.sampled_field(g, stack, [u], plan, state, rng)
             assert rng.random() == np.random.default_rng(0).random()
 
     def test_uniform_weights_are_written_once(self):
@@ -587,9 +593,9 @@ class TestRefresh:
         g, _, stack, _ = stack_and_ctx(seed=5)
         plan = S.SamplePlan(strategy="uniform", sample_size=2)
         state = S.SamplerState()
-        S.refresh(state, g, stack, plan)
+        S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         weights = state.weights
-        assert S.refresh(state, g, stack, plan)
+        assert S.refresh(state, g, stack, plan, np.arange(g.n_nodes))
         assert state.weights is weights
         for l in range(1, stack.depth + 1):
             assert np.array_equal(weights[l], np.ones(len(g.arc_src)))

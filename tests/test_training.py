@@ -150,13 +150,15 @@ class TestTrain:
         plan = S.SamplePlan(strategy=strategy, sample_size=3)
         run = quick_run(arch=arch, hidden=16, depth=depth, plan=plan)
         model = T.build_model(g, run)
-        state = S.SamplerState()
         batch = list(split.train)[:16]
+        field = None
         if strategy != "full":
+            state = S.SamplerState()
             S.refresh(state, g, model.stack, plan, batch)
+            field = S.sampled_field(g, model.stack, batch, plan, state,
+                                    np.random.default_rng(0))
         with ad.Tape() as tape:
-            T.batch_loss(g, model, batch, plan, state,
-                         np.random.default_rng(0))
+            T.batch_loss(g, model, batch, field)
         assert len(tape._nodes) == ops
 
     def test_single_sgd_step_decreases_loss(self):
