@@ -17,7 +17,9 @@ map), ``combine`` (relu, or with ``squash`` sigmoid, of two linear maps
 summed, multiplied or stacked), ``scale`` by a row and a constant row, and
 the mean ``softmax_cross_entropy``.  Each runs the numpy expressions of the
 ops it replaced in the same order, forward and backward, so every value is
-bit for bit theirs.  This module holds only the ops the package runs.
+bit for bit theirs.  This module holds only the tensors, the tape and the
+ops the package runs; it knows no file format (checkpoints are
+``training.Model``'s) and imports nothing else of the package.
 Broadcasting happens only where an op says so (``scale`` by a scalar or a
 row of per-column factors, ``affine``'s bias column); any other shape
 disagreement raises.  Segment sums (``segment_sum``, the gradient of
@@ -26,11 +28,7 @@ disagreement raises.  Segment sums (``segment_sum``, the gradient of
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-
-from .fileio import atomic_write
 
 
 class Tensor2:
@@ -183,13 +181,11 @@ def sigmoid_affine(w, xs, b=None):
     return _make(y, "sigmoid", inputs, lambda g: vjp(g * y * (1.0 - y)))
 
 
-def amplify(h, w, x, squash=False):
-    """H (*) (W X), or H (*) sigmoid(W X) with ``squash``, as one op: each
-    column of h scaled elementwise by a linear map of x's column."""
-    a, inputs, vjp = _affine(w, (x,), None)
-    _finite(a, "affine")
-    if squash:
-        a = 1.0 / (1.0 + np.exp(-a))
+def _amplify(h, z, vjp, squash):
+    """(H (*) a, backward rule) for a = z, or sigmoid(z) with ``squash``,
+    where z and its rule ``vjp`` are ``_affine``'s: the rule maps the
+    product's gradient to the gradients of h and of the affine's inputs."""
+    a = 1.0 / (1.0 + np.exp(-z)) if squash else z
     if h.shape != a.shape:
         raise ValueError("hadamard shape mismatch: %s vs %s" % (h.shape, a.shape))
 
@@ -199,18 +195,24 @@ def amplify(h, w, x, squash=False):
             ga = ga * a * (1.0 - a)
         return [g * a if h.tracked else None] + vjp(ga)
 
-    return _make(h.data * a, "hadamard", (h, *inputs), rule)
+    return h.data * a, rule
+
+
+def amplify(h, w, x, squash=False):
+    """H (*) (W X), or H (*) sigmoid(W X) with ``squash``, as one op: each
+    column of h scaled elementwise by a linear map of x's column."""
+    z, inputs, vjp = _affine(w, (x,), None)
+    y, rule = _amplify(h, _finite(z, "affine"), vjp, squash)
+    return _make(y, "hadamard", (h, *inputs), rule)
 
 
 def amplify_gather(h, w1, x1, w2, x2, idx, squash=False):
     """amplify(h, w1, x1, squash) (*) (W2 X2)[:, idx] as one op: each column
     of h scaled by a linear map of x1's column and by the column idx[j] of
     a linear map of x2, which may repeat or leave out columns."""
-    z, in1, vjp1 = _affine(w1, (x1,), None)
-    a = 1.0 / (1.0 + np.exp(-z)) if squash else z
-    if h.shape != a.shape:
-        raise ValueError("hadamard shape mismatch: %s vs %s" % (h.shape, a.shape))
-    ha = h.data * a
+    z, inputs, vjp1 = _affine(w1, (x1,), None)
+    ha, rule1 = _amplify(h, z, vjp1, squash)
+    in1 = (h, *inputs)
     b, in2, vjp2 = _affine(w2, (x2,), None)
     bg = b[:, idx]
     if ha.shape != bg.shape:
@@ -228,18 +230,14 @@ def amplify_gather(h, w1, x1, w2, x2, idx, squash=False):
     def rule(g):
         """The hadamard's rule, then the gather's, the product's and
         amplify's, each only when a tracked input needs it."""
-        g1 = g * bg if h.tracked or any(t.tracked for t in in1) else None
         g2 = g * ha if any(t.tracked for t in in2) else None
         out = ([None] * 2 if g2 is None
                else vjp2(_scatter_cols(g2, idx, b.shape[1])))
-        if g1 is None:
+        if not any(t.tracked for t in in1):
             return [None] * 3 + out
-        ga = g1 * h.data
-        if squash:
-            ga = ga * a * (1.0 - a)
-        return [g1 * a if h.tracked else None] + vjp1(ga) + out
+        return rule1(g * bg) + out
 
-    return _make(y, "hadamard", (h, *in1, *in2), rule)
+    return _make(y, "hadamard", in1 + in2, rule)
 
 
 _COMBINED = {"sum": "add", "hadamard": "hadamard", "concat": "concat"}
@@ -376,73 +374,3 @@ def softmax_cross_entropy(logits, label):
 
     return _make(np.array([[loss]]) * inv, "softmax_cross_entropy",
                  (logits,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: <path>.json manifest + <path>.bin little-endian float64
-# blob, tensors flattened row-major and concatenated in manifest order.
-# ---------------------------------------------------------------------------
-
-def checkpoint_paths(path_prefix):
-    """(blob, manifest) paths of the checkpoint at ``path_prefix``."""
-    return path_prefix + ".bin", path_prefix + ".json"
-
-
-def save_checkpoint(path_prefix, named_tensors, meta=None):
-    manifest = {"meta": meta or {}, "tensors": []}
-    blob = bytearray()
-    for name, t in named_tensors:
-        r, c = t.shape
-        manifest["tensors"].append({"name": name, "rows": r, "cols": c})
-        blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    blob_path, manifest_path = checkpoint_paths(path_prefix)
-    atomic_write(blob_path, bytes(blob))
-    atomic_write(manifest_path,
-                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _check_manifest(manifest, where):
-    """A ValueError naming the key unless the manifest is an object whose
-    ``tensors`` is a list of objects, each with a string ``name`` and
-    non-negative integer ``rows`` and ``cols``, and whose ``meta`` is an
-    object."""
-    if not isinstance(manifest, dict):
-        raise ValueError("%s: expected a JSON object" % where)
-    entries = manifest.get("tensors")
-    if not isinstance(entries, list):
-        raise ValueError("%s: 'tensors' must be a list" % where)
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError("%s: tensors[%d] must be an object" % (where, i))
-        if not isinstance(entry.get("name"), str):
-            raise ValueError("%s: tensors[%d] 'name' must be a string"
-                             % (where, i))
-        for key in ("rows", "cols"):
-            v = entry.get(key)
-            if type(v) is not int or v < 0:
-                raise ValueError("%s: tensors[%d] %r must be a non-negative "
-                                 "integer, not %r" % (where, i, key, v))
-    if not isinstance(manifest.get("meta"), dict):
-        raise ValueError("%s: 'meta' must be an object" % where)
-
-
-def load_checkpoint(path_prefix):
-    """(named tensors, meta) of a checkpoint, after checking its manifest and
-    that the blob holds exactly the float64s the manifest lists."""
-    blob_path, manifest_path = checkpoint_paths(path_prefix)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    _check_manifest(manifest, manifest_path)
-    entries = manifest["tensors"]
-    if sum(e["rows"] * e["cols"] * 8 for e in entries) != len(blob):
-        raise ValueError("checkpoint blob size disagrees with manifest")
-    tensors, ofs = [], 0
-    for entry in entries:
-        r, c = entry["rows"], entry["cols"]
-        n = r * c * 8
-        arr = np.frombuffer(blob[ofs:ofs + n], dtype="<f8").reshape(r, c)
-        ofs += n
-        tensors.append((entry["name"], Tensor2(arr.copy())))
-    return tensors, manifest["meta"]

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import graph as graphmod
-from . import autodiff, kernels, layers, sampling, training
+from . import kernels, layers, sampling, training
 from .fileio import atomic_write, check_output
 
 EXIT_OK = 0
@@ -215,7 +215,7 @@ def _cmd_eval(args):
     if args.config:
         run = _get_run(args)
     else:
-        _, meta = autodiff.load_checkpoint(args.checkpoint)
+        meta = training.checkpoint_meta(args.checkpoint)
         if not isinstance(meta.get("run"), dict):
             raise UsageError("checkpoint %s stores no training config; pass "
                              "--config" % args.checkpoint)
@@ -380,7 +380,7 @@ def _outputs(args):
     if args.command == "train":
         if not os.path.basename(args.out):  # "" or "dir/": no file name
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-        return [*autodiff.checkpoint_paths(args.out + ".ckpt"),
+        return [*training.checkpoint_paths(args.out + ".ckpt"),
                 args.out + ".metrics.csv", args.out + ".summary.json"]
     paths = ([args.nodes, args.links, args.manifest, args.split]
              if args.command == "synth" else [args.out])

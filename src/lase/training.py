@@ -1,7 +1,10 @@
 """Mini-batch training, micro-F1 evaluation and the validation experiments.
 
 A ``Model`` keeps every parameter and gradient in one flat arena, so the
-optimizers update all parameters with one elementwise formula per step.
+optimizers update all parameters with one elementwise formula per step, and
+a checkpoint's blob is that arena as written: ``<prefix>.bin`` holds its
+little-endian float64s and ``<prefix>.json`` a manifest of the parameters'
+names and shapes, in ``parameters()`` order, plus a ``meta`` object.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers, sampling
+from .fileio import atomic_write
 
 
 class TrainingDiverged(FloatingPointError):
@@ -163,21 +167,29 @@ class Model:
         self.data[...] = snap
 
     def save(self, path_prefix, meta=None):
-        ad.save_checkpoint(path_prefix, self.parameters(), meta)
+        """Write the arena as the checkpoint blob, and a manifest of
+        ``parameters()``' names and shapes with ``meta``."""
+        manifest = {"meta": meta or {}, "tensors": [
+            {"name": name, "rows": t.shape[0], "cols": t.shape[1]}
+            for name, t in self.parameters()]}
+        blob_path, manifest_path = checkpoint_paths(path_prefix)
+        atomic_write(blob_path, self.data.astype("<f8").tobytes())
+        atomic_write(manifest_path,
+                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def load(self, path_prefix):
-        """Copy a checkpoint's tensors in; its names, count and shapes must
-        match ``parameters()`` exactly, or nothing is copied."""
-        named, meta = ad.load_checkpoint(path_prefix)
-        mine = self.parameters()
-        have = [(name, t.shape) for name, t in named]
-        want = [(name, t.shape) for name, t in mine]
+        """Fill the arena from a checkpoint and return its ``meta``; its
+        names, count and shapes must match ``parameters()`` exactly, or
+        nothing is copied."""
+        manifest, blob = _read_checkpoint(path_prefix)
+        have = [(e["name"], (e["rows"], e["cols"]))
+                for e in manifest["tensors"]]
+        want = [(name, t.shape) for name, t in self.parameters()]
         if have != want:
             raise ValueError("checkpoint tensors %s do not match the model's %s"
                              % (have, want))
-        for (_, src), (_, t) in zip(named, mine):
-            t.data[...] = src.data
-        return meta
+        self.data[...] = np.frombuffer(blob, dtype="<f8")
+        return manifest["meta"]
 
 
 def build_model(g, run):
@@ -186,6 +198,60 @@ def build_model(g, run):
         combine=run.combine, amplifier_sigmoid=run.amplifier_sigmoid,
         wl_depth=run.wl_depth, seed=run.seed)
     return Model(stack, g.n_labels, seed=run.seed + 1)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+def checkpoint_paths(path_prefix):
+    """(blob, manifest) paths of the checkpoint at ``path_prefix``."""
+    return path_prefix + ".bin", path_prefix + ".json"
+
+
+def _check_manifest(manifest, where):
+    """A ValueError naming the key unless the manifest is an object whose
+    ``tensors`` is a list of objects, each with a string ``name`` and
+    non-negative integer ``rows`` and ``cols``, and whose ``meta`` is an
+    object."""
+    if not isinstance(manifest, dict):
+        raise ValueError("%s: expected a JSON object" % where)
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError("%s: 'tensors' must be a list" % where)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError("%s: tensors[%d] must be an object" % (where, i))
+        if not isinstance(entry.get("name"), str):
+            raise ValueError("%s: tensors[%d] 'name' must be a string"
+                             % (where, i))
+        for key in ("rows", "cols"):
+            v = entry.get(key)
+            if type(v) is not int or v < 0:
+                raise ValueError("%s: tensors[%d] %r must be a non-negative "
+                                 "integer, not %r" % (where, i, key, v))
+    if not isinstance(manifest.get("meta"), dict):
+        raise ValueError("%s: 'meta' must be an object" % where)
+
+
+def _read_checkpoint(path_prefix):
+    """(manifest, blob) of a checkpoint, after checking its manifest and
+    that the blob holds exactly the float64s the manifest lists."""
+    blob_path, manifest_path = checkpoint_paths(path_prefix)
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    with open(blob_path, "rb") as fh:
+        blob = fh.read()
+    _check_manifest(manifest, manifest_path)
+    if sum(e["rows"] * e["cols"] * 8 for e in manifest["tensors"]) != len(blob):
+        raise ValueError("checkpoint blob size disagrees with manifest")
+    return manifest, blob
+
+
+def checkpoint_meta(path_prefix):
+    """The ``meta`` object of a checkpoint, after the checks ``Model.load``
+    makes before it compares tensors."""
+    return _read_checkpoint(path_prefix)[0]["meta"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tensor ops, backward rules and the checkpoint format."""
+"""Tensor ops and backward rules, the guard that the package runs each
+public function, and a model's parameter tensors through its checkpoint."""
 
 import ast
 import importlib
@@ -508,13 +509,17 @@ class TestPruning:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        named = [("a.W", t(rng.normal(size=(3, 2)))),
-                 ("b.V", t(rng.normal(size=(1, 5))))]
+        """A model's parameter tensors come back from its checkpoint by name,
+        bit for bit, into a model built from another seed, with its meta."""
+        g, _ = G.synth_graph("interaction", 40, seed=3)
+        model = T.build_model(g, T.TrainRun(arch="rw", hidden=3, seed=2))
+        model.restore(np.random.default_rng(3).normal(size=model.data.size))
         prefix = str(tmp_path / "ckpt")
-        ad.save_checkpoint(prefix, named, meta={"seed": 7})
-        loaded, meta = ad.load_checkpoint(prefix)
-        assert meta == {"seed": 7}
-        for (n1, t1), (n2, t2) in zip(named, loaded):
+        model.save(prefix, meta={"seed": 7})
+        loaded = T.build_model(g, T.TrainRun(arch="rw", hidden=3, seed=4))
+        assert not np.array_equal(loaded.data, model.data)
+        assert loaded.load(prefix) == {"seed": 7}
+        for (n1, t1), (n2, t2) in zip(model.parameters(),
+                                      loaded.parameters()):
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)

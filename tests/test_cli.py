@@ -3,11 +3,11 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from lase import autodiff as ad
 from lase import cli
 from lase import graph as G
 from lase import kernels
@@ -307,12 +307,14 @@ class TestDataErrors:
         assert not list(tmp_path.glob("run*"))
 
     def test_truncated_checkpoint(self, synth_files, tmp_path):
-        cfg = write_config(tmp_path)
+        """A depth-1 model's checkpoint, evaluated as a depth-2 model, lacks
+        the second layer's tensors."""
+        cfg = write_config(tmp_path, depth=2)
         g = G.load_graph(synth_files["nodes"], synth_files["links"],
                          manifest_path=synth_files["manifest"])
-        model = T.build_model(g, T.TrainRun.from_json(cfg))
+        run = T.TrainRun.from_json(cfg)
         prefix = str(tmp_path / "short.ckpt")
-        ad.save_checkpoint(prefix, model.parameters()[:2])
+        T.build_model(g, replace(run, depth=1)).save(prefix)
         code = run_cli("eval", "--nodes", synth_files["nodes"],
                        "--links", synth_files["links"],
                        "--manifest", synth_files["manifest"],

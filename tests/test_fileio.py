@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from lase import autodiff as ad
 from lase import graph as G
+from lase import training as T
 from lase.fileio import atomic_write
 
 
@@ -56,19 +56,22 @@ def test_failed_graph_and_checkpoint_saves_keep_previous_files(tmp_path,
     g1, _ = G.synth_graph("random", 20, seed=1)
     g2, _ = G.synth_graph("random", 20, seed=2)
     G.save_graph(g1, *paths)
+    model = T.build_model(g1, T.TrainRun(hidden=2, depth=1))
+    saved = model.snapshot()
     prefix = str(tmp_path / "ckpt")
-    ad.save_checkpoint(prefix, [("w", ad.Tensor2(np.ones((2, 2))))])
+    model.save(prefix)
     before = sorted(os.listdir(tmp_path))
 
     monkeypatch.setattr(os, "replace", _fail_replace)
     with pytest.raises(OSError):
         G.save_graph(g2, *paths)
+    model.restore(np.zeros_like(saved))
     with pytest.raises(OSError):
-        ad.save_checkpoint(prefix, [("w", ad.Tensor2(np.zeros((2, 2))))])
+        model.save(prefix)
     monkeypatch.undo()
 
     assert sorted(os.listdir(tmp_path)) == before
     loaded = G.load_graph(*paths[:2], manifest_path=paths[2])
     assert np.array_equal(loaded.node_features, g1.node_features)
-    (_, t), = ad.load_checkpoint(prefix)[0]
-    assert np.array_equal(t.data, np.ones((2, 2)))
+    model.load(prefix)
+    assert np.array_equal(model.snapshot(), saved)

@@ -528,17 +528,24 @@ class TestRefresh:
         assert {u for l, u in served if l == 1} - set(split.train)
 
     def test_sampled_training_weighs_only_batch_fields(self, monkeypatch):
-        """A depth-2 minvar training never runs a full-graph forward for the
-        sampler, and every distribution it serves is built from arcs weighed
-        since the last refresh."""
-        calls, served = [], []
+        """A depth-2 minvar training runs the sampler's forwards only over
+        batch fields: each one's top layer is the nodes of the batch being
+        refreshed, never every node.  Every distribution it serves is built
+        from arcs weighed since the last refresh."""
+        tops, served, batches = [], [], []
+        refresh = S.refresh
 
-        def counted(*args):
-            calls.append(args)
-            return L.full_forward(*args)
+        def refreshed(state, g, stack, plan, batch):
+            batches.append(np.unique(batch))
+            return refresh(state, g, stack, plan, batch)
 
+        def counted(g, stack, nodes, arcs):
+            tops.append((nodes[-1], batches[-1]))
+            return L.field_forward(g, stack, nodes, arcs)
+
+        monkeypatch.setattr(S, "refresh", refreshed)
         monkeypatch.setattr(S, "layers", types.SimpleNamespace(
-            **{**vars(L), "full_forward": counted}))
+            **{**vars(L), "field_forward": counted}))
         def recorded(state, l, u, row):
             lo, hi = g.arc_ptr[u], g.arc_ptr[u + 1]
             served.append((l, np.isfinite(state.weights[l][lo:hi]).all()))
@@ -550,7 +557,10 @@ class TestRefresh:
         run = T.TrainRun(arch="sage", hidden=4, depth=2, batch_size=8,
                          max_epochs=2, patience=2, seed=0, plan=plan)
         T.train(g, split, run)
-        assert calls == []
+        assert tops
+        for top, batch in tops:
+            assert np.array_equal(top, batch)
+            assert len(top) < g.n_nodes
         assert {l for l, _ in served} == {1, 2}
         assert all(finite for _, finite in served)
 

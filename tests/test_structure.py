@@ -1,5 +1,5 @@
-"""Package structure: the direction of imports between ``lase`` modules, and
-the names the benchmark's tracer wraps."""
+"""Package structure: the direction of imports between ``lase`` modules,
+``autodiff`` standing alone, and the names the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -51,6 +51,13 @@ def test_modules_import_only_earlier_ones():
         assert imported <= set(rank), (name, imported)
         later[name] = sorted(m for m in imported if rank[m] >= rank[name])
     assert later == {name: [] for name in names}
+
+
+def test_autodiff_imports_no_package_module():
+    """The tensors, the tape and its ops need nothing else of ``lase``: no
+    file format or helper is imported at any depth."""
+    with open(os.path.join(SRC, "autodiff.py"), encoding="utf-8") as fh:
+        assert _package_imports(ast.parse(fh.read())) == set()
 
 
 def test_package_imports_sees_every_form():

@@ -1,5 +1,6 @@
 """Training loop, metrics, contamination and the experiment drivers."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -236,14 +237,45 @@ class TestTrain:
         assert np.array_equal(model.snapshot(), snap)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
+        """A depth-1 model's checkpoint lacks a depth-2 model's second layer,
+        and a blob cut short lacks the manifest's last value: either is
+        refused before anything is copied."""
         g, _ = G.synth_graph("interaction", 40, seed=7)
-        model = T.build_model(g, quick_run())
+        model = T.build_model(g, quick_run(depth=2))
         prefix = str(tmp_path / "model")
-        ad.save_checkpoint(prefix, model.parameters()[:2])
+        T.build_model(g, quick_run(depth=1, seed=5)).save(prefix)
         before = model.snapshot()
         with pytest.raises(ValueError, match="do not match"):
             model.load(prefix)
         assert np.array_equal(before, model.snapshot())
+        T.build_model(g, quick_run(depth=2, seed=5)).save(prefix)
+        blob = tmp_path / "model.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="blob size disagrees"):
+            model.load(prefix)
+        assert np.array_equal(before, model.snapshot())
+
+    @pytest.mark.parametrize("arch", ["rw", "wl", "sage", "concat"])
+    def test_checkpoint_is_the_arena(self, arch, tmp_path):
+        """The blob is the arena's bytes, each parameter's values in
+        ``parameters()`` order, and the manifest holds the ``meta`` given
+        and the names and shapes in that order."""
+        g, _ = G.synth_graph("interaction", 40, seed=7)
+        model = T.build_model(g, quick_run(arch=arch, depth=2))
+        prefix = str(tmp_path / "model")
+        model.save(prefix, meta={"seed": 3})
+        blob_path, manifest_path = T.checkpoint_paths(prefix)
+        with open(blob_path, "rb") as fh:
+            blob = fh.read()
+        params = model.parameters()
+        assert blob == b"".join(t.data.astype("<f8").tobytes()
+                                for _, t in params)
+        assert blob == model.data.astype("<f8").tobytes()
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest == {"meta": {"seed": 3}, "tensors": [
+            {"name": name, "rows": t.shape[0], "cols": t.shape[1]}
+            for name, t in params]}
 
 
 class TestContaminate:
