@@ -113,7 +113,7 @@ def build_parser():
     add_graph_flags(sp)
     sp.add_argument("--config", default=None,
                     help="training config JSON (default: the checkpoint's)")
-    sp.add_argument("--checkpoint", required=True, help="checkpoint path prefix")
+    sp.add_argument("--checkpoint", required=True, help="checkpoint file")
     sp.add_argument("--split", required=True)
     sp.add_argument("--subset", choices=("train", "val", "test"), default="test")
     sp.add_argument("--out", default=None)
@@ -380,8 +380,8 @@ def _outputs(args):
     if args.command == "train":
         if not os.path.basename(args.out):  # "" or "dir/": no file name
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-        return [*training.checkpoint_paths(args.out + ".ckpt"),
-                args.out + ".metrics.csv", args.out + ".summary.json"]
+        return [args.out + ".ckpt", args.out + ".metrics.csv",
+                args.out + ".summary.json"]
     paths = ([args.nodes, args.links, args.manifest, args.split]
              if args.command == "synth" else [args.out])
     return [path for path in paths if path is not None]

@@ -204,12 +204,14 @@ def sampled_field(g, stack, batch, plan, state, rng):
     visited (layer, node) above layer 1, s neighbors are drawn from its
     ``plan_probs`` row by ``draw``, an inverse-CDF lookup; then the walk
     visits the node one layer down (every architecture but concat reads
-    it), then each drawn neighbor.  Layer 1, the most numerous, draws after
-    the walk as one block: the new layer-1 nodes one visit reaches take
-    their uniforms as one block, ``layer_probs`` normalizes all their rows
-    at once, and ``draw_rows`` draws from each row for its own uniforms by
-    the same lookup.  Layer 0 draws nothing.  A call before any ``refresh``
-    is a ValueError; after an error, the generator's state is unspecified.
+    it), then each drawn neighbor.  The walk keeps its own stack of frames,
+    so no depth meets the recursion limit.  Layer 1, the most numerous,
+    draws after the walk as one block: the new layer-1 nodes one visit
+    reaches take their uniforms as one block, ``layer_probs`` normalizes all
+    their rows at once, and ``draw_rows`` draws from each row for its own
+    uniforms by the same lookup.  Layer 0 draws nothing.  A call before any
+    ``refresh`` is a ValueError; after an error, the generator's state is
+    unspecified.
     """
     if getattr(state, "weights", None) is None:
         raise ValueError("a sampled field needs a refresh first")
@@ -221,17 +223,19 @@ def sampled_field(g, stack, batch, plan, state, rng):
     drawn = [([], []) for _ in range(depth + 1)]  # arc ids, coefficients
     x = [np.empty(0)]  # the uniforms of layer 1's draws
 
-    def reach(l, reached):
-        """Visit each of ``reached`` at layer l, in order."""
+    frames = [(depth, iter(batch.tolist()))]  # (layer, nodes to visit)
+    while frames:
+        l, todo = frames[-1]
         if l == 1:
+            frames.pop()
             m = len(row[1])
-            for u in reached:
+            for u in todo:
                 if u not in row[1] and ptr[u + 1] > ptr[u]:
                     row[1][u] = len(row[1])
             if len(row[1]) > m:
                 x.append(rng.random(s * (len(row[1]) - m)))
-            return
-        for u in reached:
+            continue
+        for u in todo:
             if u in row[l]:
                 continue
             row[l][u] = None
@@ -246,10 +250,10 @@ def sampled_field(g, stack, batch, plan, state, rng):
                 ids += a.tolist()
                 coefs += (1.0 / (s * p[j])).tolist()
                 below += g.arc_src[a].tolist()
-            reach(l - 1, below)
-
-    reach(depth, batch.tolist())
-    del reach  # it refers to itself: free the field now, not at a gc pass
+            frames.append((l - 1, iter(below)))  # walked before the rest
+            break
+        else:
+            frames.pop()
     ones = np.array(list(row[1]), dtype=np.intp)
     order, at, a, p, cdf = layer_probs(g, state, 1, ones)
     k = draw_rows(at, cdf, np.concatenate(x).reshape(-1, s)[order])

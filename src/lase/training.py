@@ -1,10 +1,11 @@
 """Mini-batch training, micro-F1 evaluation and the validation experiments.
 
 A ``Model`` keeps every parameter and gradient in one flat arena, so the
-optimizers update all parameters with one elementwise formula per step, and
-a checkpoint's blob is that arena as written: ``<prefix>.bin`` holds its
-little-endian float64s and ``<prefix>.json`` a manifest of the parameters'
-names and shapes, in ``parameters()`` order, plus a ``meta`` object.
+optimizers update all parameters with one elementwise formula per step.  A
+checkpoint is one file, written by one ``atomic_write``: a manifest of the
+parameters' names and shapes, in ``parameters()`` order, plus a ``meta``
+object, as one line of compact JSON; then the arena as little-endian
+float64s.
 """
 
 from __future__ import annotations
@@ -166,29 +167,33 @@ class Model:
     def restore(self, snap):
         self.data[...] = snap
 
-    def save(self, path_prefix, meta=None):
-        """Write the arena as the checkpoint blob, and a manifest of
-        ``parameters()``' names and shapes with ``meta``."""
+    def save(self, path, meta=None):
+        """Write the checkpoint: the manifest of ``parameters()``' names and
+        shapes with ``meta`` as one JSON line, then the arena."""
         manifest = {"meta": meta or {}, "tensors": [
             {"name": name, "rows": t.shape[0], "cols": t.shape[1]}
             for name, t in self.parameters()]}
-        blob_path, manifest_path = checkpoint_paths(path_prefix)
-        atomic_write(blob_path, self.data.astype("<f8").tobytes())
-        atomic_write(manifest_path,
-                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(manifest, sort_keys=True).encode()
+                     + b"\n" + self.data.astype("<f8").tobytes())
 
-    def load(self, path_prefix):
+    def load(self, path):
         """Fill the arena from a checkpoint and return its ``meta``; its
-        names, count and shapes must match ``parameters()`` exactly, or
-        nothing is copied."""
-        manifest, blob = _read_checkpoint(path_prefix)
+        names, count and shapes must match ``parameters()`` exactly, and
+        every value must be finite, or nothing is copied."""
+        manifest, blob = _read_checkpoint(path)
         have = [(e["name"], (e["rows"], e["cols"]))
                 for e in manifest["tensors"]]
         want = [(name, t.shape) for name, t in self.parameters()]
         if have != want:
             raise ValueError("checkpoint tensors %s do not match the model's %s"
                              % (have, want))
-        self.data[...] = np.frombuffer(blob, dtype="<f8")
+        values = np.frombuffer(blob, dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            ends = np.cumsum([rows * cols for _, (rows, cols) in want])
+            raise ValueError("checkpoint tensor %s holds a non-finite value"
+                             % want[np.searchsorted(ends, bad[0], "right")][0])
+        self.data[...] = values
         return manifest["meta"]
 
 
@@ -203,11 +208,6 @@ def build_model(g, run):
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
-
-def checkpoint_paths(path_prefix):
-    """(blob, manifest) paths of the checkpoint at ``path_prefix``."""
-    return path_prefix + ".bin", path_prefix + ".json"
-
 
 def _check_manifest(manifest, where):
     """A ValueError naming the key unless the manifest is an object whose
@@ -234,24 +234,24 @@ def _check_manifest(manifest, where):
         raise ValueError("%s: 'meta' must be an object" % where)
 
 
-def _read_checkpoint(path_prefix):
+def _read_checkpoint(path):
     """(manifest, blob) of a checkpoint, after checking its manifest and
     that the blob holds exactly the float64s the manifest lists."""
-    blob_path, manifest_path = checkpoint_paths(path_prefix)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    _check_manifest(manifest, manifest_path)
+    with open(path, "rb") as fh:
+        head, newline, blob = fh.read().partition(b"\n")
+    if not newline:
+        raise ValueError("%s: no newline ends the manifest line" % path)
+    manifest = json.loads(head.decode("utf-8"))
+    _check_manifest(manifest, path)
     if sum(e["rows"] * e["cols"] * 8 for e in manifest["tensors"]) != len(blob):
         raise ValueError("checkpoint blob size disagrees with manifest")
     return manifest, blob
 
 
-def checkpoint_meta(path_prefix):
+def checkpoint_meta(path):
     """The ``meta`` object of a checkpoint, after the checks ``Model.load``
     makes before it compares tensors."""
-    return _read_checkpoint(path_prefix)[0]["meta"]
+    return _read_checkpoint(path)[0]["meta"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, exit codes, idempotent outputs."""
 
+import contextlib
 import json
 import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lase import cli
@@ -52,6 +54,20 @@ def unlabel(synth_files, tmp_path, u):
     nodes = tmp_path / "unlabelled.tsv"
     nodes.write_text("".join(lines))
     return nodes
+
+
+def _graph_flags(synth_files):
+    return ("--nodes", synth_files["nodes"], "--links", synth_files["links"],
+            "--manifest", synth_files["manifest"])
+
+
+def _trained_checkpoint(synth_files, tmp_path):
+    """(config path, checkpoint path) of a one-epoch ``lase train``."""
+    cfg = write_config(tmp_path, max_epochs=1)
+    out = str(tmp_path / "run")
+    assert run_cli("train", *_graph_flags(synth_files), "--split",
+                   synth_files["split"], "--config", cfg, "--out", out) == 0
+    return cfg, tmp_path / "run.ckpt"
 
 
 class TestUsageErrors:
@@ -176,7 +192,7 @@ class TestUsageErrors:
         out = "missing/out" if bad == "missing-dir" else "d"
         named = out
         if argv[0] == "train":  # a file the prefix names
-            named += ".ckpt.bin" if bad == "missing-dir" else ".metrics.csv"
+            named += ".ckpt" if bad == "missing-dir" else ".metrics.csv"
         if bad == "directory":
             (tmp_path / named).mkdir()
         ran = []
@@ -212,7 +228,7 @@ class TestUsageErrors:
     def test_train_prefix_naming_no_file_fails_before_training(
             self, tmp_path, monkeypatch, capsys):
         """``--out d/`` names a directory but no file for the prefix; it is
-        refused, while ``--out d`` (for d.ckpt.bin and the rest) passes."""
+        refused, while ``--out d`` (for d.ckpt and the rest) passes."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         ran = []
@@ -237,7 +253,21 @@ class TestUsageErrors:
                        "--config", write_config(tmp_path), "--out", out)
         assert code == cli.EXIT_USAGE and trainings == []
         err = capsys.readouterr().err
-        assert repr(out + ".ckpt.bin") in err and ".tmp-" not in err
+        assert repr(out + ".ckpt") in err and ".tmp-" not in err
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_eval_of_a_missing_checkpoint_names_it(
+            self, synth_files, tmp_path, capsys, with_config):
+        """``--checkpoint`` takes the file ``train`` wrote: the bare
+        ``--out`` prefix names no file, a usage error naming that path."""
+        cfg, path = _trained_checkpoint(synth_files, tmp_path)
+        prefix = str(path)[:-len(".ckpt")]
+        code = run_cli("eval", *_graph_flags(synth_files),
+                       *(("--config", cfg) if with_config else ()),
+                       "--checkpoint", prefix, "--split", synth_files["split"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and repr(prefix) in err, err
 
     def test_train_writes_the_outputs_it_checks(self, synth_files, tmp_path):
         out = tmp_path / "out"
@@ -347,10 +377,10 @@ class TestDataErrors:
         g = G.load_graph(synth_files["nodes"], synth_files["links"],
                          manifest_path=synth_files["manifest"])
         run = T.TrainRun.from_json(cfg)
-        prefix = tmp_path / "run.ckpt"
-        T.build_model(g, run).save(str(prefix), meta={"run": run.to_dict()})
-        path = tmp_path / "run.ckpt.json"
-        manifest = json.loads(path.read_text())
+        path = tmp_path / "run.ckpt"
+        T.build_model(g, run).save(str(path), meta={"run": run.to_dict()})
+        head, _, blob = path.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
         for key, value in (tamper or {}).items():
             if isinstance(key, int):  # fields of the key-th tensor entry
                 manifest["tensors"][key].update(value)
@@ -358,18 +388,88 @@ class TestDataErrors:
                 del manifest[key]
             else:
                 manifest[key] = value
-        path.write_text(json.dumps(manifest if tamper else [manifest]))
+        path.write_bytes(json.dumps(manifest if tamper else [manifest])
+                         .encode() + b"\n" + blob)
         out = tmp_path / "eval.json"
         code = run_cli("eval", "--nodes", synth_files["nodes"],
                        "--links", synth_files["links"],
                        "--manifest", synth_files["manifest"],
                        *(("--config", cfg) if with_config else ()),
-                       "--checkpoint", str(prefix),
+                       "--checkpoint", str(path),
                        "--split", synth_files["split"], "--out", str(out))
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_nonfinite_checkpoint_value(self, synth_files, tmp_path, capsys,
+                                        with_config):
+        """A NaN in a trained checkpoint's blob is a data error naming the
+        tensor that holds it, found before the model is used."""
+        cfg, path = _trained_checkpoint(synth_files, tmp_path)
+        head, newline, blob = path.read_bytes().partition(b"\n")
+        first, second = json.loads(head)["tensors"][:2]
+        values = np.frombuffer(blob, dtype="<f8").copy()
+        values[first["rows"] * first["cols"]] = np.nan  # second's first
+        path.write_bytes(head + newline + values.tobytes())
+        code = run_cli("eval", *_graph_flags(synth_files),
+                       *(("--config", cfg) if with_config else ()),
+                       "--checkpoint", str(path),
+                       "--split", synth_files["split"])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: checkpoint tensor %s holds a non-finite value\n"
+            % second["name"])
+
+    def test_checkpoint_fuzz(self, synth_files, tmp_path, capsys):
+        """Seeded mutations of a trained checkpoint, each evaluated with and
+        without ``--config``: a file cut short, without its newline, with
+        bytes that are not UTF-8 in its manifest line or with bytes added is
+        a data error; a byte flipped in the manifest's tensor list is a data
+        error unless the line still parses to the same manifest.  Each error
+        is one line on stderr, never a traceback, and writes nothing."""
+        cfg, path = _trained_checkpoint(synth_files, tmp_path)
+        data = path.read_bytes()
+        head = data.index(b"\n")
+        manifest = json.loads(data[:head])
+        tensors = data.index(b'"tensors": ') + len('"tensors": ')
+        rng = np.random.default_rng(25)
+        cases = {"empty": b"", "no newline": data[:head] + data[head + 1:]}
+        for at in [head, head + 1, len(data) - 1, *rng.integers(1, head, 3),
+                   *rng.integers(head, len(data), 3)]:
+            cases["cut at %d" % at] = data[:at]
+        for at in rng.integers(0, head, 3):
+            cases["byte %d not UTF-8" % at] = (data[:at] + bytes(
+                [rng.integers(0x80, 0x100)]) + data[at + 1:])
+        for n in (1, 8, 9):
+            cases["%d bytes added" % n] = data + rng.bytes(n)
+        flipped = {}
+        for at, mask in zip(rng.integers(tensors, head, 12),
+                            rng.integers(1, 0x80, 12)):
+            flipped["byte %d ^ %#x" % (at, mask)] = (
+                data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+        cases.update(flipped)
+        out = tmp_path / "eval.json"
+        for case, mutated in cases.items():
+            want = cli.EXIT_DATA
+            if case in flipped:
+                line = mutated.partition(b"\n")[0]
+                with contextlib.suppress(ValueError):
+                    if json.loads(line) == manifest:
+                        want = cli.EXIT_OK
+            path.write_bytes(mutated)
+            for flags in ((), ("--config", cfg)):
+                code = run_cli("eval", *_graph_flags(synth_files), *flags,
+                               "--checkpoint", str(path),
+                               "--split", synth_files["split"],
+                               "--out", str(out))
+                err = capsys.readouterr().err
+                assert code == want, (case, flags, err)
+                if want == cli.EXIT_DATA:
+                    assert re.fullmatch(r"data error: [^\n]+\n", err), err
+                    assert not out.exists()
+                out.unlink(missing_ok=True)
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("fault, message", [
@@ -493,6 +593,7 @@ class TestDataErrors:
          "sample_size must be >= 1"),
         ({"plan": {"strategy": "minvar", "refresh_interval": 0}},
          "refresh_interval must be >= 1"),
+        ({"depth": 0}, "depth must be >= 1"),
     ])
     def test_bad_config(self, synth_files, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
@@ -582,7 +683,7 @@ class TestTrainEval:
         assert summary["test_f1"] is None
         assert captured.out == ("train: no test split (best epoch %d)\n"
                                 % summary["best_epoch"])
-        for suffix in (".ckpt.bin", ".ckpt.json", ".metrics.csv"):
+        for suffix in (".ckpt", ".metrics.csv"):
             assert (tmp_path / ("run" + suffix)).exists(), suffix
 
     def test_eval_takes_config_from_checkpoint(self, synth_files, tmp_path):
@@ -592,7 +693,7 @@ class TestTrainEval:
                  synth_files["links"], "--manifest", synth_files["manifest"])
         assert run_cli("train", *graph, "--split", synth_files["split"],
                        "--config", cfg, "--seed", "2", "--out", out) == 0
-        meta = json.loads((tmp_path / "run.ckpt.json").read_text())["meta"]
+        meta = T.checkpoint_meta(out + ".ckpt")
         assert meta["run"]["seed"] == 2
         f1 = {}
         for name, flags in (("with", ("--config", cfg)), ("without", ())):
@@ -630,7 +731,7 @@ class TestTrainEval:
                            "--split", synth_files["split"],
                            "--config", cfg, "--out", str(tmp_path / out)) == 0
         assert steps
-        for suffix in (".metrics.csv", ".ckpt.bin", ".summary.json"):
+        for suffix in (".metrics.csv", ".ckpt", ".summary.json"):
             assert ((tmp_path / ("a" + suffix)).read_bytes()
                     == (tmp_path / ("b" + suffix)).read_bytes()), suffix
 

@@ -1,5 +1,6 @@
 """Atomic output: a failed write leaves the previous file as it was."""
 
+import itertools
 import os
 
 import numpy as np
@@ -75,3 +76,36 @@ def test_failed_graph_and_checkpoint_saves_keep_previous_files(tmp_path,
     assert np.array_equal(loaded.node_features, g1.node_features)
     model.load(prefix)
     assert np.array_equal(model.snapshot(), saved)
+
+
+def test_a_checkpoint_save_failing_at_any_rename_keeps_the_previous(
+        tmp_path, monkeypatch):
+    """Each ``os.replace`` a checkpoint save makes fails in turn, and no
+    other, while the arena is zeroed: the previous checkpoint still loads
+    with its own meta and its own arena, and no file is left beside it."""
+    g, _ = G.synth_graph("random", 20, seed=1)
+    model = T.build_model(g, T.TrainRun(hidden=2, depth=1))
+    saved = model.snapshot()
+    path = str(tmp_path / "run.ckpt")
+    replace, renames = os.replace, []
+    monkeypatch.setattr(os, "replace",
+                        lambda *a: renames.append(a) or replace(*a))
+    model.save(path, meta={"run": "old"})
+    before = sorted(os.listdir(tmp_path))
+    assert renames
+    for i in range(len(renames)):
+        calls = itertools.count()
+
+        def fail_one(*args):
+            if next(calls) == i:
+                _fail_replace()
+            return replace(*args)
+
+        monkeypatch.setattr(os, "replace", fail_one)
+        model.restore(np.zeros_like(saved))
+        with pytest.raises(OSError):
+            model.save(path, meta={"run": "new"})
+        monkeypatch.setattr(os, "replace", replace)
+        assert sorted(os.listdir(tmp_path)) == before
+        assert model.load(path) == {"run": "old"}
+        assert np.array_equal(model.snapshot(), saved)

@@ -1,6 +1,7 @@
 """Sampling distributions, estimator unbiasedness and variance."""
 
 import gc
+import sys
 import tracemalloc
 import types
 
@@ -232,6 +233,24 @@ class TestDraw:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_sampled_field_walks_deeper_than_the_recursion_limit(self):
+        """The walk keeps its own stack of frames, so a depth past Python's
+        recursion limit draws a field like any other: each layer holds the
+        node itself (every architecture but concat reads it) and more."""
+        g, _ = G.synth_graph("random", 12, seed=1)
+        depth = 1100
+        assert depth > sys.getrecursionlimit()
+        stack = L.LayerStack("sage", g.d_node, g.d_link, hidden=2,
+                             depth=depth, seed=0)
+        plan = S.SamplePlan(strategy="uniform", sample_size=2)
+        state = S.SamplerState()
+        u = next(u for u in range(g.n_nodes) if degree(g, u))
+        S.refresh(state, g, stack, plan, [u])
+        nodes, arcs = S.sampled_field(g, stack, [u], plan, state,
+                                      np.random.default_rng(0))
+        assert len(nodes) == len(arcs) == depth + 1
+        assert all(u in layer and len(layer) > 1 for layer in nodes[:-1])
 
 
 class TestNumpyRowReductions:

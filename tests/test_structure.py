@@ -1,5 +1,6 @@
 """Package structure: the direction of imports between ``lase`` modules,
-``autodiff`` standing alone, and the names the benchmark's tracer wraps."""
+``autodiff`` standing alone, ``fileio`` as the one writer of files, and the
+names the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -65,6 +66,53 @@ def test_package_imports_sees_every_form():
                      "def f():\n    import lase.e\n    from lase import g\n"
                      "    from lase.h import y\n    import numpy\n")
     assert _package_imports(tree) == {"a", "b", "d", "e", "g", "h"}
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in ``tree`` that write a file themselves:
+    an ``open`` whose mode may write, append or create (a mode that is not
+    a literal counts), ``fdopen``, ``tofile``, ``write_bytes``,
+    ``write_text`` and numpy's ``save`` family."""
+    lines = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        name = getattr(f, "id", getattr(f, "attr", ""))
+        if name == "open":
+            mode = (n.args[1] if len(n.args) > 1 else next(
+                (k.value for k in n.keywords if k.arg == "mode"), None))
+            writes = mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+        else:
+            writes = name in ("fdopen", "tofile", "write_bytes",
+                              "write_text") or (
+                name.startswith("save") and isinstance(f, ast.Attribute)
+                and getattr(f.value, "id", None) in ("np", "numpy"))
+        if writes:
+            lines.append(n.lineno)
+    return lines
+
+
+def test_only_fileio_writes_files():
+    """Every file the package writes goes through ``fileio.atomic_write``:
+    no other module opens a file to write or writes one another way."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                lines = _file_writes(ast.parse(fh.read()))
+            assert bool(lines) == (name == "fileio.py"), (name, lines)
+
+
+def test_file_writes_sees_every_form():
+    tree = ast.parse("open(p)\nopen(p, 'rb')\nopen(p, mode='r')\n"
+                     "model.save(p)\nnp.load(p)\nf(p).read_bytes()\n"
+                     "open(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\n"
+                     "open(p, m)\nio.open(p, 'x')\nos.fdopen(fd, 'wb')\n"
+                     "np.save(p, a)\nnumpy.savez(p)\na.tofile(p)\n"
+                     "Path(p).write_bytes(b)\np.write_text(t)\n")
+    assert _file_writes(tree) == list(range(7, 18))
 
 
 def _spans():

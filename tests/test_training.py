@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,44 +239,62 @@ class TestTrain:
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         """A depth-1 model's checkpoint lacks a depth-2 model's second layer,
-        and a blob cut short lacks the manifest's last value: either is
-        refused before anything is copied."""
+        a blob cut short lacks the manifest's last value, and a file cut at
+        its newline lacks the line's end: each is refused before anything
+        is copied."""
         g, _ = G.synth_graph("interaction", 40, seed=7)
         model = T.build_model(g, quick_run(depth=2))
-        prefix = str(tmp_path / "model")
-        T.build_model(g, quick_run(depth=1, seed=5)).save(prefix)
+        path = tmp_path / "model.ckpt"
+        T.build_model(g, quick_run(depth=1, seed=5)).save(str(path))
         before = model.snapshot()
         with pytest.raises(ValueError, match="do not match"):
-            model.load(prefix)
+            model.load(str(path))
         assert np.array_equal(before, model.snapshot())
-        T.build_model(g, quick_run(depth=2, seed=5)).save(prefix)
-        blob = tmp_path / "model.bin"
-        blob.write_bytes(blob.read_bytes()[:-8])
+        T.build_model(g, quick_run(depth=2, seed=5)).save(str(path))
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="blob size disagrees"):
-            model.load(prefix)
+            model.load(str(path))
+        path.write_bytes(path.read_bytes().partition(b"\n")[0])
+        with pytest.raises(ValueError, match="no newline ends the manifest"):
+            model.load(str(path))
+        assert np.array_equal(before, model.snapshot())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_checkpoint_rejected(self, value, tmp_path):
+        """A non-finite value in the blob is refused, naming the tensor that
+        holds it, before anything is copied."""
+        g, _ = G.synth_graph("interaction", 40, seed=7)
+        saved = T.build_model(g, quick_run(depth=2, seed=5))
+        name, t = saved.parameters()[3]
+        t.data[-1, -1] = value
+        path = str(tmp_path / "model.ckpt")
+        saved.save(path)
+        model = T.build_model(g, quick_run(depth=2))
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="checkpoint tensor %s holds a "
+                           "non-finite value" % re.escape(name)):
+            model.load(path)
         assert np.array_equal(before, model.snapshot())
 
     @pytest.mark.parametrize("arch", ["rw", "wl", "sage", "concat"])
     def test_checkpoint_is_the_arena(self, arch, tmp_path):
-        """The blob is the arena's bytes, each parameter's values in
-        ``parameters()`` order, and the manifest holds the ``meta`` given
-        and the names and shapes in that order."""
+        """The checkpoint is one line of compact JSON, the manifest with the
+        ``meta`` given and the names and shapes in ``parameters()`` order,
+        then the arena's bytes, each parameter's values in that order."""
         g, _ = G.synth_graph("interaction", 40, seed=7)
         model = T.build_model(g, quick_run(arch=arch, depth=2))
-        prefix = str(tmp_path / "model")
-        model.save(prefix, meta={"seed": 3})
-        blob_path, manifest_path = T.checkpoint_paths(prefix)
-        with open(blob_path, "rb") as fh:
-            blob = fh.read()
+        path = tmp_path / "model.ckpt"
+        model.save(str(path), meta={"seed": 3, "note": "a\nb"})
+        head, newline, blob = path.read_bytes().partition(b"\n")
         params = model.parameters()
+        assert newline and blob == model.data.astype("<f8").tobytes()
         assert blob == b"".join(t.data.astype("<f8").tobytes()
                                 for _, t in params)
-        assert blob == model.data.astype("<f8").tobytes()
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        assert manifest == {"meta": {"seed": 3}, "tensors": [
+        manifest = {"meta": {"seed": 3, "note": "a\nb"}, "tensors": [
             {"name": name, "rows": t.shape[0], "cols": t.shape[1]}
             for name, t in params]}
+        assert head == json.dumps(manifest, sort_keys=True).encode()
+        assert T.checkpoint_meta(str(path)) == manifest["meta"]
 
 
 class TestContaminate:
