@@ -413,7 +413,7 @@ def main(argv=None):
     except (UsageError, OSError) as exc:  # OSError: a path flag's file
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (graphmod.GraphError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # GraphError included
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:  # TrainingDiverged included

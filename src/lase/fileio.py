@@ -1,10 +1,27 @@
-"""Atomic file output: every file the package writes goes through here."""
+"""Atomic file output, and JSON input: every file the package writes, and
+every JSON value it reads, goes through here."""
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import tempfile
+
+
+def read_json(path, data=None):
+    """The JSON value in ``data`` (bytes), or in the whole file at ``path``
+    when ``data`` is None.  Bytes that are not UTF-8, text that is not JSON
+    and nesting too deep to parse are each a ValueError naming ``path``."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply" % path) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def check_output(path):

@@ -1,11 +1,12 @@
 """Attributed graph container, TSV loading, splits and synthetic generators.
 
 Graphs are immutable after construction: node features, link features and
-the directed arcs (dst, src, link) sorted by (dst, src) are plain numpy
-arrays, and the arcs are the only neighbor index.  Node files are tab-separated
-``id<TAB>label<TAB>f1,f2,...`` with ``-`` for a missing label; link files are
-``src<TAB>dst<TAB>f1,f2,...``.  A sidecar JSON manifest may carry
-``{d_node, d_link, n_labels, undirected}`` and overrides inference.
+the directed arcs (dst, src, link) sorted by (dst, src) are read-only numpy
+arrays the graph owns, and the arcs are the only neighbor index.  A graph
+keeps each walk feature map (``walk_map``) it builds.  Node files are
+tab-separated ``id<TAB>label<TAB>f1,f2,...`` with ``-`` for a missing label;
+link files are ``src<TAB>dst<TAB>f1,f2,...``.  A sidecar JSON manifest may
+carry ``{d_node, d_link, n_labels, undirected}`` and overrides inference.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 
 
 class GraphError(ValueError):
@@ -34,11 +35,13 @@ class AttributedGraph:
     """Nodes and links with feature vectors; undirected by default.
 
     ``links`` is kept as an (n_links, 2) int64 array of (src, dst) rows.
+    Every array is the graph's own read-only copy, so no write, by the
+    caller or through the graph, can change it after construction.
     """
 
     def __init__(self, node_features, labels, links, link_features,
                  n_labels, undirected=True):
-        self.node_features = np.asarray(node_features, dtype=np.float64)
+        self.node_features = np.array(node_features, dtype=np.float64)
         if self.node_features.ndim != 2 or self.node_features.shape[1] < 1:
             raise GraphError("node features must be (n_nodes, d_node) with d_node > 0")
         self.labels = list(labels)
@@ -51,7 +54,7 @@ class AttributedGraph:
             self.links = self.links.reshape(0, 2)
         if self.links.ndim != 2 or self.links.shape[1] != 2:
             raise GraphError("links must be (src, dst) pairs")
-        self.link_features = np.asarray(link_features, dtype=np.float64)
+        self.link_features = np.array(link_features, dtype=np.float64)
         if len(self.links) == 0 and self.link_features.ndim != 2:
             d = self.link_features.shape[-1] if self.link_features.ndim else 1
             self.link_features = self.link_features.reshape(0, max(d, 1))
@@ -61,6 +64,10 @@ class AttributedGraph:
         self.undirected = bool(undirected)
         self._build_arcs(self.links)
         self._validate(shown)
+        for a in (self.node_features, self.link_features, self.links,
+                  self.arc_dst, self.arc_src, self.arc_link, self.arc_ptr):
+            a.setflags(write=False)
+        self._walk_maps = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -136,11 +143,64 @@ class AttributedGraph:
         ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
         return ids, np.repeat(np.arange(len(nodes)), cnt)
 
+    # -- walk feature maps --------------------------------------------------
+
+    def walk_map(self, hops):
+        """The sum over every walk of ``hops`` links (as ``kernels``
+        enumerates them) of the tensor product of its node and link
+        features, in walk order: d_node**(hops + 1) * d_link**hops numbers,
+        read-only, built on the first call for each ``hops`` and kept.
+
+        Each walk is split at its middle link, hop a = ceil(hops / 2): the
+        left part sums the prefixes of a - 1 links that end at the link's
+        start, the right part the suffixes of hops - a links from its end,
+        and the map sums left (x) link (x) right over the arcs, one gemm per
+        link-feature coordinate.
+        """
+        phi = self._walk_maps.get(hops)
+        if phi is None:
+            phi = self._walk_maps[hops] = self._build_walk_map(hops)
+            phi.setflags(write=False)
+        return phi
+
+    def _arc_sum(self, key, rows):
+        """(n_nodes, width) sums of the (n_arcs, width) ``rows`` by the node
+        ``key`` names for each arc: one weighted bincount, in arc order."""
+        width = rows.shape[1]
+        index = (key[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(index, weights=rows.ravel(),
+                           minlength=self.n_nodes * width).reshape(-1, width)
+
+    def _build_walk_map(self, hops):
+        f = self.node_features
+        if hops == 0:
+            return f.sum(axis=0)
+        fe = self.link_features[self.arc_link]
+        a = (hops + 1) // 2
+        left = right = f
+        for _ in range(a - 1):  # a walk steps from an arc's dst to its src
+            left = _outer(self._arc_sum(self.arc_src,
+                                        _outer(left[self.arc_dst], fe)), f)
+        for _ in range(hops - a):
+            right = _outer(f, self._arc_sum(self.arc_dst,
+                                            _outer(fe, right[self.arc_src])))
+        lo, hi = left[self.arc_dst], right[self.arc_src]
+        phi = np.empty((lo.shape[1], self.d_link, hi.shape[1]))
+        for k in range(self.d_link):
+            phi[:, k] = (lo * fe[:, k:k + 1]).T @ hi
+        return phi.ravel()
+
     def with_link_features(self, new_features):
         """Copy of this graph with replaced link features."""
-        return AttributedGraph(self.node_features.copy(), self.labels,
+        return AttributedGraph(self.node_features, self.labels,
                                self.links, new_features, self.n_labels,
                                self.undirected)
+
+
+def _outer(x, y):
+    """Row-wise outer products of (m, p) and (m, q) arrays, as (m, p * q)."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x),
+                                                   x.shape[1] * y.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +241,7 @@ def _load_manifest(path):
     """The manifest JSON object; each key it carries has the type the loader
     needs: ``d_node``, ``d_link`` and ``n_labels`` non-negative integers and
     ``undirected`` a boolean."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise GraphError("manifest: expected a JSON object")
     for key in ("d_node", "d_link", "n_labels"):
@@ -262,8 +321,7 @@ def save_graph(g, nodes_path, links_path, manifest_path=None):
 def load_split(path, n_nodes):
     """The split JSON of ``lase synth --split``: its train, val and test
     lists hold integer node ids in [0, n_nodes), no id twice."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = read_json(path)
     keys = ("train", "val", "test")
     sets = [d.get(key) if isinstance(d, dict) else None for key in keys]
     seen = set()

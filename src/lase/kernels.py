@@ -2,9 +2,11 @@
 
 The neighbor kernel is the Frobenius inner product of two rank-1 neighbor
 feature tensors, which factorizes into a product of node-feature and
-link-feature inner products.  An l-hop neighborhood kernel and a random-walk
-kernel are both read off one hop recursion over the graphs' arc arrays; a
-second random-walk kernel enumerates the walk pairs literally.
+link-feature inner products.  An l-hop neighborhood kernel is read off one
+hop recursion over the graphs' arc arrays; the random-walk kernel is the
+inner product of the two graphs' walk maps, or that recursion's sum where the
+maps are too wide; a second random-walk kernel enumerates the walk pairs
+literally.
 
 Hop recursion (Vishwanathan et al., "Graph Kernels", JMLR 2010): M[u, u2]
 sums the kernel products of the walk pairs from u in g1 and u2 in g2.  With
@@ -16,6 +18,26 @@ gathers M's rows at the arcs' sources once; each R_k product is one
 for each graph.  It holds O(n1 n2 + A1 n2 + n1 A2)
 numbers for A arcs, the gathered rows and the index arrays included: no
 arc-pair matrix and no dense adjacency.
+
+Walk maps (Kriege et al., "A unifying view of explicit and implicit feature
+maps of graph kernels", DMKD 2019): with linear node and link base kernels,
+the random-walk kernel is ``decay**hops * <phi(g1), phi(g2)>``, where phi(g)
+(``AttributedGraph.walk_map``) sums over every walk the tensor product of its
+node and link features, W = d_node**(hops + 1) * d_link**hops numbers.  Each
+walk is split at its middle link, hop a = ceil(hops / 2): a left part (the
+prefixes of a - 1 links ending at the link's start, n x d_node**a *
+d_link**(a - 1)) and a right part (the suffixes from its end, built by the
+hop recursion's gather and bincount) meet in one gemm per link-feature
+coordinate over the arcs; no dense adjacency is formed.  A graph keeps each
+map it builds, W float64s (128 KB for the benchmark's d_node = d_link = 4 at
+3 hops), so a Gram builds one map per graph, not one recursion per pair.
+``rw_kernel_dp`` takes the maps when W <= MAP_WIDTH and the hop recursion
+otherwise.  MAP_WIDTH was set by measurement: over the 36 pairs of six
+random graphs of 40-120 nodes, a cold pair (both maps built) beat the
+recursion at every (d_node, d_link, hops) of width up to 20000 and lost at
+some from 25000 on, as the map's gemm grows with W and the recursion with
+hops * d_link * n.  ``neighborhood_kernel`` and ``check_theorem1``'s
+right-hand side need per-node sums, so they stay on the hop recursion.
 
 Walk convention: a walk with ``hops`` links visits ``hops + 1`` nodes; the
 decay prefactor is ``decay ** hops`` (one factor per traversed link), which
@@ -54,6 +76,7 @@ class KernelConfig:
 
 
 ENUM_BUDGET = 10 ** 7
+MAP_WIDTH = 20000
 
 
 class WalkBudgetError(ValueError):
@@ -183,8 +206,13 @@ def rw_kernel_enumerate(g1, g2, cfg):
 
 
 def rw_kernel_dp(g1, g2, cfg):
-    """Random-walk kernel by the hop recursion: the entry sum of the
-    walk-pair matrix."""
+    """Random-walk kernel: ``decay**hops`` times the inner product of the
+    graphs' walk maps when they are at most MAP_WIDTH numbers wide, else the
+    entry sum of the hop recursion's walk-pair matrix."""
+    _check_dims(g1, g2)
+    if g1.d_node ** (cfg.hops + 1) * g1.d_link ** cfg.hops <= MAP_WIDTH:
+        return cfg.decay ** cfg.hops * float(
+            g1.walk_map(cfg.hops) @ g2.walk_map(cfg.hops))
     return float(_walk_matrix(g1, g2, cfg.hops, cfg.decay).sum())
 
 

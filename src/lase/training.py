@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers, sampling
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 
 
 class TrainingDiverged(FloatingPointError):
@@ -97,8 +97,7 @@ class TrainRun:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 @dataclass
@@ -241,7 +240,7 @@ def _read_checkpoint(path):
         head, newline, blob = fh.read().partition(b"\n")
     if not newline:
         raise ValueError("%s: no newline ends the manifest line" % path)
-    manifest = json.loads(head.decode("utf-8"))
+    manifest = read_json(path, head)
     _check_manifest(manifest, path)
     if sum(e["rows"] * e["cols"] * 8 for e in manifest["tensors"]) != len(blob):
         raise ValueError("checkpoint blob size disagrees with manifest")

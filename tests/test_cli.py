@@ -627,6 +627,38 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("reader", ["config", "manifest", "split",
+                                        "checkpoint"])
+    @pytest.mark.parametrize("fault", ["deep list", "deep object",
+                                       "not UTF-8", "not JSON"])
+    def test_unparsable_json_names_its_file(self, synth_files, tmp_path,
+                                            capsys, reader, fault):
+        """A JSON input nested deeper than the parser can follow, holding a
+        byte that is not UTF-8 or with a syntax error is a data error: one
+        line that names the file, never a traceback.  The checkpoint's JSON
+        is its manifest line, read by ``eval``; the rest are read by
+        ``train``."""
+        bad = {"deep list": b"[" * 100000, "deep object": b'{"a":' * 100000,
+               "not UTF-8": b'{"arch": "s\xffge"}',
+               "not JSON": b'{"arch": "sage",, }'}[fault]
+        if reader == "checkpoint":
+            cfg, path = _trained_checkpoint(synth_files, tmp_path)
+            blob = path.read_bytes().partition(b"\n")[2]
+            path.write_bytes(bad + b"\n" + blob)
+            argv = ("eval", "--config", cfg, "--checkpoint", str(path))
+        else:
+            cfg = write_config(tmp_path)
+            path = Path({"config": cfg, "manifest": synth_files["manifest"],
+                         "split": synth_files["split"]}[reader])
+            path.write_bytes(bad)
+            argv = ("train", "--config", cfg, "--out", str(tmp_path / "run"))
+        code = run_cli(*argv, *_graph_flags(synth_files),
+                       "--split", synth_files["split"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert re.fullmatch(r"data error: %s: [^\n]+\n" % re.escape(str(path)),
+                            err), err
+
     def test_kernel_over_enumeration_budget(self, tmp_path, monkeypatch,
                                             capsys):
         g, _ = G.synth_graph("random", 200, seed=0)

@@ -168,6 +168,38 @@ class TestLoad:
             assert np.array_equal(h2.arc_src, h.arc_src)
 
 
+class TestImmutable:
+    ARRAYS = ("node_features", "link_features", "links", "arc_dst",
+              "arc_src", "arc_link", "arc_ptr")
+
+    def test_graph_arrays_are_read_only(self):
+        g, _ = G.synth_graph("random", 20, seed=2)
+        for name in self.ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            g.walk_map(2)[0] = 0.0
+
+    def test_callers_arrays_stay_theirs(self):
+        """The graph copies what it is given: the caller's arrays stay
+        writable, share no memory with the graph, and a later write to
+        them leaves the graph as it was."""
+        rng = np.random.default_rng(3)
+        nf, lf = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        links = np.array([[0, 1], [1, 2], [2, 3]])
+        g = G.AttributedGraph(nf, [None] * 4, links, lf, 1)
+        before = [getattr(g, name).copy() for name in self.ARRAYS]
+        phi = g.walk_map(2).copy()
+        for given, kept in ((nf, g.node_features), (lf, g.link_features),
+                            (links, g.links)):
+            assert given.flags.writeable
+            assert not np.shares_memory(given, kept)
+            given[...] = 0
+        for name, old in zip(self.ARRAYS, before):
+            assert np.array_equal(getattr(g, name), old), name
+        assert np.array_equal(g.walk_map(2), phi)
+
+
 class TestSplit:
     def test_deterministic(self):
         g, _ = G.synth_graph("random", 100, seed=2)

@@ -194,6 +194,38 @@ class TestRandomWalkKernel:
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2)
         assert eigs.min() > -1e-8
 
+    def test_gram_exactly_symmetric(self):
+        """Below MAP_WIDTH each entry is one inner product of the two
+        graphs' maps, so the Gram equals its transpose bit for bit (the hop
+        recursion's sums, above it, need not)."""
+        rng = np.random.default_rng(9)
+        graphs = [random_graph(rng, max_nodes=7) for _ in range(3)]
+        graphs += [random_digraph(rng, max_nodes=7) for _ in range(3)]
+        for hops in range(5):
+            assert 3 ** (hops + 1) * 2 ** hops <= K.MAP_WIDTH
+            cfg = K.KernelConfig(0.5, hops)
+            gram = np.array([[K.rw_kernel_dp(a, b, cfg) for b in graphs]
+                             for a in graphs])
+            assert np.array_equal(gram, gram.T), hops
+
+    def test_walk_map_is_built_once_per_graph(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        g1, g2, g3 = (random_graph(rng, max_nodes=6) for _ in range(3))
+        built = []
+        build = G.AttributedGraph._build_walk_map
+
+        def counted(g, hops):
+            built.append((g, hops))
+            return build(g, hops)
+        monkeypatch.setattr(G.AttributedGraph, "_build_walk_map", counted)
+        cfg = K.KernelConfig(0.5, 3)
+        first = K.rw_kernel_dp(g1, g2, cfg)
+        phi = g1.walk_map(3)
+        assert K.rw_kernel_dp(g1, g2, cfg) == first
+        K.rw_kernel_dp(g3, g1, cfg)
+        assert g1.walk_map(3) is phi
+        assert built == [(g1, 3), (g2, 3), (g3, 3)]
+
 
 class TestTheorem1:
     def make_stack(self, g, depth, seed, decay=0.5):

@@ -22,6 +22,11 @@ must match the pinned right-hand sides to 1e-12 of their largest magnitude.
 ``PYTHONPATH=src python tests/test_parity.py`` adds the entries the fixture
 lacks, computed by the current code; delete an entry to recompute it.
 
+The random-walk kernel's three implementations, the graphs' walk maps
+(``AttributedGraph.walk_map``), the hop recursion and the enumeration, must
+agree to 1e-12 at hops 0-5 on every ``ORACLE_KINDS`` graph kind, and
+``rw_kernel_dp`` must take the maps exactly up to ``kernels.MAP_WIDTH``.
+
 The hop recursion's bincount segment sums are also checked bit for bit
 against an ``np.add.at`` oracle (``_propagate_add_at``, the segment sum the
 recursion used before): ``kernels._walk_matrix`` and ``kernels.count_walks``
@@ -251,6 +256,56 @@ def test_hop_recursion_against_a_linkless_graph():
             new = K._walk_matrix(a, b, hops, 0.5)
             assert np.array_equal(new, _walk_matrix_add_at(a, b, hops, 0.5))
             assert hops == 0 or not new.any()
+
+
+WALK_PAIR_BUDGET = 10 ** 6
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+def test_walk_map_hop_recursion_and_enumeration_agree(kind):
+    """decay**hops <walk_map(g1), walk_map(g2)>, the entry sum of the hop
+    recursion and the literal enumeration agree to 1e-12 of max(1, |sum|)
+    at hops 0-5; a pair with more than WALK_PAIR_BUDGET walk pairs skips
+    only the enumeration, and every kind enumerates at every hop count."""
+    rng = np.random.default_rng(40 + sorted(ORACLE_KINDS).index(kind))
+    make = ORACLE_KINDS[kind]
+    enumerated = np.zeros(6, dtype=int)
+    for _ in range(8):
+        g1, g2 = make(rng), make(rng)
+        for hops in range(6):
+            cfg = K.KernelConfig(0.5, hops)
+            for a, b in ((g1, g2), (g1, g1)):
+                by_map = 0.5 ** hops * float(a.walk_map(hops) @ b.walk_map(hops))
+                by_hops = float(K._walk_matrix(a, b, hops, 0.5).sum())
+                values = [by_map, by_hops]
+                try:
+                    K.check_enumeration_budget(a, b, hops, WALK_PAIR_BUDGET)
+                    values.append(K.rw_kernel_enumerate(a, b, cfg))
+                    enumerated[hops] += 1
+                except K.WalkBudgetError:
+                    pass
+                scale = max(1.0, abs(by_hops))
+                assert max(values) - min(values) <= 1e-12 * scale, (
+                    hops, values)
+    assert enumerated.min() > 0, enumerated
+
+
+def test_rw_kernel_dp_takes_the_map_up_to_its_width():
+    """At most MAP_WIDTH numbers wide, ``rw_kernel_dp`` is the map's inner
+    product and keeps the maps on both graphs; wider, it is the hop
+    recursion's sum bit for bit, and no map is built or kept."""
+    rng = np.random.default_rng(17)
+    g1, g2 = random_graph(rng, max_nodes=6), random_digraph(rng, max_nodes=6)
+    narrow, wide = 4, 5  # d_node = 3, d_link = 2: 3888 and 23328 numbers
+    assert 3 ** (narrow + 1) * 2 ** narrow <= K.MAP_WIDTH
+    assert 3 ** (wide + 1) * 2 ** wide > K.MAP_WIDTH
+    dp = K.rw_kernel_dp(g1, g2, K.KernelConfig(0.5, wide))
+    assert dp == float(K._walk_matrix(g1, g2, wide, 0.5).sum())
+    assert g1._walk_maps == g2._walk_maps == {}
+    dp = K.rw_kernel_dp(g1, g2, K.KernelConfig(0.5, narrow))
+    assert dp == 0.5 ** narrow * float(g1.walk_map(narrow)
+                                       @ g2.walk_map(narrow))
+    assert sorted(g1._walk_maps) == sorted(g2._walk_maps) == [narrow]
 
 
 def _scatter_add_at(x, idx, n):

@@ -1,6 +1,6 @@
 """Package structure: the direction of imports between ``lase`` modules,
-``autodiff`` standing alone, ``fileio`` as the one writer of files, and the
-names the benchmark's tracer wraps."""
+``autodiff`` standing alone, ``fileio`` as the one writer of files and the
+one parser of JSON, and the names the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -113,6 +113,43 @@ def test_file_writes_sees_every_form():
                      "np.save(p, a)\nnumpy.savez(p)\na.tofile(p)\n"
                      "Path(p).write_bytes(b)\np.write_text(t)\n")
     assert _file_writes(tree) == list(range(7, 18))
+
+
+def _json_reads(tree):
+    """Line numbers of the calls in ``tree`` that parse JSON themselves:
+    ``json.load`` and ``json.loads``, also under a name ``from json
+    import`` binds."""
+    parsers = ("load", "loads")
+    local = {a.asname or a.name for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.module == "json"
+             for a in n.names if a.name in parsers}
+    lines = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        if (isinstance(f, ast.Attribute) and f.attr in parsers
+                and getattr(f.value, "id", None) == "json") or (
+                isinstance(f, ast.Name) and f.id in local):
+            lines.append(n.lineno)
+    return lines
+
+
+def test_only_fileio_reads_json():
+    """Every JSON value the package reads goes through
+    ``fileio.read_json``, which names the file in every parse error."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                lines = _json_reads(ast.parse(fh.read()))
+            assert bool(lines) == (name == "fileio.py"), (name, lines)
+
+
+def test_json_reads_sees_every_form():
+    tree = ast.parse("json.dumps(x)\nnp.load(p)\nmodel.load(p)\n"
+                     "from json import dumps, loads as parse\n"
+                     "json.load(fh)\njson.loads(s)\nparse(s)\n")
+    assert _json_reads(tree) == [5, 6, 7]
 
 
 def _spans():
