@@ -26,6 +26,10 @@ The random-walk kernel's three implementations, the graphs' walk maps
 (``AttributedGraph.walk_map``), the hop recursion and the enumeration, must
 agree to 1e-12 at hops 0-5 on every ``ORACLE_KINDS`` graph kind, and
 ``rw_kernel_dp`` must take the maps exactly up to ``kernels.MAP_WIDTH``.
+``check_theorem1``, which reads one pass over every coordinate
+(``kernels.theorem1_nodes``), must equal the per-coordinate check it
+replaced (``theorem1_per_k``) bit for bit, on random and directed graphs at
+depths 1-4 and on the six graphs of the ``kernels`` benchmark workload.
 
 The hop recursion's bincount segment sums are also checked bit for bit
 against an ``np.add.at`` oracle (``_propagate_add_at``, the segment sum the
@@ -79,7 +83,7 @@ from lase import sampling as S
 from lase import training as T
 
 from util import (add, concat, degree, hadamard, matvec, random_digraph,
-                  random_graph, sigmoid)
+                  random_graph, sigmoid, theorem1_per_k)
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                        "parity.json")
@@ -1180,6 +1184,35 @@ def test_kernels_match_fixture(pinned_and_current, gname):
     assert _close(rhs, old[:, 1])
     assert _close([K.rw_kernel_enumerate(g, K.param_path_graph(stack, k), cfg)
                    for k in range(stack.hidden)], old[:, 1])
+
+
+
+def _theorem1_pairs_match_per_k(g, stack):
+    for k in range(stack.hidden):
+        assert K.check_theorem1(g, stack, None, k) == theorem1_per_k(g, stack,
+                                                                     k), k
+
+
+@pytest.mark.parametrize("make", [random_graph, random_digraph])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_theorem1_pass_matches_per_coordinate_check(make, depth):
+    rng = np.random.default_rng(60 + depth)
+    for trial in range(5):
+        g = make(rng, max_nodes=12)
+        _theorem1_pairs_match_per_k(g, L.LayerStack(
+            "rw", g.d_node, g.d_link, hidden=5, depth=depth, kernel_mode=True,
+            constant_decay=float(rng.uniform(0.1, 0.9)), seed=trial))
+
+
+def test_theorem1_pass_matches_per_coordinate_check_on_kernels_workload():
+    """The graphs and stack of the ``kernels`` workload at seed 1: random
+    graphs of 40-120 nodes, hidden 16, depth 3."""
+    gs = [G.synth_graph("random", n, seed=1000 + i)[0]
+          for i, n in enumerate((40, 56, 72, 88, 104, 120))]
+    stack = L.LayerStack("rw", 4, 4, hidden=16, depth=3, kernel_mode=True,
+                         constant_decay=0.5, seed=1)
+    for g in gs:
+        _theorem1_pairs_match_per_k(g, stack)
 
 
 if __name__ == "__main__":

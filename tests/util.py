@@ -1,8 +1,9 @@
 """Shared test helpers: random small graphs, per-node neighbor lookups,
 finite-difference checking, the interaction labelling rule and WL
-relabeling as arrays, and the single ops the fused ops of ``lase.autodiff``
-replaced (``matvec``, ``add``, ``hadamard``, ``concat``, ``sigmoid``), kept
-as their bit-for-bit oracles."""
+relabeling as arrays, the single ops the fused ops of ``lase.autodiff``
+replaced (``matvec``, ``add``, ``hadamard``, ``concat``, ``sigmoid``), and
+the per-coordinate Theorem-1 check (``theorem1_per_k``), kept as their
+bit-for-bit oracles."""
 
 from itertools import accumulate
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from lase import autodiff as ad
 from lase import graph as G
+from lase import kernels as K
 from lase import layers as L
 from lase.graph import AttributedGraph, random_graph
 
@@ -133,3 +135,14 @@ def finite_diff_worst(params, loss_fn, h=1e-6):
                 continue
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an)))
     return worst
+
+
+def theorem1_per_k(g, stack, k):
+    """Coordinate k's Theorem-1 pair as ``kernels.check_theorem1`` computed
+    it before one pass served every coordinate: the column-k sum of a
+    whole-graph forward, and the hop recursion's walk-pair sum against
+    coordinate k's own path graph."""
+    lhs = float(L.full_forward(g, stack)["H"][-1][:, k].sum())
+    path = K.param_path_graph(stack, k)
+    return lhs, float(K._walk_matrix(g, path, stack.depth,
+                                     stack.constant_decay).sum())
