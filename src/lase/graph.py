@@ -3,7 +3,10 @@
 Graphs are immutable after construction: node features, link features and
 the directed arcs (dst, src, link) sorted by (dst, src) are read-only numpy
 arrays the graph owns, and the arcs are the only neighbor index.  A graph
-keeps each walk feature map (``walk_map``) it builds.  Node files are
+keeps each walk feature map (``walk_map``) it builds, and the last Theorem-1
+pass of ``kernels.theorem1_nodes``: the (n_nodes, hidden) arrays and per
+coordinate sums of one layer stack, keyed by that stack's shape, decay and
+parameter values, so a change to the stack is a new pass.  Node files are
 tab-separated ``id<TAB>label<TAB>f1,f2,...`` with ``-`` for a missing label;
 link files are ``src<TAB>dst<TAB>f1,f2,...``.  A sidecar JSON manifest may
 carry ``{d_node, d_link, n_labels, undirected}`` and overrides inference.
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .fileio import atomic_write, read_json
 
 
@@ -68,6 +72,7 @@ class AttributedGraph:
                   self.arc_dst, self.arc_src, self.arc_link, self.arc_ptr):
             a.setflags(write=False)
         self._walk_maps = {}
+        self._theorem1 = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -165,11 +170,10 @@ class AttributedGraph:
 
     def _arc_sum(self, key, rows):
         """(n_nodes, width) sums of the (n_arcs, width) ``rows`` by the node
-        ``key`` names for each arc: one weighted bincount, in arc order."""
+        ``key`` names for each arc: one ``scatter_add``, in arc order."""
         width = rows.shape[1]
         index = (key[:, None] * width + np.arange(width)).ravel()
-        return np.bincount(index, weights=rows.ravel(),
-                           minlength=self.n_nodes * width).reshape(-1, width)
+        return ad.scatter_add(index, rows, (self.n_nodes, width))
 
     def _build_walk_map(self, hops):
         f = self.node_features

@@ -27,17 +27,18 @@ node and link features, W = d_node**(hops + 1) * d_link**hops numbers.  Each
 walk is split at its middle link, hop a = ceil(hops / 2): a left part (the
 prefixes of a - 1 links ending at the link's start, n x d_node**a *
 d_link**(a - 1)) and a right part (the suffixes from its end, built by the
-hop recursion's gather and bincount) meet in one gemm per link-feature
-coordinate over the arcs; no dense adjacency is formed.  A graph keeps each
-map it builds, W float64s (128 KB for the benchmark's d_node = d_link = 4 at
-3 hops), so a Gram builds one map per graph, not one recursion per pair.
+hop recursion's gather and ``autodiff.scatter_add``) meet in one gemm per
+link-feature coordinate over the arcs; no dense adjacency is formed.  A
+graph keeps each map it builds, W float64s (128 KB for the benchmark's
+d_node = d_link = 4 at 3 hops), so a Gram builds one map per graph, not one
+recursion per pair.
 ``rw_kernel_dp`` takes the maps when W <= MAP_WIDTH and the hop recursion
 otherwise.  MAP_WIDTH was set by measurement: over the 36 pairs of six
 random graphs of 40-120 nodes, a cold pair (both maps built) beat the
 recursion at every (d_node, d_link, hops) of width up to 20000 and lost at
 some from 25000 on, as the map's gemm grows with W and the recursion with
-hops * d_link * n.  ``neighborhood_kernel`` and ``check_theorem1``'s
-right-hand side need per-node sums, so they stay on the hop recursion.
+hops * d_link * n.  ``neighborhood_kernel`` and ``theorem1_nodes``' right
+side need per-node sums, so they stay on the hop recursion.
 
 Walk convention: a walk with ``hops`` links visits ``hops + 1`` nodes; the
 decay prefactor is ``decay ** hops`` (one factor per traversed link), which
@@ -45,11 +46,16 @@ makes the enumeration, the DP and the unrolled neighborhood recursion agree
 exactly.  Walks may revisit nodes and links; undirected links are traversed
 as directed sequences.
 
-Theorem 1: the kernel-mode ``rw`` network's summed activations equal the
-random-walk kernel between the graph and a directed parameter path graph
-(``param_path_graph``).  ``check_theorem1`` computes that kernel by the hop
-recursion, so it needs no enumeration budget and holds on directed graphs;
-``rw_kernel_enumerate`` against the path graph is its small-graph oracle.
+Theorem 1: coordinate k of the kernel-mode ``rw`` network's top layer at
+node u equals the walk-pair sum from u against a directed parameter path
+graph (``param_path_graph(stack, k)``), so the summed activations equal the
+random-walk kernel.  ``theorem1_nodes`` checks it per node for every
+coordinate at once: one forward, and one hop recursion against the disjoint
+union of the paths (``param_path_graph(stack)``), whose walk matrix is zero
+outside the paths' top nodes.  It needs no enumeration budget and holds on
+directed graphs; ``rw_kernel_enumerate`` against a path graph is its
+small-graph oracle.  The graph keeps the last pass: the two (n, hidden)
+arrays and each coordinate's sums, which ``check_theorem1`` reads.
 """
 
 from __future__ import annotations
@@ -220,8 +226,10 @@ def rw_kernel_dp(g1, g2, cfg):
 # Network / kernel correspondence
 # ---------------------------------------------------------------------------
 
-def param_path_graph(stack, k):
-    """Directed parameter path graph of coordinate k.
+def param_path_graph(stack, k=None):
+    """Directed parameter path graph of coordinate k, or with ``k=None`` the
+    disjoint union of every coordinate's path, coordinate k's node l being
+    node ``k * (depth + 1) + l``.
 
     Node l (0..depth) carries row k of layer l's node transform W, and link
     (l, l - 1) row k of layer l's link transform U.  A link (s, d) is the arc
@@ -229,11 +237,53 @@ def param_path_graph(stack, k):
     down to node 0 along the arcs the forward sums over: the top layer pairs
     with the walk's start in g, on directed graphs as well.
     """
-    rows = [p.W.data[k] for p in stack.layers]
-    links = [(l, l - 1) for l in range(1, stack.depth + 1)]
-    link_rows = [p.U.data[k] for p in stack.layers[1:]]
+    coords = range(stack.hidden) if k is None else [k]
+    rows = [p.W.data[c] for c in coords for p in stack.layers]
+    links = [(base + l, base + l - 1)
+             for base in range(0, len(rows), stack.depth + 1)
+             for l in range(1, stack.depth + 1)]
+    link_rows = [p.U.data[c] for c in coords for p in stack.layers[1:]]
     return AttributedGraph(rows, [None] * len(rows), links, link_rows, 0,
                            undirected=False)
+
+
+def _require_kernel_rw(stack):
+    if not stack.kernel_mode or stack.arch != "rw":
+        raise ValueError("theorem check requires a kernel-mode rw stack")
+
+
+def theorem1_nodes(g, stack):
+    """Theorem 1 per node, for every coordinate at once: two read-only
+    (n_nodes, hidden) arrays, the kernel-mode forward's top layer H[-1] and
+    the top-node columns of the hop recursion of g against
+    ``param_path_graph(stack)`` at ``depth`` hops.  Row u, column k of the
+    right one sums the walk pairs from u against coordinate k's path.
+
+    One forward and one recursion serve every coordinate.  The graph keeps
+    the two arrays and each coordinate's two sums (``check_theorem1``) for
+    the last stack it was asked about; any change to that stack's shape,
+    decay or parameter values, in place or not, is a new pass.  A
+    coordinate's rhs sum adds its (n, depth + 1) column block of the walk
+    matrix, zero columns included, in row-major order: bit for bit the sum
+    of the walk matrix against that coordinate's own path.
+    """
+    _require_kernel_rw(stack)
+    key = (stack.depth, stack.hidden, stack.constant_decay,
+           stack.amplifier_sigmoid,
+           b"".join(t.data.tobytes() for _, t in stack.parameters()))
+    if g._theorem1 is None or g._theorem1[0] != key:
+        lhs = layers.full_forward(g, stack)["H"][-1]
+        m = _walk_matrix(g, param_path_graph(stack), stack.depth,
+                         stack.constant_decay)
+        width = stack.depth + 1
+        rhs = m[:, stack.depth::width].copy()
+        lhs_sums = [float(lhs[:, k].sum()) for k in range(stack.hidden)]
+        rhs_sums = [float(m[:, k * width:(k + 1) * width].copy().sum())
+                    for k in range(stack.hidden)]
+        for a in (lhs, rhs):
+            a.setflags(write=False)
+        g._theorem1 = (key, lhs, rhs, lhs_sums, rhs_sums)
+    return g._theorem1[1:3]
 
 
 def check_theorem1(g, stack, cfg, k):
@@ -243,18 +293,17 @@ def check_theorem1(g, stack, cfg, k):
     lhs: sum over nodes of coordinate k of the kernel-mode forward pass.
     rhs: the hop recursion's walk-pair sum of g against
     ``param_path_graph(stack, k)`` at ``depth`` hops; ``rw_kernel_enumerate``
-    on the same pair is its small-graph oracle.
+    on the same pair is its small-graph oracle.  Both are the sums
+    ``theorem1_nodes`` keeps on g, so checking every k of one stack runs one
+    forward and one recursion.
     """
-    if not stack.kernel_mode or stack.arch != "rw":
-        raise ValueError("theorem check requires a kernel-mode rw stack")
+    _require_kernel_rw(stack)
     if cfg is not None and (cfg.hops != stack.depth
                             or cfg.decay != stack.constant_decay):
         raise ValueError("kernel config disagrees with the layer stack")
     if not 0 <= k < stack.hidden:
         raise ValueError("coordinate k=%d outside 0..%d"
                          % (k, stack.hidden - 1))
-    h = layers.full_forward(g, stack)["H"][-1]
-    lhs = float(h[:, k].sum())
-    path = param_path_graph(stack, k)
-    rhs = float(_walk_matrix(g, path, stack.depth, stack.constant_decay).sum())
-    return lhs, rhs
+    theorem1_nodes(g, stack)
+    _, _, _, lhs_sums, rhs_sums = g._theorem1
+    return lhs_sums[k], rhs_sums[k]

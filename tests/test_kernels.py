@@ -7,7 +7,7 @@ from lase import graph as G
 from lase import kernels as K
 from lase import layers as L
 
-from util import neighbors, random_digraph, random_graph
+from util import neighbors, random_digraph, random_graph, theorem1_per_k
 
 
 def tiny_graph(nf, links, lf):
@@ -348,3 +348,130 @@ class TestTheorem1:
         stack = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=1, seed=0)
         with pytest.raises(ValueError):
             K.check_theorem1(g, stack, None, 0)
+
+
+def _per_node_ok(lhs, rhs):
+    return bool(np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs))))
+
+
+def _sums_ok(lhs, rhs):
+    a, b = lhs.sum(axis=0), rhs.sum(axis=0)
+    return bool(np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))))
+
+
+class TestTheorem1Nodes:
+    """``theorem1_nodes``: the identity per node, and the pass the graph
+    keeps for ``check_theorem1``."""
+
+    def make_stack(self, g, depth, seed, hidden=4):
+        return L.LayerStack("rw", g.d_node, g.d_link, hidden=hidden,
+                            depth=depth, kernel_mode=True, seed=seed)
+
+    @pytest.mark.parametrize("make", [random_graph, random_digraph])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_identity_per_node(self, make, depth):
+        rng = np.random.default_rng(40 + depth)
+        for trial in range(10):
+            g = make(rng)
+            stack = self.make_stack(g, depth, seed=trial)
+            lhs, rhs = K.theorem1_nodes(g, stack)
+            assert lhs.shape == rhs.shape == (g.n_nodes, stack.hidden)
+            assert _per_node_ok(lhs, rhs)
+
+    @pytest.mark.parametrize("make", [random_graph, random_digraph])
+    def test_only_top_columns_of_the_union_are_nonzero(self, make):
+        rng = np.random.default_rng(44)
+        for depth in (1, 2, 3):
+            g = make(rng)
+            stack = self.make_stack(g, depth, seed=depth)
+            m = K._walk_matrix(g, K.param_path_graph(stack), depth,
+                               stack.constant_decay)
+            top = np.zeros(m.shape[1], dtype=bool)
+            top[depth::depth + 1] = True
+            assert not m[:, ~top].any()
+            assert np.array_equal(m[:, top], K.theorem1_nodes(g, stack)[1])
+
+    def test_union_holds_each_coordinates_path(self):
+        g = random_graph(np.random.default_rng(45))
+        stack = self.make_stack(g, 3, seed=1)
+        union = K.param_path_graph(stack)
+        assert union.n_nodes == stack.hidden * 4
+        for k in range(stack.hidden):
+            path = K.param_path_graph(stack, k)
+            nodes = slice(4 * k, 4 * k + 4)
+            assert np.array_equal(union.node_features[nodes],
+                                  path.node_features)
+            assert np.array_equal(union.links[3 * k:3 * k + 3],
+                                  path.links + 4 * k)
+            assert np.array_equal(union.link_features[3 * k:3 * k + 3],
+                                  path.link_features)
+
+    def test_permuted_rows_fail_per_node_but_not_in_sums(self):
+        """The per-node check sees what the column sums cannot: a forward
+        whose rows land on the wrong nodes."""
+        rng = np.random.default_rng(46)
+        g = random_graph(rng, max_nodes=8)
+        while g.n_nodes < 4:
+            g = random_graph(rng, max_nodes=8)
+        stack = self.make_stack(g, 2, seed=3)
+        lhs, rhs = K.theorem1_nodes(g, stack)
+        moved = np.roll(lhs, 1, axis=0)
+        assert _per_node_ok(lhs, rhs) and _sums_ok(lhs, rhs)
+        assert not _per_node_ok(moved, rhs)
+        assert _sums_ok(moved, rhs)
+
+    def test_one_forward_for_every_coordinate(self, monkeypatch):
+        g = random_graph(np.random.default_rng(47))
+        stack = self.make_stack(g, 3, seed=2, hidden=16)
+        calls = []
+        forward = K.layers.full_forward
+        monkeypatch.setattr(K.layers, "full_forward",
+                            lambda *a: calls.append(a) or forward(*a))
+        pairs = [K.check_theorem1(g, stack, None, k) for k in range(16)]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert pairs == [theorem1_per_k(g, stack, k) for k in range(16)]
+
+    def test_in_place_parameter_change_recomputes(self):
+        g = random_graph(np.random.default_rng(48))
+        stack = self.make_stack(g, 1, seed=4)
+        lhs, rhs = K.check_theorem1(g, stack, None, 0)
+        assert lhs != 0.0 and rhs != 0.0
+        stack.layers[1].U.data[...] = 0.0
+        assert K.check_theorem1(g, stack, None, 0) == (0.0, 0.0)
+
+    def test_alternating_stacks_share_one_slot(self, monkeypatch):
+        g = random_graph(np.random.default_rng(49))
+        a, b = (self.make_stack(g, 2, seed=s) for s in (5, 6))
+        expect = {id(s): [theorem1_per_k(g, s, k) for k in range(4)]
+                  for s in (a, b)}
+        calls = []
+        forward = K.layers.full_forward
+        monkeypatch.setattr(K.layers, "full_forward",
+                            lambda *x: calls.append(x) or forward(*x))
+        for stack in (a, b, a, b):
+            assert [K.check_theorem1(g, stack, None, k)
+                    for k in range(4)] == expect[id(stack)]
+        assert len(calls) == 4
+        assert [name for name in vars(g) if "theorem1" in name] == ["_theorem1"]
+
+    def test_memo_hit_still_validates(self):
+        g = random_graph(np.random.default_rng(50))
+        stack = self.make_stack(g, 2, seed=7)
+        K.check_theorem1(g, stack, None, 0)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            K.check_theorem1(g, stack, None, 4)
+        with pytest.raises(ValueError, match="disagrees with the layer stack"):
+            K.check_theorem1(g, stack, K.KernelConfig(0.5, 1), 0)
+        other = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2,
+                             seed=7)
+        with pytest.raises(ValueError, match="kernel-mode rw stack"):
+            K.theorem1_nodes(g, other)
+
+    def test_arrays_are_read_only(self):
+        g = random_graph(np.random.default_rng(51))
+        stack = self.make_stack(g, 2, seed=8)
+        for a in K.theorem1_nodes(g, stack):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0

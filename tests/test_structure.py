@@ -14,7 +14,7 @@ SRC = os.path.dirname(S.__file__)
 ROOT = os.path.dirname(os.path.dirname(SRC))
 
 # Each module may import only modules of earlier ranks.
-RANKS = (("fileio",), ("graph",), ("autodiff",), ("layers",),
+RANKS = (("fileio",), ("autodiff",), ("graph",), ("layers",),
          ("kernels", "sampling"), ("training",), ("cli",))
 
 
