@@ -23,7 +23,8 @@ ops the package runs; it knows no file format (checkpoints are
 Broadcasting happens only where an op says so (``scale`` by a scalar or a
 row of per-column factors, ``affine``'s bias column); any other shape
 disagreement raises.  Segment sums (``segment_sum``, the gradient of
-``gather`` and the kernels' hop recursion) are one ``scatter_add`` each.
+``gather``, the kernels' hop recursion and the graphs' walk maps) are one
+``scatter_add`` each.
 """
 
 from __future__ import annotations

@@ -440,6 +440,18 @@ class TestTheorem1Nodes:
         stack.layers[1].U.data[...] = 0.0
         assert K.check_theorem1(g, stack, None, 0) == (0.0, 0.0)
 
+    def test_amplifier_flag_is_part_of_the_key(self):
+        """Equal parameters under another amplifier give another forward."""
+        g = random_graph(np.random.default_rng(52))
+        plain = self.make_stack(g, 2, seed=9)
+        squashed = L.LayerStack("rw", g.d_node, g.d_link, hidden=4, depth=2,
+                                kernel_mode=True, amplifier_sigmoid=True,
+                                seed=9)
+        first = K.theorem1_nodes(g, plain)[0]
+        lhs = K.theorem1_nodes(g, squashed)[0]
+        assert not np.array_equal(lhs, first)
+        assert np.array_equal(lhs, L.full_forward(g, squashed)["H"][-1])
+
     def test_alternating_stacks_share_one_slot(self, monkeypatch):
         g = random_graph(np.random.default_rng(49))
         a, b = (self.make_stack(g, 2, seed=s) for s in (5, 6))
